@@ -160,18 +160,14 @@ def iterative_ase(k: MatrixSeries, rank_tol: float = 1e-10, max_depth=None) -> A
         # rows that are identically zero up to the horizon decouple from the
         # rest (by symmetry) but carry no readable spectral information; drop
         # them and remember that the result is only good below the horizon
-        dead = [
-            i
-            for i in range(current.shape[0])
-            if all(omega[i, j].is_infinite for j in range(current.shape[0]))
-        ]
-        if dead:
-            keep = [i for i in range(current.shape[0]) if i not in dead]
+        live = ~omega.inf.all(axis=1)
+        if not live.all():
+            keep = np.flatnonzero(live)
             horizon_cap = _exp_min(horizon_cap, current.trunc_order)
             sub = current.submatrix(keep, keep)
             current = MatrixSeries(sub.shape, sub.terms, sub.trunc_order, symmetric=True)
             basis = basis[:, keep]
-            if not keep:
+            if not keep.size:
                 truncated_at = current.trunc_order
                 break
             omega = valuation_matrix(current)

@@ -9,7 +9,8 @@ Maximally tight scalings are computed from the assignment problem on the
 valuation matrix: the Hungarian algorithm run in exact integer arithmetic
 yields optimal dual potentials u, v with ``u_i + v_j <= Omega_ij``; by symmetry
 of Omega the average ``nu = (u + v) / 2`` is feasible and optimal for the
-symmetric program maximizing ``sum nu_i``.
+symmetric program maximizing ``sum nu_i``.  Validity, tightness and the
+assignment costs are computed on the valuation grid's integer numerators.
 
 Scalings are additionally constrained to be nonnegative (after shifting when
 the valuation matrix itself has negative entries).  Unconstrained optima can
@@ -31,10 +32,13 @@ import numpy as np
 
 from .series import (
     Exponent,
-    INFINITY,
     MatrixSeries,
     ValuationMatrix,
     as_exponent,
+    exact_int_dtype,
+    exponent_ints,
+    max_abs,
+    valuation_matrix,
 )
 
 __all__ = [
@@ -131,42 +135,37 @@ def check_valid(omega: ValuationMatrix, scaling: DiagonalScaling):
     n = omega.shape[0]
     if omega.shape != (n, n) or scaling.n != n:
         raise ValueError("size mismatch between valuation matrix and scaling")
-    exps = scaling.exponents()
-    rows = []
-    valid = True
-    zero = Exponent(0)
-    for i in range(n):
-        row = []
-        for j in range(n):
-            r = omega[i, j] - (exps[i] + exps[j])
-            if r < zero:
-                valid = False
-            row.append(r)
-        rows.append(row)
-    return valid, ValuationMatrix(rows)
+    nus, nu_den = exponent_ints(scaling.exponents())
+    den = lcm(omega.den, nu_den)
+    a, b = den // omega.den, den // nu_den
+    dtype = exact_int_dtype(max_abs(omega.num) * a + 2 * max_abs(nus) * b)
+    nus = np.asarray(nus, dtype=dtype) * b
+    resid = np.asarray(omega.num, dtype=dtype) * a - (nus[:, None] + nus[None, :])
+    valid = not np.any(resid[~omega.inf] < 0)
+    return valid, ValuationMatrix._from_arrays(resid, den, omega.inf)
+
+
+def _tight_mask(omega: ValuationMatrix, scaling: DiagonalScaling) -> np.ndarray:
+    valid, residual = check_valid(omega, scaling)
+    if not valid:
+        raise ValueError("scaling is not valid for this valuation matrix")
+    return ~residual.inf & (residual.num == 0)
 
 
 def tight_entries(omega: ValuationMatrix, scaling: DiagonalScaling):
     """Index pairs where the validity bound holds with (rational) equality."""
-    valid, residual = check_valid(omega, scaling)
-    if not valid:
-        raise ValueError("scaling is not valid for this valuation matrix")
-    zero = Exponent(0)
-    n = omega.shape[0]
-    return {(i, j) for i in range(n) for j in range(n) if residual[i, j] == zero}
+    rows, cols = np.nonzero(_tight_mask(omega, scaling))
+    return set(zip(rows.tolist(), cols.tolist()))
 
 
 def extract_H(k: MatrixSeries, scaling: DiagonalScaling) -> ScaledForm:
     """Leading coefficients of K at the scaling's tight entries, 0 elsewhere."""
-    from .series import valuation_matrix
-
-    omega = valuation_matrix(k)
-    tight = tight_entries(omega, scaling)
-    n = k.n
-    h = np.zeros((n, n))
-    for i, j in tight:
-        _, lc = k.entry(i, j).leading()
-        h[i, j] = lc
+    todo = _tight_mask(valuation_matrix(k), scaling)
+    h = np.zeros(k.shape)
+    for _, m in k.terms:  # ascending exponents: the first nonzero one leads
+        hit = todo & (m != 0.0)
+        h[hit] = m[hit]
+        todo &= ~hit
     return ScaledForm(scaling, h, scaling.block_sizes)
 
 
@@ -180,52 +179,59 @@ def _hungarian(cost):
 
     Returns (row_of_col, u, v): the matching (1-indexed internally, returned
     0-indexed) and integer dual potentials with ``u[i] + v[j] <= cost[i][j]``
-    for all i, j and equality on matched pairs.
+    for all i, j and equality on matched pairs.  Each row is added along a
+    shortest augmenting path (Kuhn's method with potentials).  The scan over
+    the columns is vectorized and takes the first column of least reduced
+    cost, so pivots and duals are those of the plain column-by-column loop.
     """
-    n = len(cost)
-    big = max((max(row) for row in cost), default=0) * n + 1
-    inf = big * (n + 2) + 1
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    match = [0] * (n + 1)  # match[j] = row assigned to column j
+    cost = np.asarray(cost)
+    n = cost.shape[0]
+    # potentials are shortest-path distances, a few times n * max|cost|
+    dtype = exact_int_dtype(16 * (n + 1) * (max_abs(cost) + 1))
+    used_key = np.iinfo(np.int64).max if dtype is np.int64 else float("inf")
+    c = np.zeros((n + 1, n + 1), dtype=dtype)  # row and column 0 are dummies
+    c[1:, 1:] = cost
+    u = np.zeros(n + 1, dtype=dtype)
+    v = np.zeros(n + 1, dtype=dtype)
+    match = np.zeros(n + 1, dtype=np.intp)  # match[j] = row assigned to column j
     for i in range(1, n + 1):
         match[0] = i
-        j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
-        way = [0] * (n + 1)
+        # Potential updates are deferred: ``shift`` is the sum of this row's
+        # deltas so far.  A free column's least reduced cost is key - shift;
+        # a tree column that joined at shift s moves by (final shift - s).
+        shift = 0
+        tree, joined = [0], [0]
+        free = np.ones(n + 1, dtype=bool)
+        free[0] = False
+        way = np.zeros(n + 1, dtype=np.intp)
+        key = c[i] - u[i] - v
+        key[0] = used_key
+        cur = np.empty_like(key)
+        better = np.empty(n + 1, dtype=bool)
         while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = inf
-            j1 = -1
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
+            j0 = int(key.argmin())
+            shift = key[j0]
             if match[j0] == 0:
                 break
+            tree.append(j0)
+            joined.append(shift)
+            free[j0] = False
+            key[j0] = used_key
+            i0 = match[j0]
+            np.subtract(c[i0], v, out=cur)
+            cur += shift - u[i0]
+            np.less(cur, key, out=better)
+            better &= free
+            np.copyto(key, cur, where=better)
+            np.copyto(way, j0, where=better)
+        moved = shift - np.asarray(joined, dtype=dtype)
+        u[match[tree]] += moved
+        v[tree] -= moved
         while j0:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    assignment = [0] * n
-    for j in range(1, n + 1):
-        assignment[j - 1] = match[j] - 1
-    return assignment, u[1:], v[1:]
+    return (match[1:] - 1).tolist(), u[1:].tolist(), v[1:].tolist()
 
 
 def auto_scale_exponents(omega: ValuationMatrix):
@@ -241,47 +247,38 @@ def auto_scale_exponents(omega: ValuationMatrix):
         raise ValueError("valuation matrix must be square")
     if not omega.is_symmetric:
         raise ValueError("valuation matrix must be symmetric")
-    finite = []
-    for i in range(n):
-        row_vals = [omega[i, j] for j in range(n) if not omega[i, j].is_infinite]
-        if not row_vals:
-            raise ValueError(f"structurally zero row {i}: all entries have valuation infinity")
-        finite.extend(e.fraction for e in row_vals)
-    lb = min(min(finite), Fraction(0))
-    scale = lcm(*(f.denominator for f in finite)) if finite else 1
-    ints = [int(f * scale) for f in finite]
-    max_finite = max(max(ints), 0)
-    big = max_finite * n + 1 + abs(int(lb * scale)) * n
-    cost = [
-        [
-            big if omega[i, j].is_infinite else int(omega[i, j].fraction * scale)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    dead = np.flatnonzero(omega.inf.all(axis=1))
+    if dead.size:
+        raise ValueError(
+            f"structurally zero row {dead[0]}: all entries have valuation infinity")
+    scale = omega.den
+    finite = omega.num[~omega.inf]
+    lb_num = min(int(finite.min()), 0)
+    lb = Fraction(lb_num, scale)
+    big = max(int(finite.max()), 0) * n + 1 + abs(lb_num) * n
+    cost = np.array(omega.num, dtype=exact_int_dtype(big))
+    cost[omega.inf] = big
     assignment, u, v = _hungarian(cost)
-    if any(omega[i, j].is_infinite for i, j in enumerate(assignment)):
+    if omega.inf[np.arange(n), assignment].any():
         # every perfect assignment crosses an identically-zero entry, so the
         # big-M duals are meaningless; the bounded program is still feasible
         nu = _bounded_optimum(omega, lb)
         return [Exponent(f) for f in nu]
-    nu = [Fraction(u[i] + v[i], 2 * scale) for i in range(n)]
-    if not _feasible(omega, nu):
-        nu = _coordinate_ascent(omega, nu)
-    elif any(f < lb for f in nu):
+    twice = [u[i] + v[i] for i in range(n)]  # 2 * scale * nu
+    if not _feasible(omega, twice):
+        raise RuntimeError("internal error: symmetrized assignment duals are infeasible")
+    nu = [Fraction(t, 2 * scale) for t in twice]
+    if any(f < lb for f in nu):
         nu = _bounded_optimum(omega, lb)
     return [Exponent(f) for f in nu]
 
 
-def _feasible(omega, nu):
-    n = len(nu)
-    for i in range(n):
-        for j in range(n):
-            if omega[i, j].is_infinite:
-                continue
-            if nu[i] + nu[j] > omega[i, j].fraction:
-                return False
-    return True
+def _feasible(omega, twice):
+    """Whether nu = twice / (2 den) satisfies nu_i + nu_j <= Omega_ij."""
+    dtype = exact_int_dtype(2 * max_abs(omega.num) + 2 * max_abs(twice))
+    t = np.asarray(twice, dtype=dtype)
+    over = t[:, None] + t[None, :] > 2 * np.asarray(omega.num, dtype=dtype)
+    return not np.any(over & ~omega.inf)
 
 
 def _bounded_optimum(omega, lb):
@@ -348,30 +345,6 @@ def _simplex_max(c, a, b):
         if bi < n:
             x[bi] = tab[i][-1]
     return x
-
-
-def _coordinate_ascent(omega, nu):
-    # fallback: start from the always-feasible nu_i = (min_j Omega_ij) / 2 and
-    # raise one coordinate at a time to its bound until no coordinate moves
-    n = len(nu)
-    nu = [
-        min(omega[i, j].fraction for j in range(n) if not omega[i, j].is_infinite) / 2
-        for i in range(n)
-    ]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            bound = None
-            for j in range(n):
-                if omega[i, j].is_infinite:
-                    continue
-                cap = omega[i, j].fraction / 2 if j == i else omega[i, j].fraction - nu[j]
-                bound = cap if bound is None else min(bound, cap)
-            if bound is not None and bound > nu[i]:
-                nu[i] = bound
-                changed = True
-    return nu
 
 
 def auto_scale(omega: ValuationMatrix) -> DiagonalScaling:

@@ -2,8 +2,10 @@
 
 Exponents are stored as exact rationals (plus a distinguished +infinity for the
 valuation of the zero series) so that ties between exponents -- which drive all
-scaling and tightness decisions downstream -- are decided exactly.  Coefficients
-are double-precision reals.
+scaling and tightness decisions downstream -- are decided exactly.  Grids of
+exponents (``ValuationMatrix``) are integer numerator arrays over one common
+denominator, so grid-wide comparisons are exact integer array operations.
+Coefficients are double-precision reals.
 
 Every series carries an explicit truncation horizon ``trunc_order``: stored
 exponents are strictly below it, and the series is understood as
@@ -14,6 +16,7 @@ conservatively.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -153,6 +156,30 @@ def as_exponent(x) -> Exponent:
     if isinstance(x, (int, Fraction)):
         return Exponent(x)
     raise TypeError(f"cannot interpret {x!r} as an exponent")
+
+
+#: int64 arithmetic stays exact while every intermediate value is below this.
+_INT64_SAFE = 2**62
+
+
+def exact_int_dtype(bound: int):
+    """int64 when every integer of a computation is at most ``bound`` in
+    magnitude, else Python ints in an object array (exact at any size)."""
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+def max_abs(a) -> int:
+    """Largest magnitude in an integer array or list of ints (0 when empty)."""
+    if isinstance(a, np.ndarray):
+        return int(np.abs(a).max()) if a.size else 0
+    return max(map(abs, a), default=0)
+
+
+def exponent_ints(exps):
+    """(numerators, common denominator) of finite exponents, as Python ints."""
+    fracs = [as_exponent(e).fraction for e in exps]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 def _normalize_scalar_terms(terms):
@@ -475,17 +502,35 @@ class MatrixSeries:
         right = [as_exponent(e) for e in right]
         if len(left) != self.shape[0] or len(right) != self.shape[1]:
             raise ValueError("scaling length mismatch")
-        out = {}
-        for e, m in self._terms:
-            for i in range(self.shape[0]):
-                for j in range(self.shape[1]):
-                    if m[i, j] != 0.0:
-                        key = e + left[i] + right[j]
-                        tgt = out.setdefault(key, np.zeros(self.shape))
-                        tgt[i, j] += m[i, j]
         lmin = min(left, key=lambda e: e._key())
         rmin = min(right, key=lambda e: e._key())
         trunc = self._trunc + lmin + rmin
+        nums, den = exponent_ints(left + right + [e for e, _ in self._terms])
+        dtype = exact_int_dtype(3 * max_abs(nums))
+        nl, nr = self.shape
+        shift = np.asarray(nums[:nl], dtype=dtype)[:, None] + np.asarray(
+            nums[nl:nl + nr], dtype=dtype)[None, :]
+        # every nonzero coefficient moves to exponent e + left[i] + right[j]:
+        # gather them all, then group by target exponent
+        keys, rows, cols, vals = [], [], [], []
+        for e_num, (_, m) in zip(nums[nl + nr:], self._terms):
+            ii, jj = np.nonzero(m)
+            keys.append(shift[ii, jj] + e_num)
+            rows.append(ii)
+            cols.append(jj)
+            vals.append(m[ii, jj])
+        out = []
+        if keys:
+            keys = np.concatenate(keys)
+            order = np.argsort(keys, kind="stable")
+            keys, rows, cols, vals = (
+                keys[order], np.concatenate(rows)[order], np.concatenate(cols)[order],
+                np.concatenate(vals)[order])
+            cuts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
+            for a, b in zip(cuts, cuts[1:]):
+                mat = np.zeros(self.shape)
+                mat[rows[a:b], cols[a:b]] = vals[a:b]
+                out.append((Exponent(int(keys[a]), den), mat))
         return MatrixSeries(self.shape, out, trunc, self.symmetric and left == right)
 
     def submatrix(self, rows, cols) -> "MatrixSeries":
@@ -562,45 +607,75 @@ class MatrixSeries:
 
 
 class ValuationMatrix:
-    """A rectangular grid of exponents (entry-wise valuations or residuals)."""
+    """A rectangular grid of exponents (entry-wise valuations or residuals).
 
-    __slots__ = ("entries",)
+    The grid is stored exactly as integer numerators ``num`` over one common
+    denominator ``den`` (the smallest one), with a boolean mask ``inf`` for
+    the +infinity entries, whose numerators are 0.  ``num`` is int64 when its
+    entries fit comfortably and a Python-int object array otherwise.
+    ``Exponent`` objects are built only on access.
+    """
+
+    __slots__ = ("num", "den", "inf")
 
     def __init__(self, entries):
-        rows = []
-        width = None
-        for row in entries:
-            row = tuple(as_exponent(e) for e in row)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError("ragged valuation grid")
-            rows.append(row)
-        self.entries = tuple(rows)
+        rows = [tuple(as_exponent(e) for e in row) for row in entries]
+        width = len(rows[0]) if rows else 0
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged valuation grid")
+        flat = [e for row in rows for e in row]
+        inf = np.array([e.is_infinite for e in flat], dtype=bool).reshape(len(rows), width)
+        nums, den = exponent_ints([e for e in flat if not e.is_infinite])
+        num = np.zeros(inf.shape, dtype=exact_int_dtype(max_abs(nums)))
+        num[~inf] = nums
+        self._set(num, den, inf)
+
+    @classmethod
+    def _from_arrays(cls, num, den, inf) -> "ValuationMatrix":
+        obj = object.__new__(cls)
+        obj._set(num, den, inf)
+        return obj
+
+    def _set(self, num, den, inf):
+        # canonical form: zero numerators at infinity, smallest denominator
+        num = np.where(inf, 0, num)
+        g = gcd(den, int(np.gcd.reduce(num.ravel())) if num.size else 0)
+        if g > 1:
+            num, den = num // g, den // g
+        num = np.asarray(num, dtype=exact_int_dtype(max_abs(num)))
+        inf = np.array(inf, dtype=bool)
+        num.setflags(write=False)
+        inf.setflags(write=False)
+        self.num, self.den, self.inf = num, int(den), inf
+
+    @property
+    def entries(self):
+        den = self.den
+        return tuple(
+            tuple(INFINITY if f else Exponent(x, den) for x, f in zip(nrow, frow))
+            for nrow, frow in zip(self.num.tolist(), self.inf.tolist())
+        )
 
     @property
     def shape(self):
-        return (len(self.entries), len(self.entries[0]) if self.entries else 0)
+        return self.num.shape
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return INFINITY if self.inf[i, j] else Exponent(int(self.num[i, j]), self.den)
 
     @property
     def is_symmetric(self) -> bool:
         n, m = self.shape
-        return n == m and all(
-            self.entries[i][j] == self.entries[j][i] for i in range(n) for j in range(n)
-        )
-
-    def min_finite(self):
-        vals = [e for row in self.entries for e in row if not e.is_infinite]
-        return min(vals, key=lambda e: e._key()) if vals else None
+        return (n == m and np.array_equal(self.inf, self.inf.T)
+                and np.array_equal(self.num, self.num.T))
 
     def __eq__(self, other):
         if not isinstance(other, ValuationMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return (self.shape == other.shape and self.den == other.den
+                and np.array_equal(self.inf, other.inf)
+                and np.array_equal(self.num, other.num))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
@@ -609,13 +684,15 @@ class ValuationMatrix:
 
 def valuation_matrix(k: MatrixSeries) -> ValuationMatrix:
     """Entry-wise valuations of a matrix series; identically-zero entries map to INFINITY."""
-    nr, nc = k.shape
-    grid = [[INFINITY] * nc for _ in range(nr)]
-    for e, m in reversed(k.terms):
-        nz = m != 0.0
-        for i, j in zip(*np.nonzero(nz)):
-            grid[i][j] = e
-    return ValuationMatrix(grid)
+    first = np.full(k.shape, -1, dtype=np.intp)  # index of each entry's leading term
+    for t in range(len(k.terms) - 1, -1, -1):
+        first[k.terms[t][1] != 0.0] = t
+    inf = first < 0
+    used = np.unique(first[~inf]).tolist()
+    nums, den = exponent_ints([k.terms[t][0] for t in used])
+    lookup = np.zeros(len(k.terms) + 1, dtype=exact_int_dtype(max_abs(nums)))
+    lookup[used] = nums  # the last slot, reached by first == -1, stays 0
+    return ValuationMatrix._from_arrays(lookup[first], den, inf)
 
 
 def series_matrix_inverse(h: MatrixSeries, order, cond_tol: float = 1e-10) -> MatrixSeries:
