@@ -39,14 +39,12 @@ def fix_column_signs(mat: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     and emitted files are reproducible.
     """
     mat = np.array(mat, dtype=float)
-    for k in range(mat.shape[1]):
-        col = mat[:, k]
-        big = np.abs(col).max()
-        if big == 0.0:
-            continue
-        idx = np.argmax(np.abs(col) > rel_tol * big)
-        if col[idx] < 0:
-            mat[:, k] = -col
+    if mat.size == 0:
+        return mat
+    mag = np.abs(mat)
+    first = np.argmax(mag > rel_tol * mag.max(axis=0), axis=0)
+    flip = mat[first, np.arange(mat.shape[1])] < 0
+    mat[:, flip] = -mat[:, flip]
     return mat
 
 

@@ -145,28 +145,24 @@ def _kernel_rank_tol(args) -> float:
     return args.rank_tol if args.rank_tol is not None else 1e-9
 
 
-def _series_ase(args) -> Ase:
+def _series_ase_and_source(args):
+    """The ASE of --input and the form it was read as: a GKF evaluator or a series."""
     if not args.input:
         raise InputError("this command needs --input")
     obj = _load_json(args.input)
     if args.mode == "gkf":
         form = serialize.gkf_from_json(obj)
-        return ase_from_gkf(form, _series_rank_tol(args))
+        return ase_from_gkf(form, _series_rank_tol(args)), form.evaluate
     series = serialize.matrix_series_from_json(obj)
     if not series.symmetric:
         raise InputError("field 'symmetric': analysis requires a symmetric series")
-    return analyze_series(series, args.mode, _series_rank_tol(args))
+    return analyze_series(series, args.mode, _series_rank_tol(args)), series
 
 
 def _pipeline_ase_and_source(args):
     """The (prediction, sweep source) pair for verify/sweep."""
     if args.input:
-        ase = _series_ase(args)
-        obj = _load_json(args.input)
-        if args.mode == "gkf":
-            form = serialize.gkf_from_json(obj)
-            return ase, form.evaluate
-        return ase, serialize.matrix_series_from_json(obj)
+        return _series_ase_and_source(args)
     kernel = _load_kernel(args)
     nodes = _load_nodes(args)
     ase, _ = kernel_ase(kernel, nodes, _kernel_rank_tol(args))
@@ -176,7 +172,7 @@ def _pipeline_ase_and_source(args):
 def cmd_analyze(args) -> int:
     if args.format == "csv":
         raise InputError("analyze emits JSON; use --format json")
-    ase = _series_ase(args)
+    ase, _ = _series_ase_and_source(args)
     _emit(serialize.dumps(serialize.ase_to_json(ase)), args.output)
     return EXIT_OK if ase.complete else EXIT_TRUNCATED
 
@@ -186,13 +182,13 @@ def cmd_kernel(args) -> int:
         raise InputError("kernel emits JSON (plus the group table); use --format json")
     kernel = _load_kernel(args)
     nodes = _load_nodes(args)
-    ase, report = kernel_ase(kernel, nodes, _kernel_rank_tol(args))
+    ase, readout = kernel_ase(kernel, nodes, _kernel_rank_tol(args))
     table = ["valuation,count,lambda_leading"]
-    for row in report:
-        lead = ";".join(f"{x:.12g}" for x in row.leading_values)
-        table.append(f"{row.valuation},{row.count},{lead}")
+    for group in readout:
+        lead = ";".join(f"{x:.12g}" for x in group.leading_values)
+        table.append(f"{group.valuation},{group.count},{lead}")
     sys.stdout.write("\n".join(table) + "\n")
-    _emit(serialize.dumps(serialize.ase_to_json(ase)), args.output)
+    _emit(serialize.dumps(serialize.ase_to_json(ase, readout)), args.output)
     return EXIT_OK if ase.complete else EXIT_TRUNCATED
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache, cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -51,7 +52,17 @@ KERNEL_NAMES = ("gaussian", "exponential", "matern2", "custom")
 
 
 class FinitelySmoothError(Exception):
-    """No degree q <= r-1 makes the Vandermonde matrix full row rank."""
+    """No degree q <= r-1 makes the Vandermonde matrix full row rank.
+
+    ``v`` is the Vandermonde matrix up to the last degree the scan tested and
+    ``sigma_max`` its largest singular value (both None when no degree
+    reached n columns, so no rank test ran).
+    """
+
+    def __init__(self, message: str, v=None, sigma_max=None):
+        super().__init__(message)
+        self.v = v
+        self.sigma_max = sigma_max
 
 
 def _psi_coefficient(name: str, k: int) -> Fraction:
@@ -72,23 +83,26 @@ def _psi_coefficient(name: str, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class KernelModel:
-    """A radial kernel: its name, psi expansion at 0 and regularity index."""
+    """A radial kernel: its name, psi_0..psi_h at 0 and regularity index."""
 
     name: str
-    psi: ScalarSeries
+    coeffs: tuple  # psi_0..psi_h as floats; h is the horizon
     regularity: float  # positive integer, or math.inf for completely smooth
+
+    @cached_property
+    def psi(self) -> ScalarSeries:
+        """The psi expansion as a series truncated after the horizon."""
+        return ScalarSeries(dict(enumerate(self.coeffs)), trunc_order=len(self.coeffs))
 
     def psi_coeff(self, k: int) -> float:
         """k-th Taylor coefficient of psi; the horizon must cover k."""
-        if Exponent(k) >= self.psi.trunc_order:
-            raise ValueError(
-                f"psi horizon {self.psi.trunc_order} too small for degree {k}"
-            )
-        return self.psi.coefficient(k)
+        if k >= len(self.coeffs):
+            raise ValueError(f"psi horizon {len(self.coeffs)} too small for degree {k}")
+        return self.coeffs[k] if k >= 0 else 0.0
 
     @property
     def horizon(self) -> int:
-        return int(float(self.psi.trunc_order)) - 1
+        return len(self.coeffs) - 1
 
 
 def kernel_model(name: str, psi_coefficients=None, horizon: int = 64) -> KernelModel:
@@ -99,16 +113,13 @@ def kernel_model(name: str, psi_coefficients=None, horizon: int = 64) -> KernelM
         if psi_coefficients is None:
             raise ValueError("custom kernels require psi coefficients")
         coeffs = [float(c) for c in psi_coefficients]
-        psi = ScalarSeries({k: c for k, c in enumerate(coeffs)}, trunc_order=len(coeffs))
-        horizon = len(coeffs) - 1
     else:
         if psi_coefficients is not None:
             raise ValueError("psi coefficients are only accepted for custom kernels")
-        psi = ScalarSeries(
-            {k: float(_psi_coefficient(name, k)) for k in range(horizon + 1)},
-            trunc_order=horizon + 1,
-        )
-    return KernelModel(name, psi, regularity_index(psi, horizon))
+        coeffs = [float(_psi_coefficient(name, k)) for k in range(horizon + 1)]
+    # a zero coefficient is stored as +0.0, as the series form stores none
+    coeffs = tuple(c if c != 0.0 else 0.0 for c in coeffs)
+    return KernelModel(name, coeffs, _first_odd_index(coeffs))
 
 
 def regularity_index(psi: ScalarSeries, horizon: int):
@@ -117,11 +128,17 @@ def regularity_index(psi: ScalarSeries, horizon: int):
     An INFINITE answer for a custom kernel only certifies r > horizon/2; the
     stored horizon travels with the model so callers can tell.
     """
-    k = 1
-    while k <= horizon:
-        if psi.coefficient(k) != 0.0:
+    coeffs = [0.0] * (horizon + 1)
+    for e, c in psi.terms:
+        if e.den == 1 and 0 <= e.num <= horizon:
+            coeffs[e.num] = c
+    return _first_odd_index(coeffs)
+
+
+def _first_odd_index(coeffs):
+    for k in range(1, len(coeffs), 2):
+        if coeffs[k] != 0.0:
             return (k + 1) // 2
-        k += 2
     return INFINITE
 
 
@@ -214,15 +231,34 @@ def vandermonde(nodes: NodeSet, s: int) -> np.ndarray:
     """
     if s < 0:
         raise ValueError("degree must be nonnegative")
-    basis = MonomialBasis(nodes.d, s)
-    cols = []
-    for alpha in basis.flat:
-        col = np.ones(nodes.n)
-        for coord, power in enumerate(alpha):
-            if power:
-                col = col * nodes.points[:, coord] ** power
-        cols.append(col)
-    return np.column_stack(cols)
+    return np.hstack(list(_vandermonde_blocks(nodes, s)))
+
+
+@cache
+def _multi_indices(d: int, t: int) -> np.ndarray:
+    alpha = np.array(monomials_of_degree(d, t), dtype=np.intp).reshape(-1, d)
+    alpha.setflags(write=False)
+    return alpha
+
+
+def _vandermonde_blocks(nodes: NodeSet, max_deg: int):
+    """Yield the degree-t column blocks of V for t = 0..max_deg.
+
+    Entry (i, alpha) multiplies the powers x_ic ** alpha_c in coordinate
+    order, each taken with a scalar integer exponent, so every column has the
+    same bits however many degrees are built.
+    """
+    pts = nodes.points
+    powers = np.ones((nodes.d, nodes.n, max_deg + 1))  # powers[c, :, k] = x_c ** k
+    for t in range(max_deg + 1):
+        if t:
+            for c in range(nodes.d):
+                powers[c, :, t] = pts[:, c] ** t
+        alpha = _multi_indices(nodes.d, t)
+        block = np.take(powers[0], alpha[:, 0], axis=1)
+        for c in range(1, nodes.d):
+            block *= np.take(powers[c], alpha[:, c], axis=1)
+        yield block
 
 
 def _wronskian_entry_coeff(alpha, beta) -> int:
@@ -287,23 +323,21 @@ def distance_matrix(nodes: NodeSet, q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _block_qr_increments(nodes: NodeSet, max_deg: int, rank_tol: float):
+def _block_qr_increments(v: np.ndarray, widths, sigma_max: float, rank_tol: float):
     """Incremental orthonormalization of Vandermonde degree blocks.
 
-    Returns (q_blocks, r_diag, ranks, stalled): per-degree new orthonormal
-    directions, the diagonal R blocks, numerical rank increments, and whether
-    some block contributed nothing at tolerance before rank n was reached.
+    ``v`` holds the blocks of ``widths`` side by side and ``sigma_max`` is its
+    largest singular value.  Returns (q_blocks, r_diag, ranks): per-degree
+    new orthonormal directions, the diagonal R blocks and the numerical rank
+    increments, up to rank n or the first block that adds nothing at
+    tolerance.
     """
-    v = vandermonde(nodes, max_deg)
-    widths = MonomialBasis(nodes.d, max_deg).block_widths
-    sigma_max = np.linalg.svd(v, compute_uv=False)[0]
+    n = v.shape[0]
     thresh = rank_tol * sigma_max
     q_blocks = []
     r_diag = []
     ranks = []
     col = 0
-    total = 0
-    stalled = False
     for w in widths:
         block = v[:, col : col + w]
         col += w
@@ -315,16 +349,14 @@ def _block_qr_increments(nodes: NodeSet, max_deg: int, rank_tol: float):
         u, s, _ = np.linalg.svd(resid, full_matrices=False)
         b = int(np.sum(s > thresh))
         if b == 0:
-            stalled = True
             break
         qi = fix_column_signs(u[:, :b])
         q_blocks.append(qi)
         r_diag.append(qi.T @ block)
         ranks.append(b)
-        total += b
-        if total == nodes.n:
+        if sum(ranks) == n:
             break
-    return q_blocks, r_diag, ranks, stalled
+    return q_blocks, r_diag, ranks
 
 
 def smooth_flat_limit(kernel: KernelModel, nodes: NodeSet, rank_tol: float = 1e-9) -> GkfForm:
@@ -334,14 +366,14 @@ def smooth_flat_limit(kernel: KernelModel, nodes: NodeSet, rank_tol: float = 1e-
     returns (V_{<=q}, Delta with nu_j = j and block widths H_{j,d}, W_{<=q}).
     Raises FinitelySmoothError when no such degree exists within smoothness.
     """
-    r = kernel.regularity
-    q = _smooth_degree(nodes, r, rank_tol)
+    q, v, sigma_max = _smooth_degree(nodes, kernel.regularity, rank_tol)
     if q is None:
         raise FinitelySmoothError(
             "Vandermonde rank stays below n within the kernel's smoothness; "
-            "use finite_smooth_flat_limit"
+            "use finite_smooth_flat_limit",
+            v,
+            sigma_max,
         )
-    v = vandermonde(nodes, q)
     widths = MonomialBasis(nodes.d, q).block_widths
     scaling = DiagonalScaling(tuple((Exponent(t), widths[t]) for t in range(q + 1)))
     w = wronskian(kernel, nodes.d, q)
@@ -349,14 +381,26 @@ def smooth_flat_limit(kernel: KernelModel, nodes: NodeSet, rank_tol: float = 1e-
 
 
 def _smooth_degree(nodes: NodeSet, r, rank_tol: float):
-    """Smallest degree q <= r-1 with numerical rank V_{<=q} = n, else None."""
+    """Smallest degree q <= r-1 with numerical rank V_{<=q} = n, else None.
+
+    Returns (q, v, sigma_max): v is V_{<=q}, or V up to the last degree tested
+    when q is None, and sigma_max its largest singular value (both None when
+    no degree was tested).  Degrees whose V has fewer than n columns cannot
+    reach rank n and are not tested.
+    """
     max_q = nodes.n - 1 if r == INFINITE else min(int(r) - 1, nodes.n - 1)
-    for q in range(max_q + 1):
-        v = vandermonde(nodes, q)
+    blocks = []
+    v = sigma_max = None
+    for q, block in enumerate(_vandermonde_blocks(nodes, max_q)):
+        blocks.append(block)
+        if num_monomials_upto(q, nodes.d) < nodes.n:
+            continue
+        v = np.hstack(blocks)
         sv = np.linalg.svd(v, compute_uv=False)
+        sigma_max = sv[0]
         if int(np.sum(sv > rank_tol * sv[0])) == nodes.n:
-            return q
-    return None
+            return q, v, sigma_max
+    return None, v, sigma_max
 
 
 def finite_smooth_flat_limit(
@@ -394,59 +438,42 @@ def finite_smooth_flat_limit(
     return GkfForm(v, scaling, w)
 
 
-@dataclass
-class KernelGroupInfo:
-    """One row of the group report: valuation, multiplicity, leading values."""
-
-    valuation: Exponent
-    count: int
-    leading_values: list
-
-
 def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = 1e-9):
-    """ASE of the kernel matrix on a node set, plus a per-group report.
+    """ASE of the kernel matrix on a node set, plus its eigen-readout.
 
     Dispatches between the smooth and finitely smooth pipelines.  When double
     precision cannot certify further rank growth of the Vandermonde blocks
     (deep smooth expansions), the ASE is truncated at the last certified
-    group rather than silently mis-ranked.
+    group rather than silently mis-ranked.  The readout is one
+    ``SpectralGroup`` per ASE group (valuation, count, leading values).
     """
-    r = kernel.regularity
     try:
-        form = smooth_flat_limit(kernel, nodes, rank_tol)
-        ase = ase_from_gkf(form, rank_tol)
-    except FinitelySmoothError:
-        if r != INFINITE:
-            v_rank = np.linalg.matrix_rank(
-                vandermonde(nodes, int(r) - 1), rank_tol
-            )
-            if v_rank < nodes.n:
-                form = finite_smooth_flat_limit(kernel, nodes, rank_tol)
-                ase = ase_from_gkf(form, rank_tol)
-            else:  # pragma: no cover - excluded by _smooth_degree
-                raise
-        else:
-            ase = _stalled_smooth_ase(kernel, nodes, rank_tol)
-    report = [
-        KernelGroupInfo(g.valuation, g.count, g.leading_values)
-        for g in eigen_readout(ase)
-    ]
-    return ase, report
+        ase = ase_from_gkf(smooth_flat_limit(kernel, nodes, rank_tol), rank_tol)
+    except FinitelySmoothError as exc:
+        if kernel.regularity == INFINITE:
+            ase = _stalled_smooth_ase(kernel, nodes, exc.v, exc.sigma_max, rank_tol)
+        else:  # the scan found no degree q <= r-1 with rank n
+            form = finite_smooth_flat_limit(kernel, nodes, rank_tol)
+            ase = ase_from_gkf(form, rank_tol)
+    return ase, eigen_readout(ase)
 
 
-def _stalled_smooth_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float) -> Ase:
+def _stalled_smooth_ase(
+    kernel: KernelModel, nodes: NodeSet, v: np.ndarray, sigma_max: float, rank_tol: float
+) -> Ase:
     """Partial smooth-regime ASE when rank growth stalls numerically.
 
-    Uses the degree blocks whose rank increments are certified at tolerance
-    and truncates the expansion at the first uncertain group.
+    ``v`` is V_{<=n-1} and ``sigma_max`` its largest singular value.  Uses
+    the degree blocks whose rank increments are certified at tolerance and
+    truncates the expansion at the first uncertain group.
     """
-    max_deg = nodes.n - 1
-    q_blocks, r_diag, ranks, _ = _block_qr_increments(nodes, max_deg, rank_tol)
+    widths = MonomialBasis(nodes.d, nodes.n - 1).block_widths
+    q_blocks, r_diag, ranks = _block_qr_increments(v, widths, sigma_max, rank_tol)
     used = len(ranks)
     if used == 0:
         raise ValueError("no Vandermonde block has certified rank at tolerance")
     w = wronskian(kernel, nodes.d, used - 1)
-    widths = MonomialBasis(nodes.d, used - 1).block_widths
+    widths = widths[:used]
     n = nodes.n
     d = np.zeros((sum(ranks), sum(widths)))
     roff = coff = 0
@@ -471,16 +498,19 @@ def _stalled_smooth_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float) ->
     return Ase(n, groups, truncated_at)
 
 
-def kernel_matrix(kernel: KernelModel, nodes: NodeSet, eps: float) -> np.ndarray:
+def kernel_matrix(kernel: KernelModel, nodes: NodeSet, eps: float, dist=None) -> np.ndarray:
     """The kernel matrix [psi(eps ||x_i - x_j||)] at a concrete eps.
 
     Named kernels use their closed form; custom kernels sum the stored psi
     series and warn when eps times the largest distance leaves the unit
-    disk, where the truncated series is no longer trustworthy.
+    disk, where the truncated series is no longer trustworthy.  ``dist`` is
+    ``distance_matrix(nodes, 1)`` when the caller already holds it (an eps
+    sweep computes it once).
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    dist = distance_matrix(nodes, 1)
+    if dist is None:
+        dist = distance_matrix(nodes, 1)
     s = eps * dist
     if kernel.name == "gaussian":
         return np.exp(-(s**2))
@@ -496,8 +526,9 @@ def kernel_matrix(kernel: KernelModel, nodes: NodeSet, eps: float) -> np.ndarray
             stacklevel=2,
         )
     out = np.zeros_like(s)
-    for k, c in kernel.psi.terms:
-        out += c * s ** float(k)
+    for k, c in enumerate(kernel.coeffs):
+        if c != 0.0:
+            out += c * s ** float(k)
     return 0.5 * (out + out.T)
 
 

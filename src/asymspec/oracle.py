@@ -21,7 +21,7 @@ from scipy.linalg import subspace_angles
 
 from .series import MatrixSeries
 from .ase import Ase, eigen_readout
-from .kernels import KernelModel, kernel_matrix
+from .kernels import KernelModel, distance_matrix, kernel_matrix
 
 __all__ = [
     "SweepResult",
@@ -62,7 +62,8 @@ def _matrix_function(source):
         return source.evaluate
     if isinstance(source, tuple) and len(source) == 2 and isinstance(source[0], KernelModel):
         kernel, nodes = source
-        return lambda eps: kernel_matrix(kernel, nodes, eps)
+        dist = distance_matrix(nodes, 1)
+        return lambda eps: kernel_matrix(kernel, nodes, eps, dist)
     if callable(source):
         return source
     raise TypeError("source must be a MatrixSeries, (kernel, nodes) or a callable")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .series import Exponent, MatrixSeries
 from .scaling import DiagonalScaling
-from .ase import Ase, eigen_readout
+from .ase import Ase, eigen_readout, fix_column_signs
 from .gkf import GkfForm
 from .kernels import NodeSet
 
@@ -162,9 +162,10 @@ def gkf_from_json(obj) -> GkfForm:
     return GkfForm(v, scaling, w)
 
 
-def ase_to_json(ase: Ase) -> dict:
+def ase_to_json(ase: Ase, readout=None) -> dict:
+    """ASE JSON; ``readout`` is ``eigen_readout(ase)`` if the caller has it."""
     groups = []
-    for g in eigen_readout(ase):
+    for g in eigen_readout(ase) if readout is None else readout:
         groups.append(
             {
                 "valuation": exponent_to_json(g.valuation),
@@ -298,21 +299,97 @@ def sweep_csv_lines(sweep, track_vector=None, predicted_limit=None):
         lines.append("")
         lines.append("eps," + ",".join(f"u{k}_{i}" for i in range(1, n + 1)))
         for i, eps in enumerate(sweep.eps_grid):
-            vec = _signed(sweep.eigenvectors[i][:, k - 1])
+            vec = fix_column_signs(sweep.eigenvectors[i][:, k - 1 : k])[:, 0]
             lines.append(f"{_fmt(eps)}," + ",".join(_fmt(x) for x in vec))
         if predicted_limit is not None:
-            vec = _signed(np.asarray(predicted_limit))
+            vec = fix_column_signs(np.asarray(predicted_limit)[:, None])[:, 0]
             lines.append("limit," + ",".join(_fmt(x) for x in vec))
     return lines
 
 
-def _signed(vec: np.ndarray) -> np.ndarray:
-    big = np.abs(vec).max()
-    if big == 0.0:
-        return vec
-    idx = np.argmax(np.abs(vec) > 1e-12 * big)
-    return -vec if vec[idx] < 0 else vec
-
-
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False)
+    """``json.dumps(obj, indent=2)``, with lists of floats joined in one step.
+
+    The standard library encodes indented JSON in pure Python; ASE vectors
+    are long float lists, so they are emitted through ``float.__repr__``
+    directly.  Anything else (non-string keys, types outside JSON) falls
+    back to the library encoder, which converts or rejects it as usual.
+    """
+    parts = []
+    try:
+        _encode(obj, "\n", parts)
+    except (_Unsupported, RecursionError):
+        return json.dumps(obj, indent=2)
+    return "".join(parts)
+
+
+class _Unsupported(Exception):
+    """A value the fast encoder leaves to the standard library."""
+
+
+_FLOAT_REPR = float.__repr__
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return _FLOAT_REPR(x)
+
+
+def _scalar_text(o):
+    if isinstance(o, str):
+        return json.encoder.encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    return None
+
+
+def _encode(o, newline: str, parts: list):
+    """Append the indent=2 text of ``o``; ``newline`` is a line break plus o's indent."""
+    text = _scalar_text(o)
+    if text is not None:
+        parts.append(text)
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, o)) == {float}:
+            body = ("," + inner).join(map(_FLOAT_REPR, o))
+            if "n" in body:  # nan or inf: no finite float's repr has an 'n'
+                body = ("," + inner).join(map(_float_text, o))
+            parts += ("[", inner, body, newline, "]")
+            return
+        parts.append("[")
+        for k, item in enumerate(o):
+            parts.append(inner if k == 0 else "," + inner)
+            _encode(item, inner, parts)
+        parts += (newline, "]")
+    elif isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        parts.append("{")
+        for k, (key, value) in enumerate(o.items()):
+            if not isinstance(key, str):
+                raise _Unsupported()
+            parts += (inner if k == 0 else "," + inner,
+                      json.encoder.encode_basestring_ascii(key), ": ")
+            _encode(value, inner, parts)
+        parts += (newline, "}")
+    else:
+        raise _Unsupported()
+

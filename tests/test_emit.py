@@ -1,0 +1,123 @@
+"""JSON emit, sign pinning and input parsing on the CLI's output paths.
+
+``dumps`` must produce exactly the text of ``json.dumps(obj, indent=2)``;
+it is checked byte for byte on a fuzzed corpus.  ``fix_column_signs`` is
+checked against a per-column loop with the same pivots and flips.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from asymspec import cli
+from asymspec.ase import fix_column_signs
+from asymspec.serialize import dumps, matrix_series_to_json
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-320, 5e-324, 1.7976931348623157e308,
+           0.1, -2.5e-17, 1e16, 123456789.0]
+
+
+def _random_value(rng, depth):
+    kind = rng.integers(0, 10 if depth < 4 else 6)
+    if kind == 0:
+        return float(rng.choice(SPECIAL))
+    if kind == 1:
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-30, 30))
+    if kind == 2:
+        return int(rng.integers(-10**6, 10**6)) * (10 ** int(rng.integers(0, 25)))
+    if kind == 3:
+        return [None, True, False][rng.integers(0, 3)]
+    if kind == 4:
+        return rng.choice(["", "abc", "ünïcode ☃", 'quote " and \\ slash', "tab\tnew\nline",
+                           "\x00\x1f", "emoji 😀"])
+    if kind == 5:
+        return np.float64(rng.standard_normal())  # a float subclass
+    if kind in (6, 7):  # float lists, the fast path
+        size = int(rng.integers(0, 6))
+        vals = [float(x) for x in rng.standard_normal(size)]
+        if size and rng.random() < 0.3:
+            vals[rng.integers(0, size)] = float(rng.choice(SPECIAL))
+        return vals if rng.random() < 0.8 else tuple(vals)
+    if kind == 8:
+        return [_random_value(rng, depth + 1) for _ in range(rng.integers(0, 5))]
+    keys = ["a", "lambda", "ü", "", "n", 'k"q']
+    return {
+        str(rng.choice(keys)) + str(j): _random_value(rng, depth + 1)
+        for j in range(rng.integers(0, 5))
+    }
+
+
+def test_dumps_matches_indented_json_on_fuzzed_corpus():
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        obj = _random_value(rng, 0)
+        assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [1.0], [1], [1.0, 2], [True, 1.0],
+    {1: "int key", 2.5: "float key", True: "t", None: "n"}, {"x": [math.nan, math.inf]},
+    "ünï", -0.0, 10**30, [[1.0, -2.0], [3.5, math.nan]], ({"a": (1.0, 2.0)},),
+])
+def test_dumps_edge_cases(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_dumps_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        dumps({"a": np.float32(1.0)})
+    with pytest.raises(TypeError):
+        dumps({(1, 2): 1.0})
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError):
+        dumps(loop)
+
+
+def test_dumps_series_document(ex_5x5):
+    obj = matrix_series_to_json(ex_5x5)
+    assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=False)
+
+
+def fix_column_signs_reference(mat, rel_tol=1e-12):
+    mat = np.array(mat, dtype=float)
+    for k in range(mat.shape[1]):
+        col = mat[:, k]
+        big = np.abs(col).max()
+        if big == 0.0:
+            continue
+        idx = np.argmax(np.abs(col) > rel_tol * big)
+        if col[idx] < 0:
+            mat[:, k] = -col
+    return mat
+
+
+def test_fix_column_signs_matches_column_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n, k = int(rng.integers(1, 8)), int(rng.integers(0, 6))
+        m = rng.standard_normal((n, k))
+        m[rng.random((n, k)) < 0.3] = 0.0
+        m[rng.random((n, k)) < 0.1] *= 1e-14  # below the pivot threshold
+        if k and rng.random() < 0.2:
+            m[:, rng.integers(0, k)] = 0.0
+        if k and rng.random() < 0.1:
+            m[rng.integers(0, n), rng.integers(0, k)] = -0.0
+        got = fix_column_signs(m)
+        assert got.tobytes() == fix_column_signs_reference(m).tobytes()
+    vec = np.array([-1e-20, 0.0, -3.0, 2.0])
+    assert fix_column_signs(vec[:, None])[:, 0].tolist() == [1e-20, -0.0, 3.0, -2.0]
+
+
+def test_pipeline_reads_input_once(tmp_path, ex_5x5, monkeypatch):
+    path = tmp_path / "k5.json"
+    path.write_text(dumps(matrix_series_to_json(ex_5x5)))
+    calls = []
+    original = cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda p: calls.append(p) or original(p))
+    args = cli.build_parser().parse_args(["verify", "--input", str(path)])
+    ase, source = cli._pipeline_ase_and_source(args)
+    assert len(calls) == 1
+    assert source.shape == (5, 5) and ase.n == 5
