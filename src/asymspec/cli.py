@@ -13,6 +13,7 @@ Exit codes: 0 complete / all verifiable groups pass, 2 truncated expansion,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -63,7 +64,10 @@ def _add_common(p):
     p.add_argument("--format", choices=("json", "csv"), default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing fills a fresh
+    namespace each call, so no value carries over between calls)."""
     parser = argparse.ArgumentParser(
         prog="asymspec",
         description="Limiting eigenvalues and eigenvectors of symmetric "
@@ -212,10 +216,10 @@ def cmd_sweep(args) -> int:
         raise InputError("sweep emits CSV; use --format csv")
     ase, source = _pipeline_ase_and_source(args)
     grid = _parse_eps_grid(args.eps_grid)
-    sweep = eigen_sweep(source, grid)
     predicted = None
     if args.track_vector is not None:
         predicted = _predicted_vector(ase, args.track_vector)
+    sweep = eigen_sweep(source, grid)
     lines = serialize.sweep_csv_lines(sweep, args.track_vector, predicted)
     _emit("\n".join(lines), args.output)
     return EXIT_OK
@@ -223,8 +227,8 @@ def cmd_sweep(args) -> int:
 
 def _predicted_vector(ase: Ase, k: int) -> np.ndarray:
     """Predicted limiting eigenvector for the k-th largest eigenvalue (1-based)."""
-    if k < 1:
-        raise InputError("--track-vector index must be >= 1")
+    if not 1 <= k <= ase.n:
+        raise InputError(f"--track-vector index {k} out of range 1..{ase.n}")
     position = k - 1
     for group in eigen_readout(ase):
         if position < group.count:
@@ -242,8 +246,7 @@ def _predicted_vector(ase: Ase, k: int) -> np.ndarray:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "analyze": cmd_analyze,
         "kernel": cmd_kernel,

@@ -1,10 +1,14 @@
 """CLI flows: exit codes, JSON/CSV contracts and reproducibility."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from asymspec import cli
 from asymspec.cli import main
 from asymspec.serialize import (
     ase_from_json,
@@ -142,6 +146,18 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
+    def test_defaults_do_not_leak_between_calls(self, series_files, monkeypatch):
+        # the parser is built once per process; each call starts from defaults
+        tols = []
+        original = cli.match_ase
+        monkeypatch.setattr(
+            cli, "match_ase", lambda ase, sweep, tc, ta: tols.append(tc) or original(ase, sweep, tc, ta)
+        )
+        assert main(["verify", "--input", series_files["k2"], "--tol-coeff", "0.5"]) == 0
+        assert main(["verify", "--input", series_files["k2"]]) == 0
+        assert tols == [0.5, 1e-2]
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestSweepCommand:
     def test_curve_csv_shape(self, tmp_path):
@@ -233,6 +249,17 @@ class TestSweepCommand:
         assert main(["sweep", "--input", str(p), "--track-vector", "1"]) == 1
         assert "not identified" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "25"])
+    def test_track_vector_checked_before_sweep(self, monkeypatch, capsys, k):
+        def no_sweep(*_):
+            raise AssertionError("the sweep ran before --track-vector was checked")
+
+        monkeypatch.setattr(cli, "eigen_sweep", no_sweep)
+        code = main(["sweep", "--kernel", "exponential", "--nodes", "equispaced:20",
+                     "--dim", "1", "--track-vector", k])
+        assert code == 1
+        assert f"--track-vector index {k} out of range 1..20" in capsys.readouterr().err
+
     def test_track_vector_beyond_truncation(self, series_files, capsys):
         code = main(["sweep", "--input", series_files["k3"], "--mode", "scaled",
                      "--track-vector", "3"])
@@ -274,3 +301,33 @@ class TestCustomKernel:
         assert main(["kernel", "--nodes", "uniform:4", "--kernel", "custom",
                      "--psi", "[1,"]) == 1
         assert "psi" in capsys.readouterr().err
+
+
+def test_commands_run_without_scipy(series_files, tmp_path):
+    """numpy is the only runtime dependency: every command runs with scipy
+    made unimportable, and importing the CLI loads none of it."""
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from asymspec import cli\n"
+        "assert not [m for m, mod in sys.modules.items() if mod and m.startswith('scipy')]\n"
+        "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[2])]))\n"
+    )
+    out = str(tmp_path / "out")
+    runs = [
+        ["kernel", "--kernel", "gaussian", "--nodes", "uniform:10", "--output", out],
+        ["analyze", "--input", series_files["k5"], "--output", out],
+        ["verify", "--input", series_files["k2"], "--output", out],
+        ["verify", "--kernel", "exponential", "--nodes", "uniform:6", "--seed", "1",
+         "--output", out],
+        ["sweep", "--kernel", "gaussian", "--nodes", "equispaced:8",
+         "--eps-grid", "1e-2:1e-1:6", "--track-vector", "3", "--output", out],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, src, json.dumps(runs)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs)

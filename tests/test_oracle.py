@@ -17,6 +17,7 @@ from asymspec import (
     match_ase,
 )
 from asymspec.gkf import GkfForm
+from asymspec.oracle import _principal_angles
 from asymspec.scaling import DiagonalScaling
 
 
@@ -151,3 +152,114 @@ class TestMatchAse:
                 for _lam in g.leading_values:
                     assert abs(fits[idx].slope - float(g.valuation)) < 0.05
                     idx += 1
+
+
+class TestPrincipalAngles:
+    """The numpy port against ``scipy.linalg.subspace_angles``.
+
+    Both evaluate the same formulas; only the LAPACK builds differ, in the
+    last bits of singular values.  On spans with known angles away from the
+    ill-conditioned ends the two agree to 1e-14.
+    """
+
+    @pytest.fixture
+    def reference(self):
+        return pytest.importorskip("scipy.linalg").subspace_angles
+
+    @staticmethod
+    def _assert_same(a, b, reference, tol=1e-14):
+        got = _principal_angles(a, b)
+        want = reference(a, b)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= tol
+        return got
+
+    @staticmethod
+    def _spans_at(angles, m, rng, extra=0):
+        """Bases of R^m with k and k + ``extra`` columns whose principal
+        angles are ``angles`` (the extra columns are orthogonal to both)."""
+        k = len(angles)
+        q = np.linalg.qr(rng.standard_normal((m, 2 * k + extra)))[0]
+        a = q[:, :k] @ rng.standard_normal((k, k))
+        b = (q[:, :k] * np.cos(angles) + q[:, k : 2 * k] * np.sin(angles)) @ rng.standard_normal((k, k))
+        return a, np.column_stack([b, q[:, 2 * k :]])
+
+    @pytest.mark.parametrize(
+        "angles",
+        [
+            [1e-9, 1e-6, 1e-3, 0.5],  # every cosine >= 1/sqrt(2): arcsin
+            [1.0, 1.3, np.pi / 2],  # every cosine below it: arccos
+            [0.3, 1.2],  # one of each
+            [0.2, 0.6, 0.9, 1.4],
+        ],
+    )
+    def test_known_angles_both_branches(self, reference, angles):
+        rng = np.random.default_rng(14)
+        want = sorted(angles, reverse=True)
+        for m in (2 * len(angles), 50, 200):
+            a, b = self._spans_at(np.array(angles), m, rng)
+            got = self._assert_same(a, b, reference)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-13)
+            self._assert_same(b, a, reference)
+
+    @pytest.mark.parametrize("m, extra", [(200, 150), (200, 1), (40, 31), (9, 3)])
+    def test_unequal_column_counts_both_orders(self, reference, m, extra):
+        rng = np.random.default_rng(12)
+        angles = np.array([0.1, 0.4, 0.7, 1.1])[: (m - extra) // 2]
+        a, b = self._spans_at(angles, m, rng, extra)
+        assert self._assert_same(a, b, reference).size == len(angles)
+        assert self._assert_same(b, a, reference).size == len(angles)
+
+    def test_rank_deficient_inputs(self, reference):
+        rng = np.random.default_rng(13)
+        for m in (10, 60, 200):
+            a, b = self._spans_at(np.array([0.25, 0.5, 1.25]), m, rng, extra=2)
+            a = np.column_stack([a, a @ rng.standard_normal((3, 2)), np.zeros(m)])
+            b = np.column_stack([np.zeros(m), b, b[:, :1]])
+            assert self._assert_same(a, b, reference).size == 3
+            assert self._assert_same(b, a, reference).size == 3
+        self._assert_same(np.zeros((5, 2)), rng.standard_normal((5, 3)), reference)
+        assert _principal_angles(np.zeros((5, 2)), np.eye(5)[:, :3]).size == 0
+
+    def test_random_spans_up_to_200(self, reference):
+        # generic spans reach angles within 0.1 rad of 0 or pi/2, where the
+        # reference reads them through arccos or arcsin near 1; that magnifies
+        # the last-bit differences up to 50-fold (2.3e-14 seen in 975 cases)
+        rng = np.random.default_rng(11)
+        for m in (1, 2, 3, 5, 8, 13, 30, 60, 100, 150, 200):
+            for _ in range(4):
+                ka = int(rng.integers(1, m + 1))
+                kb = int(rng.integers(1, m - ka + 1)) if ka < m else 1
+                a = rng.standard_normal((m, ka))
+                b = rng.standard_normal((m, kb))
+                self._assert_same(a, b, reference, tol=1e-13)
+                self._assert_same(b, a, reference, tol=1e-13)
+
+    def test_intersecting_spans(self, reference):
+        # spans sharing directions have zero angles; where the branch choice
+        # is mixed the reference reads them as arccos of a cosine within a
+        # few ulps of 1, so they are determined only to about sqrt(eps)
+        rng = np.random.default_rng(15)
+        for m, ka, kb in ((200, 117, 105), (30, 20, 20), (8, 5, 6)):
+            a = rng.standard_normal((m, ka))
+            b = rng.standard_normal((m, kb))
+            got = self._assert_same(a, b, reference, tol=8 * np.sqrt(np.finfo(float).eps))
+            assert np.abs(got[m - ka - kb :]).max() <= 1e-7
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        a = np.eye(4)[:, :2]
+        b = np.ones((4, 2))
+        b[1, 1] = bad
+        with pytest.raises(ValueError):
+            _principal_angles(a, b)
+        with pytest.raises(ValueError):
+            _principal_angles(b, a)
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError, match="2D"):
+            _principal_angles(np.ones(4), np.ones((4, 1)))
+        with pytest.raises(ValueError, match="2D"):
+            _principal_angles(np.ones((4, 1)), np.ones((4, 1, 1)))
+        with pytest.raises(ValueError, match="same number of rows"):
+            _principal_angles(np.ones((4, 1)), np.ones((5, 1)))
