@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import Exponent, MatrixSeries, as_exponent
+from .series import SERIES_RANK_TOL, Exponent, MatrixSeries, as_exponent, is_singular
 from .scaling import ScaledForm
 
 __all__ = [
@@ -56,7 +56,7 @@ class SchurChain:
     stopped_early: bool
 
 
-def schur_chain(h: np.ndarray, block_sizes, rank_tol: float = 1e-10) -> SchurChain:
+def schur_chain(h: np.ndarray, block_sizes, rank_tol: float = SERIES_RANK_TOL) -> SchurChain:
     """Compute S_i = H_ii - H_{i,<i} H_{<i,<i}^{-1} H_{<i,i} block by block.
 
     The chain stops (with the offending complement kept and flagged) as soon
@@ -77,9 +77,7 @@ def schur_chain(h: np.ndarray, block_sizes, rank_tol: float = 1e-10) -> SchurCha
     for idx, b in enumerate(sizes):
         s = 0.5 * (trailing[:b, :b] + trailing[:b, :b].T)
         complements.append(s)
-        lead = h[: offset + b, : offset + b]
-        sv = np.linalg.svd(lead, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= rank_tol * sv[0]:
+        if is_singular(h[: offset + b, : offset + b], rank_tol):
             stopped = True
             break
         if idx == len(sizes) - 1:
@@ -124,12 +122,6 @@ class Ase:
         return sum(int(np.linalg.matrix_rank(t, tol * max(1.0, np.abs(t).max())))
                    for _, t in self.groups)
 
-    def evaluate(self, eps: float) -> np.ndarray:
-        total = np.zeros((self.n, self.n))
-        for alpha, term in self.groups:
-            total += float(eps) ** float(alpha) * term
-        return total
-
     def validate(self, tol: float = 1e-10):
         """Check the structural invariants; raises ValueError on violation."""
         prev = None
@@ -167,28 +159,47 @@ def _clean_rank(term: np.ndarray, rank_tol: float) -> np.ndarray:
     return (u[:, keep] * w[keep]) @ u[:, keep].T
 
 
-def ase_from_scaled(form: ScaledForm, rank_tol: float = 1e-10) -> Ase:
-    """Apply the blocked Schur-complement construction to a scaled form."""
-    chain = schur_chain(form.H, form.block_sizes, rank_tol)
-    n = form.scaling.n
-    nus = form.scaling.nus
-    sizes = form.block_sizes
-    offsets = np.cumsum((0,) + sizes)
+def _chain_groups(chain: SchurChain, nus, lift, rank_tol: float):
+    """ASE groups (2 nu_i, lift(i, S_i)) over a Schur chain, and ``truncated_at``.
+
+    The last complement of a stopped chain is rank-cleaned and truncates the
+    expansion at its valuation; complements that are (or clean to) zero
+    contribute no group.
+    """
     groups = []
     truncated_at = None
     for i, s in enumerate(chain.complements):
-        last = i == len(chain.complements) - 1
-        term_block = s
-        if chain.stopped_early and last:
-            term_block = _clean_rank(s, rank_tol)
+        if chain.stopped_early and i == len(chain.complements) - 1:
+            s = _clean_rank(s, rank_tol)
             truncated_at = 2 * nus[i]
-        if np.abs(term_block).max() == 0.0:
+        if np.abs(s).max() == 0.0:
             continue
+        groups.append((2 * nus[i], lift(i, s)))
+    return groups, truncated_at
+
+
+def _basis_lift(bases):
+    """Lift S_i to the symmetrized Q_i S_i Q_i^T for per-block bases Q_i."""
+
+    def lift(i, s):
+        term = bases[i] @ s @ bases[i].T
+        return 0.5 * (term + term.T)
+
+    return lift
+
+
+def ase_from_scaled(form: ScaledForm, rank_tol: float = SERIES_RANK_TOL) -> Ase:
+    """Apply the blocked Schur-complement construction to a scaled form."""
+    chain = schur_chain(form.H, form.block_sizes, rank_tol)
+    n = form.scaling.n
+    offsets = np.cumsum((0,) + form.block_sizes)
+
+    def place(i, s):  # S_i sits in its own coordinate block
         term = np.zeros((n, n))
-        sl = slice(offsets[i], offsets[i + 1])
-        term[sl, sl] = term_block
-        groups.append((2 * nus[i], term))
-    return Ase(n, groups, truncated_at)
+        term[offsets[i] : offsets[i + 1], offsets[i] : offsets[i + 1]] = s
+        return term
+
+    return Ase(n, *_chain_groups(chain, form.scaling.nus, place, rank_tol))
 
 
 @dataclass

@@ -21,9 +21,10 @@ import numpy as np
 
 from .ase import Ase, eigen_readout
 from .gkf import ase_from_gkf
-from .kernels import NodeSet, generate_nodes, kernel_ase, kernel_model
+from .kernels import KERNEL_RANK_TOL, NodeSet, generate_nodes, kernel_ase, kernel_model
 from .oracle import eigen_sweep, match_ase
 from .pipeline import analyze_series
+from .series import SERIES_RANK_TOL
 from . import serialize
 from .serialize import InputError
 
@@ -141,12 +142,8 @@ def _load_kernel(args):
         raise InputError(str(exc)) from exc
 
 
-def _series_rank_tol(args) -> float:
-    return args.rank_tol if args.rank_tol is not None else 1e-10
-
-
-def _kernel_rank_tol(args) -> float:
-    return args.rank_tol if args.rank_tol is not None else 1e-9
+def _rank_tol(args, default: float) -> float:
+    return args.rank_tol if args.rank_tol is not None else default
 
 
 def _series_ase_and_source(args):
@@ -156,11 +153,11 @@ def _series_ase_and_source(args):
     obj = _load_json(args.input)
     if args.mode == "gkf":
         form = serialize.gkf_from_json(obj)
-        return ase_from_gkf(form, _series_rank_tol(args)), form.evaluate
+        return ase_from_gkf(form, _rank_tol(args, SERIES_RANK_TOL)), form.evaluate
     series = serialize.matrix_series_from_json(obj)
     if not series.symmetric:
         raise InputError("field 'symmetric': analysis requires a symmetric series")
-    return analyze_series(series, args.mode, _series_rank_tol(args)), series
+    return analyze_series(series, args.mode, _rank_tol(args, SERIES_RANK_TOL)), series
 
 
 def _pipeline_ase_and_source(args):
@@ -169,7 +166,7 @@ def _pipeline_ase_and_source(args):
         return _series_ase_and_source(args)
     kernel = _load_kernel(args)
     nodes = _load_nodes(args)
-    ase, _ = kernel_ase(kernel, nodes, _kernel_rank_tol(args))
+    ase, _ = kernel_ase(kernel, nodes, _rank_tol(args, KERNEL_RANK_TOL))
     return ase, (kernel, nodes)
 
 
@@ -186,7 +183,7 @@ def cmd_kernel(args) -> int:
         raise InputError("kernel emits JSON (plus the group table); use --format json")
     kernel = _load_kernel(args)
     nodes = _load_nodes(args)
-    ase, readout = kernel_ase(kernel, nodes, _kernel_rank_tol(args))
+    ase, readout = kernel_ase(kernel, nodes, _rank_tol(args, KERNEL_RANK_TOL))
     table = ["valuation,count,lambda_leading"]
     for group in readout:
         lead = ";".join(f"{x:.12g}" for x in group.leading_values)

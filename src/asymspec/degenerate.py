@@ -15,17 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import (
+    SERIES_RANK_TOL,
     Exponent,
-    INFINITY,
     MatrixSeries,
     as_exponent,
+    is_singular,
     series_matrix_inverse,
     valuation_matrix,
 )
 from .scaling import DiagonalScaling, auto_scale_with_permutation, extract_H
-from .ase import Ase, fix_column_signs, schur_chain
+from .ase import Ase, SchurChain, fix_column_signs, schur_chain, _basis_lift, _chain_groups
 
 __all__ = ["PartitionedScaledSeries", "schur_reduce", "iterative_ase"]
+
+#: Rounding noise of a series elimination, relative to the largest
+#: coefficient that entered it; entries at or below it are not series terms.
+NOISE_FACTOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,7 @@ class PartitionedScaledSeries:
 
     scaling: DiagonalScaling
     H: MatrixSeries
-    cond_tol: float = 1e-10
+    cond_tol: float = SERIES_RANK_TOL
 
     def __post_init__(self):
         if self.scaling.num_blocks < 2:
@@ -48,9 +53,7 @@ class PartitionedScaledSeries:
         if not self.H.symmetric:
             raise ValueError("H must be a symmetric matrix series")
         m = self.m
-        h0 = self.H.coefficient(0)[:m, :m]
-        sv = np.linalg.svd(h0, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= self.cond_tol * sv[0]:
+        if is_singular(self.H.coefficient(0)[:m, :m], self.cond_tol):
             raise ValueError("H_11(0) is singular at tolerance")
 
     @property
@@ -71,25 +74,12 @@ def schur_reduce(part: PartitionedScaledSeries, order) -> MatrixSeries:
     equivalent identical to that of Delta H Delta.
     """
     order = as_exponent(order)
-    h = part.H
     m = part.m
-    n = h.shape[0]
     s = part.s
-    top_idx = np.arange(m)
-    bot_idx = np.arange(m, n)
-    h11 = h.submatrix(top_idx, top_idx)
-    h12 = h.submatrix(top_idx, bot_idx)
-    h21 = h.submatrix(bot_idx, top_idx)
-    h22 = h.submatrix(bot_idx, bot_idx)
-    inv_order = order - 2 * s
-    if not inv_order > Exponent(0):
-        raise ValueError("truncation horizon exhausted before the Schur block is resolved")
-    h11_inv = series_matrix_inverse(h11, inv_order, part.cond_tol)
-    schur = (h22 - h21 @ h11_inv @ h12).truncate(inv_order)
-    schur = MatrixSeries(schur.shape, schur.terms, schur.trunc_order, symmetric=True)
+    schur = _series_schur(part.H, m, order - 2 * s, part.cond_tol)
     top_exps = part.scaling.exponents()[:m]
-    top = h11.scale_rows_cols(top_exps, top_exps)
-    top = MatrixSeries(top.shape, top.terms, top.trunc_order, symmetric=True)
+    top_idx = np.arange(m)
+    top = _symmetric(part.H.submatrix(top_idx, top_idx).scale_rows_cols(top_exps, top_exps))
     return top.block_diag(schur.shift(2 * s)).truncate(order)
 
 
@@ -105,28 +95,30 @@ def _series_schur_block(k: MatrixSeries, scaling: DiagonalScaling, split_block: 
     exps = scaling.exponents()
     s = scaling.nus[split_block]
     m = sum(scaling.block_sizes[:split_block])
-    n = k.n
-    clipped = [exps[i] if i < m else s for i in range(n)]
-    h = k.scale_rows_cols([-e for e in clipped], [-e for e in clipped])
-    h = MatrixSeries(h.shape, h.terms, h.trunc_order, symmetric=True)
+    clipped = [exps[i] if i < m else s for i in range(k.n)]
+    h = _symmetric(k.scale_rows_cols([-e for e in clipped], [-e for e in clipped]))
     if m == 0:
         return h.shift(2 * s)
-    top_idx = np.arange(m)
-    bot_idx = np.arange(m, n)
-    h11 = h.submatrix(top_idx, top_idx)
-    h12 = h.submatrix(top_idx, bot_idx)
-    h21 = h.submatrix(bot_idx, top_idx)
-    h22 = h.submatrix(bot_idx, bot_idx)
-    inv_order = h.trunc_order
-    if not inv_order > Exponent(0):
+    return _series_schur(h, m, h.trunc_order, cond_tol).shift(2 * s)
+
+
+def _series_schur(h: MatrixSeries, m: int, order, cond_tol: float) -> MatrixSeries:
+    """H_22 - H_21 H_11^{-1} H_12 for H split after row m, truncated at ``order``."""
+    if not order > Exponent(0):
         raise ValueError("truncation horizon exhausted before the Schur block is resolved")
-    h11_inv = series_matrix_inverse(h11, inv_order, cond_tol)
-    schur = (h22 - h21 @ h11_inv @ h12).truncate(inv_order)
-    schur = MatrixSeries(schur.shape, schur.terms, schur.trunc_order, symmetric=True)
-    return schur.shift(2 * s)
+    top = np.arange(m)
+    bot = np.arange(m, h.shape[0])
+    h11_inv = series_matrix_inverse(h.submatrix(top, top), order, cond_tol)
+    schur = h.submatrix(bot, bot) - h.submatrix(bot, top) @ h11_inv @ h.submatrix(top, bot)
+    return _symmetric(schur.truncate(order))
 
 
-def iterative_ase(k: MatrixSeries, rank_tol: float = 1e-10, max_depth=None) -> Ase:
+def _symmetric(m: MatrixSeries) -> MatrixSeries:
+    """The same series flagged symmetric (its coefficients symmetrized)."""
+    return MatrixSeries(m.shape, m.terms, m.trunc_order, symmetric=True)
+
+
+def iterative_ase(k: MatrixSeries, rank_tol: float = SERIES_RANK_TOL, max_depth=None) -> Ase:
     """Spectral equivalent of a symmetric series with no helpful global scaling.
 
     Driver loop: auto-scale and run the Schur-chain construction; when the
@@ -164,8 +156,7 @@ def iterative_ase(k: MatrixSeries, rank_tol: float = 1e-10, max_depth=None) -> A
         if not live.all():
             keep = np.flatnonzero(live)
             horizon_cap = _exp_min(horizon_cap, current.trunc_order)
-            sub = current.submatrix(keep, keep)
-            current = MatrixSeries(sub.shape, sub.terms, sub.trunc_order, symmetric=True)
+            current = _symmetric(current.submatrix(keep, keep))
             basis = basis[:, keep]
             if not keep.size:
                 truncated_at = current.trunc_order
@@ -176,16 +167,12 @@ def iterative_ase(k: MatrixSeries, rank_tol: float = 1e-10, max_depth=None) -> A
         basis_p = basis[:, perm]
         form = extract_H(cur_p, scaling)
         chain = schur_chain(form.H, form.block_sizes, rank_tol)
-        sizes = form.block_sizes
-        offsets = np.cumsum((0,) + sizes)
+        offsets = np.cumsum((0,) + form.block_sizes)
         nus = scaling.nus
         resolved = len(chain.complements) - (1 if chain.stopped_early else 0)
-        for i in range(resolved):
-            s = chain.complements[i]
-            sl = slice(offsets[i], offsets[i + 1])
-            b = basis_p[:, sl]
-            term = b @ s @ b.T
-            groups.append((2 * nus[i], 0.5 * (term + term.T)))
+        bases = [basis_p[:, offsets[i] : offsets[i + 1]] for i in range(resolved)]
+        done = SchurChain(chain.complements[:resolved], stopped_early=False)
+        groups += _chain_groups(done, nus, _basis_lift(bases), rank_tol)[0]
         if not chain.stopped_early:
             truncated_at = None
             break
@@ -198,7 +185,7 @@ def iterative_ase(k: MatrixSeries, rank_tol: float = 1e-10, max_depth=None) -> A
         # rounding noise from the elimination must not register as genuine
         # series terms; its size is machine-level relative to the coefficient
         # scale that entered the Schur complement
-        noise = _coefficient_scale(cur_p) * 1e-13
+        noise = _coefficient_scale(cur_p) * NOISE_FACTOR
         trailing = _prune(trailing, noise)
         if trailing.is_zero:
             truncated_at = trailing.trunc_order

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .series import SERIES_RANK_TOL, is_singular
 from .scaling import DiagonalScaling
-from .ase import Ase, fix_column_signs, schur_chain, _clean_rank
+from .ase import Ase, fix_column_signs, schur_chain, _basis_lift, _chain_groups
 
 __all__ = ["GkfForm", "BlockQr", "block_rrqr", "build_H", "ase_from_gkf", "simplified_schur"]
 
@@ -73,8 +74,13 @@ class BlockQr:
         c0 = sum(self.widths[:i])
         return self.R[r0 : r0 + self.ranks[i], c0 : c0 + self.widths[i]]
 
+    def _block_index(self):
+        """Block number of each row (as a column) and each column (as a row) of R."""
+        return (np.repeat(np.arange(len(self.ranks)), self.ranks)[:, None],
+                np.repeat(np.arange(len(self.widths)), self.widths)[None, :])
 
-def block_rrqr(v: np.ndarray, widths, rank_tol: float = 1e-10) -> BlockQr:
+
+def block_rrqr(v: np.ndarray, widths, rank_tol: float = SERIES_RANK_TOL) -> BlockQr:
     """Left-to-right block QR with a rank-revealing (SVD) step per block.
 
     Each block of V is orthogonalized against the previously found basis and
@@ -88,87 +94,78 @@ def block_rrqr(v: np.ndarray, widths, rank_tol: float = 1e-10) -> BlockQr:
     if sum(widths) != v.shape[1]:
         raise ValueError("widths must sum to the number of columns of V")
     sigma_max = np.linalg.svd(v, compute_uv=False)[0]
-    thresh = rank_tol * sigma_max
+    qr = _block_scan(v, widths, rank_tol * sigma_max)
+    kept = len(qr.ranks) if qr else 0
+    if kept < len(widths):
+        raise ValueError(f"column block {kept} introduces no new dimensions at tolerance")
+    if sum(qr.ranks) != n:
+        raise ValueError(f"rank(V) = {sum(qr.ranks)} < n = {n} at tolerance")
+    return qr
+
+
+def _block_scan(v: np.ndarray, widths, thresh: float):
+    """Block QR of V's leading column blocks, scanned left to right.
+
+    Each block is orthogonalized twice against the basis found so far, its
+    residual's numerical rank is the number of singular values above
+    ``thresh``, and the new directions get pinned signs.  The scan stops
+    before a block that adds nothing, or once the rank reaches n.  Returns
+    the BlockQr of the blocks kept (R = Q^T V with the structurally lower
+    blocks zeroed exactly), or None when the first block adds nothing.
+    """
+    n = v.shape[0]
     q_blocks = []
     ranks = []
     col = 0
-    for i, w in enumerate(widths):
-        block = v[:, col : col + w]
+    for w in widths:
+        resid = v[:, col : col + w].copy()
         col += w
-        resid = block.copy()
-        for q in q_blocks:
-            resid -= q @ (q.T @ resid)
-        for q in q_blocks:  # second pass for orthogonality at working precision
-            resid -= q @ (q.T @ resid)
+        for _ in range(2):  # second pass for orthogonality at working precision
+            for q in q_blocks:
+                resid -= q @ (q.T @ resid)
         u, s, _ = np.linalg.svd(resid, full_matrices=False)
         b = int(np.sum(s > thresh))
         if b == 0:
-            raise ValueError(
-                f"column block {i} introduces no new dimensions at tolerance"
-            )
+            break
         q_blocks.append(fix_column_signs(u[:, :b]))
         ranks.append(b)
-    if sum(ranks) != n:
-        raise ValueError(f"rank(V) = {sum(ranks)} < n = {n} at tolerance")
-    q = np.hstack(q_blocks)
-    r = q.T @ v
-    # zero the structurally-lower blocks exactly
-    roff = 0
-    coff = 0
-    for i, b in enumerate(ranks):
-        r[roff + b :, coff : coff + widths[i]] = 0.0
-        roff += b
-        coff += widths[i]
-    return BlockQr(q_blocks, r, tuple(ranks), widths)
+        if sum(ranks) == n:
+            break
+    if not ranks:
+        return None
+    widths = tuple(widths[: len(ranks)])
+    qr = BlockQr(q_blocks, np.hstack(q_blocks).T @ v[:, : sum(widths)], tuple(ranks), widths)
+    rows, cols = qr._block_index()
+    qr.R[rows > cols] = 0.0
+    return qr
 
 
 def build_H(qr: BlockQr, w: np.ndarray):
     """H = blockdiag(R_ii) W blockdiag(R_ii)^T with row blocks of sizes b_i."""
     w = np.asarray(w, dtype=float)
-    n = sum(qr.ranks)
     m = sum(qr.widths)
     if w.shape != (m, m):
         raise ValueError("W shape does not match the QR widths")
-    d = np.zeros((n, m))
-    roff = 0
-    coff = 0
-    for i in range(len(qr.ranks)):
-        rb = qr.r_diag_block(i)
-        d[roff : roff + qr.ranks[i], coff : coff + qr.widths[i]] = rb
-        roff += qr.ranks[i]
-        coff += qr.widths[i]
+    rows, cols = qr._block_index()
+    d = np.where(rows == cols, qr.R, 0.0)
     h = d @ w @ d.T
     return 0.5 * (h + h.T), list(qr.ranks)
 
 
-def ase_from_gkf(form: GkfForm, rank_tol: float = 1e-10) -> Ase:
+def ase_from_gkf(form: GkfForm, rank_tol: float = SERIES_RANK_TOL) -> Ase:
     """ASE of a generalized kernel form: groups eps^{2 nu_i} Q_i S_i Q_i^T.
 
     Requires W invertible at tolerance; a Schur-chain early stop (possible for
     indefinite W with rank-deficient V blocks) propagates as truncation.
     """
-    sv = np.linalg.svd(form.W, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= rank_tol * sv[0]:
+    if is_singular(form.W, rank_tol):
         raise ValueError("W is singular at tolerance; the generalized kernel "
                          "form does not determine the full ASE")
     qr = block_rrqr(form.V, form.widths, rank_tol)
     h, sizes = build_H(qr, form.W)
     chain = schur_chain(h, sizes, rank_tol)
-    nus = form.scaling.nus
-    n = form.n
-    groups = []
-    truncated_at = None
-    for i, s in enumerate(chain.complements):
-        last = i == len(chain.complements) - 1
-        if chain.stopped_early and last:
-            s = _clean_rank(s, rank_tol)
-            truncated_at = 2 * nus[i]
-        if np.abs(s).max() == 0.0:
-            continue
-        q = qr.q_blocks[i]
-        term = q @ s @ q.T
-        groups.append((2 * nus[i], 0.5 * (term + term.T)))
-    return Ase(n, groups, truncated_at)
+    lift = _basis_lift(qr.q_blocks)
+    return Ase(form.n, *_chain_groups(chain, form.scaling.nus, lift, rank_tol))
 
 
 def simplified_schur(w: np.ndarray, qr: BlockQr, j: int) -> np.ndarray:

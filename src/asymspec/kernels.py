@@ -23,8 +23,8 @@ import numpy as np
 
 from .series import Exponent, ScalarSeries
 from .scaling import DiagonalScaling
-from .ase import Ase, eigen_readout, fix_column_signs, schur_chain, _clean_rank
-from .gkf import GkfForm, ase_from_gkf
+from .ase import Ase, eigen_readout, fix_column_signs, schur_chain, _basis_lift, _chain_groups
+from .gkf import GkfForm, ase_from_gkf, build_H, _block_scan
 
 __all__ = [
     "KernelModel",
@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 INFINITE = math.inf
+
+#: Default relative tolerance of the kernel pipeline's rank decisions (the
+#: Vandermonde scans and the Schur chain of the flat-limit form).
+KERNEL_RANK_TOL = 1e-9
 
 KERNEL_NAMES = ("gaussian", "exponential", "matern2", "custom")
 
@@ -215,10 +219,6 @@ class MonomialBasis:
         return [a for grp in self.by_degree for a in grp]
 
     @property
-    def size(self) -> int:
-        return num_monomials_upto(self.max_degree, self.d)
-
-    @property
     def block_widths(self):
         return tuple(num_monomials_exact(t, self.d) for t in range(self.max_degree + 1))
 
@@ -323,43 +323,8 @@ def distance_matrix(nodes: NodeSet, q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _block_qr_increments(v: np.ndarray, widths, sigma_max: float, rank_tol: float):
-    """Incremental orthonormalization of Vandermonde degree blocks.
-
-    ``v`` holds the blocks of ``widths`` side by side and ``sigma_max`` is its
-    largest singular value.  Returns (q_blocks, r_diag, ranks): per-degree
-    new orthonormal directions, the diagonal R blocks and the numerical rank
-    increments, up to rank n or the first block that adds nothing at
-    tolerance.
-    """
-    n = v.shape[0]
-    thresh = rank_tol * sigma_max
-    q_blocks = []
-    r_diag = []
-    ranks = []
-    col = 0
-    for w in widths:
-        block = v[:, col : col + w]
-        col += w
-        resid = block.copy()
-        for q in q_blocks:
-            resid -= q @ (q.T @ resid)
-        for q in q_blocks:
-            resid -= q @ (q.T @ resid)
-        u, s, _ = np.linalg.svd(resid, full_matrices=False)
-        b = int(np.sum(s > thresh))
-        if b == 0:
-            break
-        qi = fix_column_signs(u[:, :b])
-        q_blocks.append(qi)
-        r_diag.append(qi.T @ block)
-        ranks.append(b)
-        if sum(ranks) == n:
-            break
-    return q_blocks, r_diag, ranks
-
-
-def smooth_flat_limit(kernel: KernelModel, nodes: NodeSet, rank_tol: float = 1e-9) -> GkfForm:
+def smooth_flat_limit(kernel: KernelModel, nodes: NodeSet,
+                      rank_tol: float = KERNEL_RANK_TOL) -> GkfForm:
     """Flat-limit form for the completely smooth regime.
 
     Finds the smallest degree q with rank V_{<=q} = n (q <= r-1 required) and
@@ -404,7 +369,7 @@ def _smooth_degree(nodes: NodeSet, r, rank_tol: float):
 
 
 def finite_smooth_flat_limit(
-    kernel: KernelModel, nodes: NodeSet, rank_tol: float = 1e-9
+    kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RANK_TOL
 ) -> GkfForm:
     """Flat-limit form for a finitely smooth kernel with rank V_{<=r-1} < n.
 
@@ -438,7 +403,7 @@ def finite_smooth_flat_limit(
     return GkfForm(v, scaling, w)
 
 
-def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = 1e-9):
+def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RANK_TOL):
     """ASE of the kernel matrix on a node set, plus its eigen-readout.
 
     Dispatches between the smooth and finitely smooth pipelines.  When double
@@ -468,34 +433,17 @@ def _stalled_smooth_ase(
     truncates the expansion at the first uncertain group.
     """
     widths = MonomialBasis(nodes.d, nodes.n - 1).block_widths
-    q_blocks, r_diag, ranks = _block_qr_increments(v, widths, sigma_max, rank_tol)
-    used = len(ranks)
-    if used == 0:
+    qr = _block_scan(v, widths, rank_tol * sigma_max)
+    if qr is None:
         raise ValueError("no Vandermonde block has certified rank at tolerance")
-    w = wronskian(kernel, nodes.d, used - 1)
-    widths = widths[:used]
-    n = nodes.n
-    d = np.zeros((sum(ranks), sum(widths)))
-    roff = coff = 0
-    for rb, b, wd in zip(r_diag, ranks, widths):
-        d[roff : roff + b, coff : coff + wd] = rb
-        roff += b
-        coff += wd
-    h = d @ w @ d.T
-    chain = schur_chain(0.5 * (h + h.T), ranks, rank_tol)
+    used = len(qr.ranks)
+    h, sizes = build_H(qr, wronskian(kernel, nodes.d, used - 1))
+    chain = schur_chain(h, sizes, rank_tol)
+    nus = [Exponent(t) for t in range(used)]
+    groups, _ = _chain_groups(chain, nus, _basis_lift(qr.q_blocks), rank_tol)
     # always truncated: degrees past the certified ones are invisible at
     # working precision, so the expansion stops at the last computed group
-    truncated_at = Exponent(2 * (len(chain.complements) - 1))
-    groups = []
-    for i, s in enumerate(chain.complements):
-        if chain.stopped_early and i == len(chain.complements) - 1:
-            s = _clean_rank(s, rank_tol)
-        if np.abs(s).max() == 0.0:
-            continue
-        q = q_blocks[i]
-        term = q @ s @ q.T
-        groups.append((Exponent(2 * i), 0.5 * (term + term.T)))
-    return Ase(n, groups, truncated_at)
+    return Ase(nodes.n, groups, Exponent(2 * (len(chain.complements) - 1)))
 
 
 def kernel_matrix(kernel: KernelModel, nodes: NodeSet, eps: float, dist=None) -> np.ndarray:

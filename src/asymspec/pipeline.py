@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import MatrixSeries, valuation_matrix
+from .series import SERIES_RANK_TOL, MatrixSeries, valuation_matrix
 from .scaling import auto_scale_with_permutation, extract_H
 from .ase import Ase, ase_from_scaled
 from .degenerate import iterative_ase
@@ -12,7 +12,7 @@ from .degenerate import iterative_ase
 __all__ = ["analyze_series"]
 
 
-def analyze_series(k: MatrixSeries, mode: str = "auto", rank_tol: float = 1e-10) -> Ase:
+def analyze_series(k: MatrixSeries, mode: str = "auto", rank_tol: float = SERIES_RANK_TOL) -> Ase:
     """Spectral equivalent of a symmetric matrix series.
 
     Modes: 'scaled' applies the diagonal-scaling construction once (possibly

@@ -158,6 +158,18 @@ def as_exponent(x) -> Exponent:
     raise TypeError(f"cannot interpret {x!r} as an exponent")
 
 
+#: Default relative tolerance of every rank decision on a matrix series (Schur
+#: chains, series inverses, the GKF's W and V): a singular-value ratio at or
+#: below it counts as singular.
+SERIES_RANK_TOL = 1e-10
+
+
+def is_singular(mat: np.ndarray, tol: float) -> bool:
+    """Singular-value ratio test: sigma_min <= tol * sigma_max, or mat is zero."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return sv[0] == 0.0 or sv[-1] <= tol * sv[0]
+
+
 #: int64 arithmetic stays exact while every intermediate value is below this.
 _INT64_SAFE = 2**62
 
@@ -273,16 +285,6 @@ class ScalarSeries:
 
     __rmul__ = __mul__
 
-    def shift(self, delta) -> "ScalarSeries":
-        """Multiply by eps**delta."""
-        delta = as_exponent(delta)
-        return ScalarSeries([(e + delta, c) for e, c in self._terms], self._trunc + delta)
-
-    def truncate(self, order) -> "ScalarSeries":
-        order = as_exponent(order)
-        trunc = min(self._trunc, order, key=lambda e: e._key())
-        return ScalarSeries(self._terms, trunc)
-
     def evaluate(self, eps: float) -> float:
         if eps < 0:
             raise ValueError("eps must be nonnegative")
@@ -290,14 +292,6 @@ class ScalarSeries:
         for e, c in self._terms:
             total += c * _eps_power(eps, e)
         return total
-
-    def __eq__(self, other):
-        if not isinstance(other, ScalarSeries):
-            return NotImplemented
-        return self._terms == other._terms and self._trunc == other._trunc
-
-    def __hash__(self):
-        return hash((self._terms, self._trunc))
 
     def __repr__(self):
         if not self._terms:
@@ -435,28 +429,6 @@ class MatrixSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return MatrixSeries(
-                self.shape,
-                [(e, m * other) for e, m in self._terms],
-                self._trunc,
-                self.symmetric,
-            )
-        if isinstance(other, ScalarSeries):
-            trunc = min(
-                self._effective_valuation() + other.trunc_order,
-                other._effective_valuation() + self._trunc,
-                key=lambda e: e._key(),
-            )
-            prod = [
-                (e1 + e2, m * c) for e1, m in self._terms for e2, c in other.terms
-            ]
-            return MatrixSeries(self.shape, prod, trunc)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other):
         if not isinstance(other, MatrixSeries):
             return NotImplemented
@@ -469,14 +441,6 @@ class MatrixSeries:
         )
         prod = [(e1 + e2, m1 @ m2) for e1, m1 in self._terms for e2, m2 in other._terms]
         return MatrixSeries((self.shape[0], other.shape[1]), prod, trunc)
-
-    def transpose(self) -> "MatrixSeries":
-        return MatrixSeries(
-            (self.shape[1], self.shape[0]),
-            [(e, m.T) for e, m in self._terms],
-            self._trunc,
-            self.symmetric,
-        )
 
     def shift(self, delta) -> "MatrixSeries":
         """Multiply by eps**delta."""
@@ -695,7 +659,8 @@ def valuation_matrix(k: MatrixSeries) -> ValuationMatrix:
     return ValuationMatrix._from_arrays(lookup[first], den, inf)
 
 
-def series_matrix_inverse(h: MatrixSeries, order, cond_tol: float = 1e-10) -> MatrixSeries:
+def series_matrix_inverse(h: MatrixSeries, order,
+                          cond_tol: float = SERIES_RANK_TOL) -> MatrixSeries:
     """Neumann-series inverse of a square matrix series, truncated at ``order``.
 
     Requires the eps^0 coefficient to be invertible (singular-value ratio above
@@ -707,8 +672,7 @@ def series_matrix_inverse(h: MatrixSeries, order, cond_tol: float = 1e-10) -> Ma
     if not h.is_zero and h.valuation < Exponent(0):
         raise ValueError("series with negative exponents cannot be inverted here")
     h0 = h.coefficient(0)
-    sv = np.linalg.svd(h0, compute_uv=False) if h.shape[0] else np.array([1.0])
-    if sv[0] == 0.0 or sv[-1] <= cond_tol * sv[0]:
+    if h.shape[0] and is_singular(h0, cond_tol):
         raise SingularLeadingTermError("leading term singular")
     y0 = np.linalg.inv(h0)
     n = h.shape[0]

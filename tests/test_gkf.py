@@ -1,5 +1,7 @@
 """Block rank-revealing QR, H construction and the generalized-kernel ASE."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,23 @@ class TestBlockRrqr:
         v = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             block_rrqr(v, (1, 1))
+
+    @pytest.mark.parametrize(
+        "v, widths, message",
+        [
+            (np.zeros((3, 3)), (1, 2), "column block 0 introduces no new dimensions at tolerance"),
+            # the first two blocks already span R^3, so block 2 adds nothing
+            (np.hstack([np.eye(3), np.ones((3, 2))]), (2, 1, 2),
+             "column block 2 introduces no new dimensions at tolerance"),
+            # every block adds a direction, but two directions cannot span R^3
+            (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), (1, 1),
+             "rank(V) = 2 < n = 3 at tolerance"),
+        ],
+        ids=("zero_v", "full_rank_before_last_block", "rank_below_n"),
+    )
+    def test_error_messages(self, v, widths, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            block_rrqr(v, widths)
 
 
 class TestBuildH:
