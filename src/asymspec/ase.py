@@ -89,6 +89,11 @@ def schur_chain(h: np.ndarray, block_sizes, rank_tol: float = SERIES_RANK_TOL) -
     return SchurChain(complements, stopped)
 
 
+def rank_floor(term: np.ndarray, tol: float = 1e-10) -> float:
+    """Singular values of an ASE term at or below this do not count toward its rank."""
+    return tol * max(1.0, np.abs(term).max())
+
+
 @dataclass
 class Ase:
     """Asymptotic spectral equivalent: sum over groups of eps^alpha_i * term_i.
@@ -119,8 +124,7 @@ class Ase:
         return [alpha for alpha, _ in self.groups]
 
     def term_rank_sum(self, tol: float = 1e-10) -> int:
-        return sum(int(np.linalg.matrix_rank(t, tol * max(1.0, np.abs(t).max())))
-                   for _, t in self.groups)
+        return sum(int(np.linalg.matrix_rank(t, rank_floor(t, tol))) for _, t in self.groups)
 
     def validate(self, tol: float = 1e-10):
         """Check the structural invariants; raises ValueError on violation."""

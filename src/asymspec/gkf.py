@@ -83,61 +83,52 @@ class BlockQr:
 def block_rrqr(v: np.ndarray, widths, rank_tol: float = SERIES_RANK_TOL) -> BlockQr:
     """Left-to-right block QR with a rank-revealing (SVD) step per block.
 
-    Each block of V is orthogonalized against the previously found basis and
-    the residual's numerical rank b_i is decided against
+    Each block of V is one ``_extend_basis`` step against
     ``rank_tol * sigma_max(V)``.  Requires every block to contribute at least
-    one new dimension and rank(V) = n overall, so that Q is square.
+    one new dimension and rank(V) = n overall, so that Q is square.  R is
+    Q^T V with the structurally lower blocks zeroed exactly.
     """
     v = np.asarray(v, dtype=float)
     n = v.shape[0]
     widths = tuple(int(w) for w in widths)
     if sum(widths) != v.shape[1]:
         raise ValueError("widths must sum to the number of columns of V")
-    sigma_max = np.linalg.svd(v, compute_uv=False)[0]
-    qr = _block_scan(v, widths, rank_tol * sigma_max)
-    kept = len(qr.ranks) if qr else 0
-    if kept < len(widths):
-        raise ValueError(f"column block {kept} introduces no new dimensions at tolerance")
+    thresh = rank_tol * np.linalg.svd(v, compute_uv=False)[0]
+    q_blocks, col = [], 0
+    for i, w in enumerate(widths):
+        full = sum(q.shape[1] for q in q_blocks) == n
+        q_new = None if full else _extend_basis(q_blocks, v[:, col : col + w], thresh)[0]
+        if full or q_new.shape[1] == 0:
+            raise ValueError(f"column block {i} introduces no new dimensions at tolerance")
+        q_blocks.append(q_new)
+        col += w
+    qr = BlockQr(q_blocks, np.hstack(q_blocks).T @ v, tuple(q.shape[1] for q in q_blocks), widths)
     if sum(qr.ranks) != n:
         raise ValueError(f"rank(V) = {sum(qr.ranks)} < n = {n} at tolerance")
-    return qr
-
-
-def _block_scan(v: np.ndarray, widths, thresh: float):
-    """Block QR of V's leading column blocks, scanned left to right.
-
-    Each block is orthogonalized twice against the basis found so far, its
-    residual's numerical rank is the number of singular values above
-    ``thresh``, and the new directions get pinned signs.  The scan stops
-    before a block that adds nothing, or once the rank reaches n.  Returns
-    the BlockQr of the blocks kept (R = Q^T V with the structurally lower
-    blocks zeroed exactly), or None when the first block adds nothing.
-    """
-    n = v.shape[0]
-    q_blocks = []
-    ranks = []
-    col = 0
-    for w in widths:
-        resid = v[:, col : col + w].copy()
-        col += w
-        for _ in range(2):  # second pass for orthogonality at working precision
-            for q in q_blocks:
-                resid -= q @ (q.T @ resid)
-        u, s, _ = np.linalg.svd(resid, full_matrices=False)
-        b = int(np.sum(s > thresh))
-        if b == 0:
-            break
-        q_blocks.append(fix_column_signs(u[:, :b]))
-        ranks.append(b)
-        if sum(ranks) == n:
-            break
-    if not ranks:
-        return None
-    widths = tuple(widths[: len(ranks)])
-    qr = BlockQr(q_blocks, np.hstack(q_blocks).T @ v[:, : sum(widths)], tuple(ranks), widths)
     rows, cols = qr._block_index()
     qr.R[rows > cols] = 0.0
     return qr
+
+
+def _extend_basis(q_blocks, block: np.ndarray, thresh: float):
+    """One block-extension step: the new directions ``block`` adds to ``q_blocks``.
+
+    The block is orthogonalized twice against the orthonormal blocks found so
+    far (the second pass restores orthogonality at working precision), its
+    residual's numerical rank b is the number of singular values above
+    ``thresh``, and the b new directions get pinned signs.  Returns
+    (Q_new, C): Q_new is n x b and C = Q_new^T residual (b x width), read off
+    the SVD, so small coefficients keep their relative accuracy.
+    """
+    resid = np.array(block, dtype=float)
+    for _ in range(2):
+        for q in q_blocks:
+            resid -= q @ (q.T @ resid)
+    u, s, vt = np.linalg.svd(resid, full_matrices=False)
+    b = int(np.sum(s > thresh))
+    q_new = fix_column_signs(u[:, :b])
+    signs = np.where(np.sum(q_new * u[:, :b], axis=0) < 0, -1.0, 1.0)
+    return q_new, (signs * s[:b])[:, None] * vt[:b]
 
 
 def build_H(qr: BlockQr, w: np.ndarray):

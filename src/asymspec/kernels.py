@@ -21,10 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .series import Exponent, ScalarSeries
+from .series import Exponent, ScalarSeries, is_singular
 from .scaling import DiagonalScaling
-from .ase import Ase, eigen_readout, fix_column_signs, schur_chain, _basis_lift, _chain_groups
-from .gkf import GkfForm, ase_from_gkf, build_H, _block_scan
+from .ase import (Ase, eigen_readout, fix_column_signs, rank_floor, schur_chain, _basis_lift,
+                  _chain_groups)
+from .gkf import BlockQr, GkfForm, build_H, _extend_basis
 
 __all__ = [
     "KernelModel",
@@ -56,17 +57,8 @@ KERNEL_NAMES = ("gaussian", "exponential", "matern2", "custom")
 
 
 class FinitelySmoothError(Exception):
-    """No degree q <= r-1 makes the Vandermonde matrix full row rank.
-
-    ``v`` is the Vandermonde matrix up to the last degree the scan tested and
-    ``sigma_max`` its largest singular value (both None when no degree
-    reached n columns, so no rank test ran).
-    """
-
-    def __init__(self, message: str, v=None, sigma_max=None):
-        super().__init__(message)
-        self.v = v
-        self.sigma_max = sigma_max
+    """The Vandermonde degree scan stops short of full row rank: at degree
+    r-1, at half the psi horizon, or before a degree it cannot certify."""
 
 
 def _psi_coefficient(name: str, k: int) -> Fraction:
@@ -227,38 +219,19 @@ def vandermonde(nodes: NodeSet, s: int) -> np.ndarray:
     """Multivariate Vandermonde matrix [x_i^alpha] for |alpha| <= s.
 
     Columns are grouped by degree (widths ``num_monomials_exact(t, d)``) in
-    graded-lex order; the degree-0 block is the all-ones column.
+    graded-lex order; the degree-0 block is the all-ones column.  Entry
+    (i, alpha) multiplies the powers x_ic ** alpha_c in coordinate order, each
+    taken with a scalar integer exponent.
     """
     if s < 0:
         raise ValueError("degree must be nonnegative")
-    return np.hstack(list(_vandermonde_blocks(nodes, s)))
-
-
-@cache
-def _multi_indices(d: int, t: int) -> np.ndarray:
-    alpha = np.array(monomials_of_degree(d, t), dtype=np.intp).reshape(-1, d)
-    alpha.setflags(write=False)
-    return alpha
-
-
-def _vandermonde_blocks(nodes: NodeSet, max_deg: int):
-    """Yield the degree-t column blocks of V for t = 0..max_deg.
-
-    Entry (i, alpha) multiplies the powers x_ic ** alpha_c in coordinate
-    order, each taken with a scalar integer exponent, so every column has the
-    same bits however many degrees are built.
-    """
+    alpha = np.array(MonomialBasis(nodes.d, s).flat, dtype=np.intp).reshape(-1, nodes.d)
     pts = nodes.points
-    powers = np.ones((nodes.d, nodes.n, max_deg + 1))  # powers[c, :, k] = x_c ** k
-    for t in range(max_deg + 1):
-        if t:
-            for c in range(nodes.d):
-                powers[c, :, t] = pts[:, c] ** t
-        alpha = _multi_indices(nodes.d, t)
-        block = np.take(powers[0], alpha[:, 0], axis=1)
-        for c in range(1, nodes.d):
-            block *= np.take(powers[c], alpha[:, c], axis=1)
-        yield block
+    powers = [np.column_stack([pts[:, c] ** k for k in range(s + 1)]) for c in range(nodes.d)]
+    v = np.take(powers[0], alpha[:, 0], axis=1)
+    for c in range(1, nodes.d):
+        v *= np.take(powers[c], alpha[:, c], axis=1)
+    return v
 
 
 def _wronskian_entry_coeff(alpha, beta) -> int:
@@ -323,49 +296,116 @@ def distance_matrix(nodes: NodeSet, q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _unit_nodes(nodes: NodeSet):
+    """(y, s): the nodes centred at their bounding-box midpoint and divided by
+    their max-norm radius s.  K_x(eps) = K_y(s eps), so valuations are kept
+    and the term at eps^alpha maps back multiplied by s^alpha."""
+    pts = nodes.points
+    y = pts - 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+    scale = float(np.abs(y).max()) or 1.0  # 0 for a single node
+    return y / scale, scale
+
+
+@cache
+def _parents(d: int, t: int):
+    """Per degree-t multi-index alpha (graded-lex): its first coordinate k with
+    alpha_k > 0, and the position of alpha - e_k among degree t-1."""
+    prev = {alpha: i for i, alpha in enumerate(monomials_of_degree(d, t - 1))}
+    alphas = monomials_of_degree(d, t)
+    ks = tuple(next(c for c, a in enumerate(alpha) if a) for alpha in alphas)
+    return ks, tuple(prev[al[:k] + (al[k] - 1,) + al[k + 1 :]] for k, al in zip(ks, alphas))
+
+
+def _macaulay_bound(a: int, t: int) -> int:
+    """a^<t>: the most rank degree t+1 can add to V after degree t >= 1 added a.
+
+    V's rank increments on a finite point set are the Hilbert function of a
+    standard graded algebra, bounded by Macaulay's theorem: with
+    a = C(k_t, t) + ... + C(k_j, j), k_t > ... > k_j >= j, a^<t> is
+    C(k_t + 1, t + 1) + ... + C(k_j + 1, j + 1).  Once a <= t, a^<t> = a.
+    """
+    out = 0
+    for k in range(t, 0, -1):
+        if a == 0:
+            break
+        m = k
+        while math.comb(m + 1, k) <= a:
+            m += 1
+        a -= math.comb(m, k)
+        out += math.comb(m + 1, k + 1)
+    return out
+
+
+def _degree_scan(kernel: KernelModel, y: np.ndarray, rank_tol: float) -> BlockQr:
+    """Graded Arnoldi basis of the Vandermonde matrix of unit nodes y.
+
+    Degree by degree, the block y_k Q_{t-1} (k = 1..d) is one
+    ``_extend_basis`` step against ``rank_tol * ||block||_2``; its new
+    directions are Q_t.  R_tt = Q_t^T V_t follows from the recurrence
+    R_tt[:, alpha] = (Q_t^T (y_k Q_{t-1})) R_{t-1,t-1}[:, alpha - e_k], with
+    the first factor read off that step's SVD.  The scan stops at rank n, at
+    degree r-1 or at half the psi horizon (W_{<=q} needs psi_{2q}), and
+    before a degree that adds nothing or more than ``_macaulay_bound``
+    allows: such rank contradicts the rank decisions below it (nodes that
+    lie on a curve only up to rounding show it at deep degrees).  R holds
+    only the diagonal blocks R_tt, which is all ``build_H`` reads.
+    """
+    n, d = y.shape
+    max_deg = min(kernel.horizon // 2, kernel.regularity - 1)  # an int: r is int or inf
+    q_blocks = [np.full((n, 1), 1.0 / math.sqrt(n))]
+    r_blocks = [np.array([[math.sqrt(n)]])]
+    for t in range(1, max_deg + 1):
+        prev = q_blocks[-1]
+        block = (y[:, :, None] * prev[:, None, :]).reshape(n, -1)
+        q_new, coeffs = _extend_basis(q_blocks, block, rank_tol * np.linalg.norm(block, 2))
+        b = q_new.shape[1]
+        if b == 0 or (t > 1 and b > _macaulay_bound(prev.shape[1], t - 1)):
+            break
+        ks, parents = _parents(d, t)
+        coeffs = coeffs.reshape(b, d, prev.shape[1])[:, ks, :]
+        r_blocks.append(np.einsum("bjp,pj->bj", coeffs, r_blocks[-1][:, parents]))
+        q_blocks.append(q_new)
+        if sum(q.shape[1] for q in q_blocks) == n:
+            break
+    ranks = tuple(q.shape[1] for q in q_blocks)
+    return BlockQr(q_blocks, _blockdiag(*r_blocks), ranks, tuple(r.shape[1] for r in r_blocks))
+
+
+def _blockdiag(*blocks) -> np.ndarray:
+    out = np.zeros(tuple(np.sum([b.shape for b in blocks], axis=0)))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def _complement_block(kernel: KernelModel, nodes: NodeSet, q: np.ndarray):
+    """(A, psi_{2r-1} A^T D^(2r-1) A symmetrized): the block at r - 1/2, with A
+    an orthonormal basis, signs pinned, of the complement of range(q)."""
+    a = fix_column_signs(np.linalg.qr(q, mode="complete")[0][:, q.shape[1] :])
+    k = 2 * int(kernel.regularity) - 1
+    w = kernel.psi_coeff(k) * (a.T @ distance_matrix(nodes, k) @ a)
+    return a, 0.5 * (w + w.T)
+
+
 def smooth_flat_limit(kernel: KernelModel, nodes: NodeSet,
                       rank_tol: float = KERNEL_RANK_TOL) -> GkfForm:
     """Flat-limit form for the completely smooth regime.
 
-    Finds the smallest degree q with rank V_{<=q} = n (q <= r-1 required) and
-    returns (V_{<=q}, Delta with nu_j = j and block widths H_{j,d}, W_{<=q}).
-    Raises FinitelySmoothError when no such degree exists within smoothness.
+    Takes the degree q at which the degree scan reaches rank n (q <= r-1, 2q
+    within the psi horizon) and returns (V_{<=q}, Delta with nu_j = j and
+    block widths H_{j,d}, W_{<=q}).  Raises FinitelySmoothError when the scan
+    stops short of rank n.
     """
-    q, v, sigma_max = _smooth_degree(nodes, kernel.regularity, rank_tol)
-    if q is None:
-        raise FinitelySmoothError(
-            "Vandermonde rank stays below n within the kernel's smoothness; "
-            "use finite_smooth_flat_limit",
-            v,
-            sigma_max,
-        )
+    qr = _degree_scan(kernel, _unit_nodes(nodes)[0], rank_tol)
+    if sum(qr.ranks) < nodes.n:
+        raise FinitelySmoothError(f"the Vandermonde degree scan stops at rank {sum(qr.ranks)} "
+                                  f"< n = {nodes.n}; use finite_smooth_flat_limit")
+    q = len(qr.ranks) - 1
     widths = MonomialBasis(nodes.d, q).block_widths
-    scaling = DiagonalScaling(tuple((Exponent(t), widths[t]) for t in range(q + 1)))
-    w = wronskian(kernel, nodes.d, q)
-    return GkfForm(v, scaling, w)
-
-
-def _smooth_degree(nodes: NodeSet, r, rank_tol: float):
-    """Smallest degree q <= r-1 with numerical rank V_{<=q} = n, else None.
-
-    Returns (q, v, sigma_max): v is V_{<=q}, or V up to the last degree tested
-    when q is None, and sigma_max its largest singular value (both None when
-    no degree was tested).  Degrees whose V has fewer than n columns cannot
-    reach rank n and are not tested.
-    """
-    max_q = nodes.n - 1 if r == INFINITE else min(int(r) - 1, nodes.n - 1)
-    blocks = []
-    v = sigma_max = None
-    for q, block in enumerate(_vandermonde_blocks(nodes, max_q)):
-        blocks.append(block)
-        if num_monomials_upto(q, nodes.d) < nodes.n:
-            continue
-        v = np.hstack(blocks)
-        sv = np.linalg.svd(v, compute_uv=False)
-        sigma_max = sv[0]
-        if int(np.sum(sv > rank_tol * sv[0])) == nodes.n:
-            return q, v, sigma_max
-    return None, v, sigma_max
+    scaling = DiagonalScaling(tuple((Exponent(t), w) for t, w in enumerate(widths)))
+    return GkfForm(vandermonde(nodes, q), scaling, wronskian(kernel, nodes.d, q))
 
 
 def finite_smooth_flat_limit(
@@ -373,77 +413,67 @@ def finite_smooth_flat_limit(
 ) -> GkfForm:
     """Flat-limit form for a finitely smooth kernel with rank V_{<=r-1} < n.
 
-    V is extended by an orthonormal basis A of the complement of
-    range(V_{<=r-1}); the scaling gains a final block at the fractional
-    exponent r - 1/2 and W a distance-matrix block psi_{2r-1} A^T D^(2r-1) A.
+    V is extended by an orthonormal basis A of the complement of the degree
+    scan's range(V_{<=r-1}); the scaling gains a final block at the
+    fractional exponent r - 1/2 and W a distance-matrix block
+    psi_{2r-1} A^T D^(2r-1) A.
     """
     r = kernel.regularity
     if r == INFINITE:
         raise ValueError("finitely smooth pipeline requires finite regularity")
     r = int(r)
-    v_main = vandermonde(nodes, r - 1)
-    u, sv, _ = np.linalg.svd(v_main, full_matrices=True)
-    rank = int(np.sum(sv > rank_tol * sv[0]))
-    if rank == nodes.n:
+    qr = _degree_scan(kernel, _unit_nodes(nodes)[0], rank_tol)
+    if sum(qr.ranks) == nodes.n:
         raise ValueError("V_{<=r-1} has full row rank; the smooth pipeline applies")
-    a = fix_column_signs(u[:, rank:])
-    c = nodes.n - rank
-    widths = MonomialBasis(nodes.d, r - 1).block_widths
-    blocks = [(Exponent(t), widths[t]) for t in range(r)]
-    blocks.append((Exponent(2 * r - 1, 2), c))
-    scaling = DiagonalScaling(tuple(blocks))
-    w_top = wronskian(kernel, nodes.d, r - 1)
-    d_odd = distance_matrix(nodes, 2 * r - 1)
-    w_bot = kernel.psi_coeff(2 * r - 1) * (a.T @ d_odd @ a)
-    p = w_top.shape[0]
-    w = np.zeros((p + c, p + c))
-    w[:p, :p] = w_top
-    w[p:, p:] = 0.5 * (w_bot + w_bot.T)
-    v = np.hstack([v_main, a])
-    return GkfForm(v, scaling, w)
+    a, w_bot = _complement_block(kernel, nodes, qr.Q)
+    blocks = [(Exponent(t), w) for t, w in enumerate(MonomialBasis(nodes.d, r - 1).block_widths)]
+    blocks.append((Exponent(2 * r - 1, 2), a.shape[1]))
+    w = _blockdiag(wronskian(kernel, nodes.d, r - 1), w_bot)
+    return GkfForm(np.hstack([vandermonde(nodes, r - 1), a]), DiagonalScaling(tuple(blocks)), w)
 
 
 def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RANK_TOL):
     """ASE of the kernel matrix on a node set, plus its eigen-readout.
 
-    Dispatches between the smooth and finitely smooth pipelines.  When double
-    precision cannot certify further rank growth of the Vandermonde blocks
-    (deep smooth expansions), the ASE is truncated at the last certified
-    group rather than silently mis-ranked.  The readout is one
-    ``SpectralGroup`` per ASE group (valuation, count, leading values).
+    One route: the degree scan of the unit nodes feeds ``build_H`` and the
+    Schur chain.  When the scan of a finitely smooth kernel stops short of
+    rank n below the psi horizon, the complement A of its basis is a last
+    block at r - 1/2 with H block psi_{2r-1} A^T D^(2r-1) A.  Any other stop
+    short of rank n (a degree the scan cannot certify, or the psi horizon)
+    truncates the ASE at its last computed group: degrees past the certified
+    ones are invisible at working precision.  Terms are in the caller's
+    units, and the expansion also stops before a group whose smallest
+    leading value is at or below ``rank_floor`` of its term there.  The
+    readout is one ``SpectralGroup`` per ASE group.
     """
-    try:
-        ase = ase_from_gkf(smooth_flat_limit(kernel, nodes, rank_tol), rank_tol)
-    except FinitelySmoothError as exc:
-        if kernel.regularity == INFINITE:
-            ase = _stalled_smooth_ase(kernel, nodes, exc.v, exc.sigma_max, rank_tol)
-        else:  # the scan found no degree q <= r-1 with rank n
-            form = finite_smooth_flat_limit(kernel, nodes, rank_tol)
-            ase = ase_from_gkf(form, rank_tol)
-    return ase, eigen_readout(ase)
-
-
-def _stalled_smooth_ase(
-    kernel: KernelModel, nodes: NodeSet, v: np.ndarray, sigma_max: float, rank_tol: float
-) -> Ase:
-    """Partial smooth-regime ASE when rank growth stalls numerically.
-
-    ``v`` is V_{<=n-1} and ``sigma_max`` its largest singular value.  Uses
-    the degree blocks whose rank increments are certified at tolerance and
-    truncates the expansion at the first uncertain group.
-    """
-    widths = MonomialBasis(nodes.d, nodes.n - 1).block_widths
-    qr = _block_scan(v, widths, rank_tol * sigma_max)
-    if qr is None:
-        raise ValueError("no Vandermonde block has certified rank at tolerance")
-    used = len(qr.ranks)
-    h, sizes = build_H(qr, wronskian(kernel, nodes.d, used - 1))
+    y, scale = _unit_nodes(nodes)
+    qr = _degree_scan(kernel, y, rank_tol)
+    w = wronskian(kernel, nodes.d, len(qr.ranks) - 1)
+    h, sizes = build_H(qr, w)
+    nus = [Exponent(t) for t in range(len(qr.ranks))]
+    bases = list(qr.q_blocks)
+    short = sum(qr.ranks) < nodes.n
+    finite = short and kernel.regularity - 1 <= kernel.horizon // 2
+    if finite:
+        a, w_bot = _complement_block(kernel, nodes, qr.Q)
+        nus.append(Exponent(2 * int(kernel.regularity) - 1, 2))
+        w_bot /= scale ** float(2 * nus[-1])
+        if is_singular(_blockdiag(w, w_bot), rank_tol):
+            raise ValueError("W is singular at tolerance; the generalized kernel "
+                             "form does not determine the full ASE")
+        h = _blockdiag(h, w_bot)
+        sizes.append(a.shape[1])
+        bases.append(a)
     chain = schur_chain(h, sizes, rank_tol)
-    nus = [Exponent(t) for t in range(used)]
-    groups, _ = _chain_groups(chain, nus, _basis_lift(qr.q_blocks), rank_tol)
-    # always truncated: degrees past the certified ones are invisible at
-    # working precision, so the expansion stops at the last computed group
-    return Ase(nodes.n, groups, Exponent(2 * (len(chain.complements) - 1)))
+    groups, truncated_at = _chain_groups(chain, nus, _basis_lift(bases), rank_tol)
+    if short and not finite:
+        truncated_at = 2 * nus[len(chain.complements) - 1]
+    ase = Ase(nodes.n, [(alpha, scale ** float(alpha) * t) for alpha, t in groups], truncated_at)
+    readout = eigen_readout(ase)
+    for i, ((alpha, term), group) in enumerate(zip(ase.groups, readout)):
+        if min(map(abs, group.leading_values)) <= rank_floor(term):
+            return Ase(nodes.n, ase.groups[:i], alpha), readout[:i]
+    return ase, readout
 
 
 def kernel_matrix(kernel: KernelModel, nodes: NodeSet, eps: float, dist=None) -> np.ndarray:

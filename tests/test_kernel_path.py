@@ -1,27 +1,37 @@
-"""The kernel pipeline's Vandermonde scan, dense psi and single readout.
+"""The kernel pipeline's Vandermonde matrix, degree scan, dense psi and readout.
 
-The block-built Vandermonde matrix and the degree scan that skips rank
-tests below n columns are checked against the column-by-column builder and
-the test-every-degree scan they replace: V must match bit for bit (its
-layout too, since BLAS results depend on it) and the degree decision must
-be the same.
+The Vandermonde matrix must match the column-by-column reference bit for
+bit (its layout too, since BLAS results depend on it).  The degree
+scan's per-degree ranks must be a prefix of the node family's Hilbert
+increments, and ``kernel_ase`` must not depend on the units or the origin
+of the nodes, except where shrinking them puts a term below ``Ase``'s
+absolute rank floor.
 """
 
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from asymspec import generate_nodes, kernel_ase, kernel_matrix, kernel_model, vandermonde
-from asymspec.ase import eigen_readout
+from asymspec.ase import Ase, eigen_readout
 from asymspec.cli import main
+from asymspec.gkf import ase_from_gkf
 from asymspec.kernels import (
     INFINITE,
+    KERNEL_RANK_TOL,
+    FinitelySmoothError,
     MonomialBasis,
     NodeSet,
-    _smooth_degree,
+    _degree_scan,
+    _macaulay_bound,
+    _unit_nodes,
     distance_matrix,
+    finite_smooth_flat_limit,
     regularity_index,
+    smooth_flat_limit,
 )
 from asymspec.serialize import ase_to_json
 
@@ -38,14 +48,23 @@ def vandermonde_reference(nodes, s):
     return np.column_stack(cols)
 
 
-def smooth_degree_reference(nodes, r, rank_tol):
-    """An SVD rank test at every degree q <= r-1."""
-    max_q = nodes.n - 1 if r == INFINITE else min(int(r) - 1, nodes.n - 1)
-    for q in range(max_q + 1):
-        sv = np.linalg.svd(vandermonde_reference(nodes, q), compute_uv=False)
-        if int(np.sum(sv > rank_tol * sv[0])) == nodes.n:
-            return q
-    return None
+def hilbert_increments(family, d, n):
+    """Rank each degree adds to V on a node family, up to n in all.
+
+    Generic points in dimension d add C(t+d-1, d-1) (one per degree in 1-D);
+    the circle adds 1, 2, 2, ...; the cubic curve adds 1, 2, 3, 3, ...
+    """
+    out = []
+    while sum(out) < n:
+        t = len(out)
+        if family == "circle":
+            h = 1 if t == 0 else 2
+        elif family == "cubic":
+            h = min(t + 1, 3)
+        else:
+            h = math.comb(t + d - 1, d - 1)
+        out.append(min(h, n - sum(out)))
+    return out
 
 
 NODE_SETS = [
@@ -94,39 +113,166 @@ def test_vandermonde_signed_and_zero_coordinates():
         assert vandermonde(nodes, s).tobytes() == vandermonde_reference(nodes, s).tobytes()
 
 
+#: Degree through which the scan certifies the cubic curve's increments on
+#: every draw tried.  The nodes lie on the curve only up to rounding; from
+#: degree 10 to 14, depending on the draw, a degree shows more rank than
+#: Macaulay's bound allows after the degrees below it, and the scan stops.
+CUBIC_CERTIFIED = 10
+
+
+def _scan(kernel, nodes):
+    return _degree_scan(kernel, _unit_nodes(nodes)[0], KERNEL_RANK_TOL)
+
+
 @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
 @pytest.mark.parametrize("spec,d", NODE_SETS)
 def test_smooth_degree_matches_reference(kernel_name, spec, d):
-    r = KERNELS[kernel_name].regularity
+    # smooth_flat_limit takes the degree q at which the family's Hilbert
+    # increments reach n, and never another one: it raises only when q is out
+    # of the kernel's reach (r-1, half the psi horizon) or on the cubic curve
+    # past the certified degrees
+    kernel = KERNELS[kernel_name]
     nodes = _nodes(spec, d, seed=3)
-    q, v, sigma_max = _smooth_degree(nodes, r, 1e-9)
-    assert q == smooth_degree_reference(nodes, r, 1e-9)
-    if q is not None:
-        assert v.tobytes() == vandermonde_reference(nodes, q).tobytes()
-    if v is not None:
-        # V is the matrix of the last degree tested, sigma_max its top singular value
-        assert v.flags["C_CONTIGUOUS"]
-        assert sigma_max == np.linalg.svd(v, compute_uv=False)[0]
-    else:
-        assert sigma_max is None
+    q = len(hilbert_increments(spec.partition(":")[0], d, nodes.n)) - 1
+    in_reach = q <= min(kernel.horizon // 2, kernel.regularity - 1)
+    try:
+        form = smooth_flat_limit(kernel, nodes)
+    except FinitelySmoothError:
+        assert not in_reach or (spec.startswith("cubic") and q > CUBIC_CERTIFIED)
+        return
+    assert in_reach
+    assert form.widths == MonomialBasis(d, q).block_widths
+    assert form.V.tobytes() == vandermonde_reference(nodes, q).tobytes()
 
 
-def test_gaussian_stalls_on_cubic_curves():
-    # points on a cubic curve: numerical rank growth stalls before n
-    for spec in ("cubic:30", "cubic:40"):
-        nodes = _nodes(spec, 2, seed=0)
-        q, v, _ = _smooth_degree(nodes, INFINITE, 1e-9)
-        assert q is None and smooth_degree_reference(nodes, INFINITE, 1e-9) is None
-        assert v.tobytes() == vandermonde_reference(nodes, nodes.n - 1).tobytes()
+def _scan_case(spec, d, seed):
+    if (spec, seed) == ("cubic:40", 3):
+        return pytest.param(spec, d, seed, marks=pytest.mark.xfail(
+            strict=True, reason="this draw's cubic-curve ranks are certified through degree 10 only"))
+    return spec, d, seed
 
 
-def test_no_rank_test_below_n_columns():
-    # matern2 on 3 points in the plane: V_{<=1} has 3 columns, V_{<=0} one
-    nodes = NodeSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    q, v, _ = _smooth_degree(nodes, 2, 1e-9)
-    assert q == 1 and v.shape == (3, 3)
-    # exponential (r = 1) only reaches degree 0: one column, nothing tested
-    assert _smooth_degree(nodes, 1, 1e-9) == (None, None, None)
+@pytest.mark.parametrize("spec,d,seed", [_scan_case(spec, d, 3) for spec, d in NODE_SETS] + [
+    (spec, d, seed)
+    for spec, d in [("uniform:100", 2), ("uniform:200", 2), ("uniform:200", 3),
+                    ("circle:50", 2), ("circle:100", 2), ("cubic:100", 2)]
+    for seed in (0, 1)
+])
+def test_scan_ranks_are_hilbert_increments(spec, d, seed):
+    # the gaussian scan's per-degree ranks are a prefix of the family's
+    # Hilbert increments; they reach rank n or half the psi horizon, and on
+    # the cubic curve at least degree 12
+    gaussian = KERNELS["gaussian"]
+    nodes = _nodes(spec, d, seed)
+    ref = hilbert_increments(spec.partition(":")[0], d, nodes.n)
+    ranks = _scan(gaussian, nodes).ranks
+    assert ranks == tuple(ref[: len(ranks)])
+    depth = min(len(ref), gaussian.horizon // 2 + 1)
+    assert len(ranks) >= (min(depth, 13) if spec.startswith("cubic") else depth)
+
+
+def test_macaulay_bound():
+    # generic increments C(t+d-1, d-1) may grow to C(t+d, d-1); once an
+    # increment a is at most its degree t it can no longer grow
+    for t in range(1, 12):
+        for d in (2, 3, 4):
+            assert _macaulay_bound(math.comb(t + d - 1, d - 1), t) == math.comb(t + d, d - 1)
+        for a in range(t + 1):
+            assert _macaulay_bound(a, t) == a
+    assert _macaulay_bound(4, 2) == 5  # 4 = C(3, 2) + C(1, 1)
+
+
+def test_scan_basis_is_orthonormal_and_spans_v():
+    nodes = _nodes("uniform:30", 2, seed=1)
+    y = _unit_nodes(nodes)[0]
+    qr = _scan(KERNELS["gaussian"], nodes)
+    q = qr.Q
+    np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-13)
+    # R_tt = Q_t^T V_t of the unit nodes, from the recurrence alone
+    v = vandermonde_reference(NodeSet(y), len(qr.ranks) - 1)
+    c0 = 0
+    for t, w in enumerate(qr.widths):
+        np.testing.assert_allclose(
+            qr.r_diag_block(t), qr.q_blocks[t].T @ v[:, c0 : c0 + w], atol=1e-12)
+        c0 += w
+
+
+def _groups(ase):
+    return [(alpha, len(g.leading_values)) for alpha, g in zip(ase.valuations, eigen_readout(ase))]
+
+
+@pytest.mark.parametrize("kernel_name,spec,d", [
+    ("gaussian", "uniform:20", 2),
+    ("gaussian", "circle:20", 2),
+    ("gaussian", "equispaced:15", 1),
+    ("matern2", "uniform:20", 2),
+    ("matern2", "equispaced:12", 1),
+    ("custom-r3", "uniform:15", 2),
+])
+def test_kernel_ase_is_invariant_under_affine_maps(kernel_name, spec, d):
+    # the expansion of a*x + b is that of x with the term at eps^alpha scaled
+    # by a^alpha; it stops early only where such a term falls below Ase's
+    # absolute rank floor in the new units
+    kernel = KERNELS[kernel_name]
+    nodes = _nodes(spec, d, seed=2)
+    runs = [(a, kernel_ase(kernel, NodeSet(a * nodes.points + b))[0])
+            for a, b in ((1.0, 0.0), (1e-2, 1e3), (1.0, 1e3), (1e2, 1e3))]
+    a_full, full = max(runs, key=lambda run: len(run[1].groups))
+    for a, ase in runs:
+        ase.validate()
+        kept, ratio = len(ase.groups), a / a_full
+        assert _groups(ase) == _groups(full)[:kept]
+        if kept == len(full.groups):
+            assert ase.truncated_at == full.truncated_at
+        else:
+            alpha, term = full.groups[kept]
+            assert ase.truncated_at == alpha
+            below = Ase(nodes.n, [(alpha, ratio ** float(alpha) * term)]).term_rank_sum()
+            assert below < _groups(full)[kept][1]
+        for (alpha, term), (_, want) in zip(ase.groups, full.groups):
+            want = ratio ** float(alpha) * want
+            assert np.linalg.norm(term - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def test_finitely_smooth_route_after_a_stall():
+    # two tight clusters at +-1: y^2 is constant at tolerance, so the scan of
+    # a kernel with r = 3 stops after degree 1; kernel_ase still takes the
+    # finitely smooth route that finite_smooth_flat_limit builds (whose W is
+    # singular here), instead of truncating
+    custom = KERNELS["custom-r3"]
+    nodes = NodeSet(np.array([-1.0 - 1e-10, -1.0, 1.0, 1.0 + 1e-10]))
+    assert _scan(custom, nodes).ranks == (1, 1)
+    form = finite_smooth_flat_limit(custom, nodes)
+    assert form.widths[-1] == 2
+    for build in (lambda: kernel_ase(custom, nodes), lambda: ase_from_gkf(form, KERNEL_RANK_TOL)):
+        with pytest.raises(ValueError, match="W is singular"):
+            build()
+
+
+def _prefix_of(got, want, truncated_at):
+    """Every group below truncated_at is expected; one at it may hold fewer."""
+    head = [g for g in got if g[0] < truncated_at]
+    edge = [g for g in got if g[0] >= truncated_at]
+    if head != want[: len(head)] or len(edge) > 1:
+        return False
+    return not edge or (edge[0][0] == truncated_at == want[len(head)][0]
+                        and edge[0][1] <= want[len(head)][1])
+
+
+@pytest.mark.parametrize("spec", ["uniform:100", "uniform:200", "circle:50"])
+def test_gaussian_former_failures_truncate(spec, tmp_path, capsys):
+    # these crashed with "psi horizon 65 too small for degree 66"
+    out = tmp_path / "ase.json"
+    code = main(["kernel", "--kernel", "gaussian", "--nodes", spec, "--dim", "2",
+                 "--seed", "0", "--output", str(out)])
+    assert code == 2
+    rows = [row.split(",") for row in capsys.readouterr().out.strip().splitlines()[1:]]
+    got = [(Fraction(v), int(c)) for v, c, _ in rows]
+    n = int(spec.partition(":")[2])
+    want = [(Fraction(2 * t), c)
+            for t, c in enumerate(hilbert_increments(spec.partition(":")[0], 2, n))]
+    trunc = json.loads(out.read_text())["truncated_at"]
+    assert _prefix_of(got, want, Fraction(trunc["num"], trunc["den"]))
 
 
 class TestDensePsi:
