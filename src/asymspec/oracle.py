@@ -121,11 +121,7 @@ def _principal_angles(a, b) -> np.ndarray:
     1/sqrt(2) the angle is small and arccos loses accuracy, so it is read as
     the arcsine of a singular value of the residual of the projection onto
     the wider basis.  Bases, rank threshold and ordering are those of the
-    reference implementation the tests compare against, including its quirk:
-    when the choice is mixed, the choice keeps cosine order while the angles
-    are reversed, so a few angles near 0 or pi/2 come from the ill-conditioned
-    function (good to about sqrt(machine epsilon)).  A passing verification
-    has every angle small, and those all come from the arcsine.
+    reference implementation the tests compare against.
     """
     qa = _orth(_checked(a, "a"))
     b = _checked(b, "b")
@@ -140,13 +136,14 @@ def _principal_angles(a, b) -> np.ndarray:
         residual = qb - qa @ qa_qb
     else:
         residual = qa - qb @ qa_qb.conj().T
-    mask = sigma**2 >= 0.5
+    # the smallest cosine belongs to the largest angle, hence the reversal
+    cosines = sigma[::-1]
+    mask = cosines**2 >= 0.5
     if mask.any():
         mu_arcsin = np.arcsin(np.clip(np.linalg.svd(residual, compute_uv=False), -1.0, 1.0))
     else:
         mu_arcsin = 0.0
-    # the smallest cosine belongs to the largest angle, hence the reversal
-    return np.where(mask, mu_arcsin, np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
+    return np.where(mask, mu_arcsin, np.arccos(np.clip(cosines, -1.0, 1.0)))
 
 
 @dataclass

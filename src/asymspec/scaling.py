@@ -17,9 +17,10 @@ the valuation matrix itself has negative entries).  Unconstrained optima can
 push an exponent negative, which yields a valid but vacuous scaling whose
 leading block H_00 is identically zero; nonnegativity keeps the scaling
 informative and matches the worked scalings this module is tested against.
-When the symmetrized assignment duals dip below the bound, the nonnegative
-optimum is recovered with an exact rational simplex over the same
-constraints.
+When the symmetrized assignment duals dip below the bound, or no finite
+perfect assignment exists, the bounded program (the dual of a min-cost edge
+cover) takes one more Hungarian run by Gallai's cover-matching reduction; its
+optimum stays half-integral (Nemhauser & Trotter 1975).
 """
 
 from __future__ import annotations
@@ -254,23 +255,19 @@ def auto_scale_exponents(omega: ValuationMatrix):
     scale = omega.den
     finite = omega.num[~omega.inf]
     lb_num = min(int(finite.min()), 0)
-    lb = Fraction(lb_num, scale)
     big = max(int(finite.max()), 0) * n + 1 + abs(lb_num) * n
     cost = np.array(omega.num, dtype=exact_int_dtype(big))
     cost[omega.inf] = big
     assignment, u, v = _hungarian(cost)
-    if omega.inf[np.arange(n), assignment].any():
-        # every perfect assignment crosses an identically-zero entry, so the
-        # big-M duals are meaningless; the bounded program is still feasible
-        nu = _bounded_optimum(omega, lb)
-        return [Exponent(f) for f in nu]
     twice = [u[i] + v[i] for i in range(n)]  # 2 * scale * nu
-    if not _feasible(omega, twice):
-        raise RuntimeError("internal error: symmetrized assignment duals are infeasible")
-    nu = [Fraction(t, 2 * scale) for t in twice]
-    if any(f < lb for f in nu):
-        nu = _bounded_optimum(omega, lb)
-    return [Exponent(f) for f in nu]
+    if omega.inf[np.arange(n), assignment].any() or min(twice) < 2 * lb_num:
+        # the duals dip below the bound, or every perfect assignment crosses an
+        # identically-zero entry so the big-M duals are meaningless; the
+        # bounded program is still feasible
+        twice = _bounded_optimum(omega, lb_num)
+    if min(twice) < 2 * lb_num or not _feasible(omega, twice):
+        raise RuntimeError("internal error: scaling exponents are infeasible")
+    return [Exponent(Fraction(t, 2 * scale)) for t in twice]
 
 
 def _feasible(omega, twice):
@@ -281,70 +278,29 @@ def _feasible(omega, twice):
     return not np.any(over & ~omega.inf)
 
 
-def _bounded_optimum(omega, lb):
-    """Exact nonneg-shifted optimum of the scaling program via rational simplex."""
-    n = omega.shape[0]
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(i, n):
-            if omega[i, j].is_infinite:
-                continue
-            coeff = [Fraction(0)] * n
-            coeff[i] += 1
-            coeff[j] += 1
-            rows.append(coeff)
-            rhs.append(omega[i, j].fraction - 2 * lb)
-    x = _simplex_max([Fraction(1)] * n, rows, rhs)
-    return [xi + lb for xi in x]
+def _bounded_optimum(omega, lb_num):
+    """``2 * den * nu`` for the optimum of the scaling program with nu >= lb.
 
-
-def _simplex_max(c, a, b):
-    """Maximize c.x subject to a.x <= b, x >= 0 in exact rational arithmetic.
-
-    Requires b >= 0 (the slack basis is then feasible) and a bounded optimum;
-    Bland's rule prevents cycling.  Returns the optimal vertex.
+    On the grid c = Omega - 2 lb (>= 0 where finite), the bipartite relaxation
+    max sum(u + v) subject to u_i + v_j <= c_ij and u, v >= 0 is the dual of a
+    min-cost edge cover.  Gallai's reduction turns that into a max-weight
+    matching with weights mu_i + mu_j - c_ij, mu the row minima of c, and the
+    matching's Hungarian duals p, q (shifted to be nonnegative) give
+    u = mu - min(p, mu), v = mu - min(q, mu).  As for the assignment duals,
+    nu = lb + (u + v) / (2 den) is then optimal for the symmetric program.
     """
-    m = len(a)
-    n = len(c)
-    tab = [[Fraction(0)] * (n + m + 1) for _ in range(m + 1)]
-    for i in range(m):
-        for j in range(n):
-            tab[i][j] = Fraction(a[i][j])
-        tab[i][n + i] = Fraction(1)
-        tab[i][-1] = Fraction(b[i])
-        if tab[i][-1] < 0:
-            raise ValueError("simplex start requires nonnegative right-hand sides")
-    for j in range(n):
-        tab[m][j] = -Fraction(c[j])
-    basis = list(range(n, n + m))
-    while True:
-        enter = next((j for j in range(n + m) if tab[m][j] < 0), None)
-        if enter is None:
-            break
-        pivot = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot]):
-                    best = ratio
-                    pivot = i
-        if pivot is None:
-            raise ValueError("scaling program is unbounded")
-        prow = tab[pivot]
-        pe = prow[enter]
-        tab[pivot] = [x / pe for x in prow]
-        for i in range(m + 1):
-            if i != pivot and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[pivot])]
-        basis[pivot] = enter
-    x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = tab[i][-1]
-    return x
+    top = max_abs(omega.num) + 2 * abs(lb_num)  # bounds c and mu where finite
+    dtype = exact_int_dtype(4 * top)
+    c = np.asarray(omega.num, dtype=dtype) - 2 * lb_num
+    # above every mu_i + mu_j, so infinite entries get weight 0 below
+    c[omega.inf] = 2 * top
+    mu = c.min(axis=1)
+    _, u, v = _hungarian(-np.maximum(mu[:, None] + mu[None, :] - c, 0))
+    dtype = exact_int_dtype(2 * (max_abs(u) + max_abs(v) + top))
+    p, q = -np.asarray(u, dtype=dtype), -np.asarray(v, dtype=dtype)
+    low = p.min()  # p_i + q_j >= w_ij survives the shift to p, q >= 0
+    p, q, mu = p - low, q + low, mu.astype(dtype)
+    return (2 * lb_num + 2 * mu - np.minimum(p, mu) - np.minimum(q, mu)).tolist()
 
 
 def auto_scale(omega: ValuationMatrix) -> DiagonalScaling:
