@@ -12,6 +12,7 @@ valuation, recorded by the ``truncated_at`` marker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -122,6 +123,11 @@ class Ase:
     @property
     def valuations(self):
         return [alpha for alpha, _ in self.groups]
+
+    @cached_property
+    def readout(self) -> list:
+        """``eigen_readout(self)``, computed on first use and kept (terms are read-only)."""
+        return eigen_readout(self)
 
     def term_rank_sum(self, tol: float = 1e-10) -> int:
         return sum(int(np.linalg.matrix_rank(t, rank_floor(t, tol))) for _, t in self.groups)

@@ -19,10 +19,10 @@ import sys
 
 import numpy as np
 
-from .ase import Ase, eigen_readout
+from .ase import Ase
 from .gkf import ase_from_gkf
 from .kernels import KERNEL_RANK_TOL, NodeSet, generate_nodes, kernel_ase, kernel_model
-from .oracle import eigen_sweep, match_ase
+from .oracle import eigen_sweep, eps_star_indices, match_ase
 from .pipeline import analyze_series
 from .series import SERIES_RANK_TOL
 from . import serialize
@@ -161,7 +161,8 @@ def _series_ase_and_source(args):
 
 
 def _pipeline_ase_and_source(args):
-    """The (prediction, sweep source) pair for verify/sweep."""
+    """The (prediction, sweep source) pair for verify/sweep; a kernel ASE
+    carries the readout ``kernel_ase`` computed."""
     if args.input:
         return _series_ase_and_source(args)
     kernel = _load_kernel(args)
@@ -202,7 +203,9 @@ def cmd_verify(args) -> int:
             ase.truncated_at,
         )
     grid = _parse_eps_grid(args.eps_grid)
-    sweep = eigen_sweep(source, grid)
+    # eigenvectors only at the eps* points that match_ase reads them at
+    stars = eps_star_indices(grid, ase.readout)
+    sweep = eigen_sweep(source, grid, vectors_at=[i for i in stars if i is not None])
     report = match_ase(ase, sweep, args.tol_coeff, args.tol_angle)
     _emit(serialize.dumps(serialize.match_report_to_json(report)), args.output)
     return EXIT_OK if report.passed else EXIT_TRUNCATED
@@ -216,7 +219,7 @@ def cmd_sweep(args) -> int:
     predicted = None
     if args.track_vector is not None:
         predicted = _predicted_vector(ase, args.track_vector)
-    sweep = eigen_sweep(source, grid)
+    sweep = eigen_sweep(source, grid, vectors_at=None if args.track_vector is not None else ())
     lines = serialize.sweep_csv_lines(sweep, args.track_vector, predicted)
     _emit("\n".join(lines), args.output)
     return EXIT_OK
@@ -227,7 +230,7 @@ def _predicted_vector(ase: Ase, k: int) -> np.ndarray:
     if not 1 <= k <= ase.n:
         raise InputError(f"--track-vector index {k} out of range 1..{ase.n}")
     position = k - 1
-    for group in eigen_readout(ase):
+    for group in ase.readout:
         if position < group.count:
             if group.ambiguous:
                 raise InputError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import SERIES_RANK_TOL, is_singular
+from .series import SERIES_RANK_TOL, is_singular, _eps_power
 from .scaling import DiagonalScaling
 from .ase import Ase, fix_column_signs, schur_chain, _basis_lift, _chain_groups
 
@@ -52,7 +52,7 @@ class GkfForm:
         return self.scaling.block_sizes
 
     def evaluate(self, eps: float) -> np.ndarray:
-        d = np.array([float(eps) ** float(e) for e in self.scaling.exponents()])
+        d = np.array([_eps_power(eps, e) for e in self.scaling.exponents()])
         return (self.V * d) @ self.W @ (self.V * d).T
 
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from .series import Exponent, ScalarSeries, is_singular
 from .scaling import DiagonalScaling
-from .ase import (Ase, eigen_readout, fix_column_signs, rank_floor, schur_chain, _basis_lift,
-                  _chain_groups)
+from .ase import Ase, fix_column_signs, rank_floor, schur_chain, _basis_lift, _chain_groups
 from .gkf import BlockQr, GkfForm, build_H, _extend_basis
 
 __all__ = [
@@ -469,10 +468,12 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
     if short and not finite:
         truncated_at = 2 * nus[len(chain.complements) - 1]
     ase = Ase(nodes.n, [(alpha, scale ** float(alpha) * t) for alpha, t in groups], truncated_at)
-    readout = eigen_readout(ase)
+    readout = ase.readout
     for i, ((alpha, term), group) in enumerate(zip(ase.groups, readout)):
         if min(map(abs, group.leading_values)) <= rank_floor(term):
-            return Ase(nodes.n, ase.groups[:i], alpha), readout[:i]
+            head = Ase(nodes.n, ase.groups[:i], alpha)
+            head.readout = readout[:i]  # the readout is group by group
+            return head, head.readout
     return ase, readout
 
 

@@ -1,11 +1,12 @@
 """Brute-force numerical verification of predicted spectral equivalents.
 
-An eps sweep of dense symmetric eigendecompositions samples the analytic
-eigenvalue curves directly.  Valuations are then read off as log-log slopes,
-leading coefficients as rescaled eigenvalues at the smallest reliable eps,
-and limiting eigenvectors as principal angles between predicted group
-eigenspaces and the numerically computed spans (the subspace comparison
-sidesteps within-group eigenvector ambiguity).
+An eps sweep of dense symmetric eigensolves samples the analytic eigenvalue
+curves directly; eigenvectors are computed only at the grid points where they
+are read, and every other point runs a values-only solver.  Valuations are
+then read off as log-log slopes, leading coefficients as rescaled eigenvalues
+at the smallest reliable eps, and limiting eigenvectors as principal angles
+between predicted group eigenspaces and the numerically computed spans (the
+subspace comparison sidesteps within-group eigenvector ambiguity).
 
 Everything runs in double precision; groups whose eigenvalues sink below the
 precision ceiling at the chosen grid are reported as unverifiable, never as
@@ -19,12 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series import MatrixSeries
-from .ase import Ase, eigen_readout
+from .ase import Ase
 from .kernels import KernelModel, distance_matrix, kernel_matrix
 
 __all__ = [
     "SweepResult",
     "eigen_sweep",
+    "eps_star_indices",
     "ValuationFit",
     "estimate_valuations",
     "GroupMatch",
@@ -38,15 +40,16 @@ CEILING_ABS = 1e-12  # a group is verifiable only if |lambda~| eps^alpha exceeds
 
 @dataclass
 class SweepResult:
-    """Eigendecompositions along a decreasing eps grid.
+    """Eigenvalues along a decreasing eps grid, eigenvectors where requested.
 
-    Per eps, eigenvalues are sorted by decreasing magnitude and eigenvector
-    columns are aligned to that order.
+    Per eps, eigenvalues are sorted by decreasing magnitude.  ``eigenvectors``
+    maps a grid index to the (n, n) eigenvector matrix there, columns aligned
+    to that order; a full (m, n, n) array indexes the same way.
     """
 
     eps_grid: np.ndarray  # (m,), strictly decreasing
     eigenvalues: np.ndarray  # (m, n)
-    eigenvectors: np.ndarray  # (m, n, n)
+    eigenvectors: dict  # grid index -> (n, n)
 
     @property
     def n(self) -> int:
@@ -68,34 +71,91 @@ def _matrix_function(source):
     raise TypeError("source must be a MatrixSeries, (kernel, nodes) or a callable")
 
 
-def eigen_sweep(source, eps_grid) -> SweepResult:
-    """Full symmetric eigendecomposition per grid point.
+CHECK_TOL = 1e-10  # decomposition error allowed per entry, relative to max(1, max|a|)
 
+
+def _values_error(a: np.ndarray, w: np.ndarray, scale: float) -> float:
+    """What the reconstruction check bounds for eigenvalues ``w`` of ``a`` alone.
+
+    An orthogonal U with |U diag(w) U^T - a| <= tol entrywise has Frobenius
+    error at most n tol, so | ||w||_2 - ||a||_F | <= n tol and
+    |sum(w) - tr a| <= n tol.  Both are evaluated on a / scale, where the
+    Frobenius norm cannot overflow, so the result is compared with n CHECK_TOL.
+    """
+    b = a / scale
+    ws = w / scale
+    return max(abs(np.linalg.norm(ws) - np.linalg.norm(b)), abs(ws.sum() - np.trace(b)))
+
+
+def eigen_sweep(source, eps_grid, vectors_at=None) -> SweepResult:
+    """Symmetric eigenvalues per grid point, eigenvectors at ``vectors_at``.
+
+    ``vectors_at`` holds the grid indices whose eigenvectors are wanted;
+    None means every point.  The other points run a values-only solver.
     Curves are matched across eps by magnitude ordering, which is adequate at
     desk scale for well-separated groups (sign-crossing curves inside a group
     may swap; group-level comparisons are unaffected).
     """
     fn = _matrix_function(source)
     eps_grid = np.asarray([float(e) for e in eps_grid])
-    if len(eps_grid) < 4:
+    m = len(eps_grid)
+    if m < 4:
         raise ValueError("sweep needs at least 4 grid points")
     if np.any(eps_grid <= 0) or np.any(np.diff(eps_grid) >= 0):
         raise ValueError("eps grid must be positive and strictly decreasing")
-    lams = vecs = None
+    wanted = set(range(m)) if vectors_at is None else {int(i) for i in vectors_at}
+    if not wanted <= set(range(m)):
+        raise ValueError(f"vectors_at must hold grid indices in 0..{m - 1}")
+    lams = None
+    vecs = {}
     for i, eps in enumerate(eps_grid):
         a = fn(float(eps))
-        w, u = np.linalg.eigh(a)
-        recon = (u * w) @ u.T
         scale = max(np.abs(a).max(), 1.0)
-        if np.abs(recon - a).max() > 1e-10 * scale:
-            raise np.linalg.LinAlgError("eigendecomposition failed the reconstruction check")
+        if i in wanted:
+            w, u = np.linalg.eigh(a)
+            err, tol = np.abs((u * w) @ u.T - a).max(), CHECK_TOL * scale
+            check = "reconstruction check"
+        else:
+            w = np.linalg.eigvalsh(a)
+            err, tol = _values_error(a, w, scale), len(w) * CHECK_TOL
+            check = "norm and trace checks"
+        if not err <= tol:  # NaN fails too
+            raise np.linalg.LinAlgError(f"eigensolve at eps = {eps:.6g} failed the {check}")
         if lams is None:  # the matrix size is known only from the first point
-            lams = np.empty((len(eps_grid),) + w.shape, w.dtype)
-            vecs = np.empty((len(eps_grid),) + u.shape, u.dtype)
+            lams = np.empty((m,) + w.shape, w.dtype)
         order = np.argsort(-np.abs(w))
         lams[i] = w[order]
-        vecs[i] = u[:, order]
+        if i in wanted:
+            vecs[i] = u[:, order]
     return SweepResult(eps_grid, lams, vecs)
+
+
+def eps_star_indices(eps_grid, readout) -> list:
+    """Per readout group, the grid index of its eps*, or None.
+
+    eps* is the smallest grid eps at which every leading value of the group,
+    times eps^valuation, exceeds ``CEILING_ABS``; a group that exceeds it
+    nowhere on the grid is unverifiable.  ``match_ase`` reads eigenvectors
+    at exactly these indices.
+    """
+    eps_grid = np.asarray(eps_grid, dtype=float)
+    out = []
+    for g in readout:
+        min_coeff = min(abs(v) for v in g.leading_values)
+        with np.errstate(over="ignore"):  # eps^alpha = inf clears the ceiling
+            usable = np.nonzero(min_coeff * eps_grid ** float(g.valuation) > CEILING_ABS)[0]
+        out.append(int(usable[np.argmin(eps_grid[usable])]) if usable.size else None)
+    return out
+
+
+def _eigenvectors_at(sweep: SweepResult, i: int) -> np.ndarray:
+    try:
+        return sweep.eigenvectors[i]
+    except (KeyError, IndexError):
+        raise ValueError(
+            f"the sweep holds no eigenvectors at eps* = {sweep.eps_grid[i]:.6g} (grid index "
+            f"{i}); pass the indices from eps_star_indices as vectors_at"
+        ) from None
 
 
 def _orth(a: np.ndarray) -> np.ndarray:
@@ -236,23 +296,20 @@ def match_ase(ase: Ase, sweep: SweepResult, tol_coeff: float, tol_angle: float,
     """
     if ase.n != sweep.n:
         raise ValueError("dimension mismatch between prediction and sweep")
-    groups = eigen_readout(ase)
+    groups = ase.readout
     fits = estimate_valuations(sweep)
     eps_min = float(sweep.eps_grid[-1])
     ceiling = np.log(CEILING_ABS) / np.log(eps_min)
     records = []
     start = 0
-    for g in groups:
+    for g, at in zip(groups, eps_star_indices(sweep.eps_grid, groups)):
         alpha = float(g.valuation)
         idx = list(range(start, start + g.count))
         start += g.count
-        min_coeff = min(abs(v) for v in g.leading_values)
-        usable = sweep.eps_grid[min_coeff * sweep.eps_grid ** alpha > CEILING_ABS]
-        if usable.size == 0:
+        if at is None:
             records.append(GroupMatch(alpha, g.count, verifiable=False))
             continue
-        eps_star = float(usable.min())
-        at = int(np.argmin(np.abs(sweep.eps_grid - eps_star)))
+        eps_star = float(sweep.eps_grid[at])
         rec = GroupMatch(alpha, g.count, verifiable=True, eps_star=eps_star)
         # (1) slopes; fits starved of points by the precision floor are
         # indeterminate, not failures (the coefficient check still gates)
@@ -270,7 +327,7 @@ def match_ase(ase: Ase, sweep: SweepResult, tol_coeff: float, tol_angle: float,
         ]
         rec.coeff_ok = all(e <= tol_coeff for e in rec.coeff_rel_errors)
         # (3) principal angles between predicted and numerical group spans
-        numerical = sweep.eigenvectors[at][:, idx]
+        numerical = _eigenvectors_at(sweep, at)[:, idx]
         angles = _principal_angles(g.vectors, numerical)
         rec.angle = float(angles.max()) if angles.size else 0.0
         rec.angle_ok = rec.angle <= tol_angle

@@ -14,7 +14,7 @@ import numpy as np
 
 from .series import Exponent, MatrixSeries
 from .scaling import DiagonalScaling
-from .ase import Ase, eigen_readout, fix_column_signs
+from .ase import Ase, fix_column_signs
 from .gkf import GkfForm
 from .kernels import NodeSet
 
@@ -163,9 +163,9 @@ def gkf_from_json(obj) -> GkfForm:
 
 
 def ase_to_json(ase: Ase, readout=None) -> dict:
-    """ASE JSON; ``readout`` is ``eigen_readout(ase)`` if the caller has it."""
+    """ASE JSON; ``readout`` defaults to ``ase.readout``."""
     groups = []
-    for g in eigen_readout(ase) if readout is None else readout:
+    for g in ase.readout if readout is None else readout:
         groups.append(
             {
                 "valuation": exponent_to_json(g.valuation),

@@ -311,7 +311,10 @@ def _eps_power(eps: float, e: Exponent) -> float:
         if f < 0:
             raise ValueError("negative exponent at eps=0")
         return 0.0
-    return float(eps) ** float(f)
+    try:
+        return float(eps) ** float(f)
+    except OverflowError:
+        raise ValueError(f"eps^{f} overflows a double at eps = {eps:g}") from None
 
 
 def _normalize_matrix_terms(terms, shape, symmetric):

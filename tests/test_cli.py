@@ -331,3 +331,84 @@ def test_commands_run_without_scipy(series_files, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs)
+
+
+class TestEigenWork:
+    """Eigenvectors only where they are read, one readout per verify op."""
+
+    @staticmethod
+    def _count_sweep_eighs(monkeypatch):
+        """Record, per eigen_sweep call, its grid and the np.linalg.eigh calls it makes."""
+        runs = []
+        original = cli.eigen_sweep
+        eigh = np.linalg.eigh
+
+        def counted(source, grid, **kwargs):
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+                sweep = original(source, grid, **kwargs)
+            runs.append((sweep.eps_grid, len(calls)))
+            return sweep
+
+        monkeypatch.setattr(cli, "eigen_sweep", counted)
+        return runs
+
+    def test_sweep_without_track_vector_is_values_only(self, monkeypatch, tmp_path):
+        runs = self._count_sweep_eighs(monkeypatch)
+        out = str(tmp_path / "c.csv")
+        assert main(["sweep", "--nodes", "uniform:50", "--kernel", "matern2",
+                     "--eps-grid", "1e-2:1e-1:24", "--output", out]) == 0
+        assert [n for _, n in runs] == [0]
+        assert main(["sweep", "--nodes", "equispaced:20", "--kernel", "gaussian",
+                     "--eps-grid", "1e-2:1e-1:24", "--track-vector", "3", "--output", out]) == 0
+        assert [n for _, n in runs] == [0, 24]
+
+    @pytest.mark.parametrize("argv", [
+        ["--nodes", "uniform:20", "--kernel", "matern2"],
+        ["--nodes", "equispaced:10", "--kernel", "gaussian", "--dim", "1"],
+        ["--input", "k5"],
+    ])
+    def test_verify_takes_vectors_at_eps_star_only(self, monkeypatch, capsys, series_files, argv):
+        argv = [series_files.get(a, a) for a in argv]
+        runs = self._count_sweep_eighs(monkeypatch)
+        assert main(["verify", *argv]) == 0
+        report = json.loads(capsys.readouterr().out)
+        (grid, n_eigh), = runs
+        stars = {int(np.argmin(np.abs(grid - g["eps_star"])))
+                 for g in report["groups"] if g["verifiable"]}
+        assert n_eigh == len(stars) >= 1
+
+    def test_one_readout_per_verify(self, monkeypatch, series_files):
+        from asymspec import ase as ase_module
+
+        calls = []
+        original = ase_module.eigen_readout
+        monkeypatch.setattr(ase_module, "eigen_readout", lambda a: calls.append(a) or original(a))
+        kernel = ["verify", "--nodes", "uniform:20", "--kernel", "matern2"]
+        assert main(kernel) == 0
+        assert len(calls) == 1
+        assert main(["verify", "--input", series_files["k5"]]) == 0
+        assert len(calls) == 2
+        # --perturb-lambda reads out the perturbed ASE, since eps* depends on it
+        assert main(["verify", "--input", series_files["k5"], "--perturb-lambda", "2"]) == 2
+        assert len(calls) == 3
+        assert main([*kernel, "--perturb-lambda", "2"]) == 2
+        assert len(calls) == 5
+        assert calls[3] is not calls[4]
+
+    def test_eps_power_overflow_is_an_input_error(self, tmp_path, capsys):
+        # eps^-100 leaves the double range below eps ~ 8.3e-4; the default
+        # grid reaches 1e-4
+        p = tmp_path / "steep.json"
+        p.write_text(json.dumps({
+            "n": 2, "symmetric": True, "trunc_order": 2,
+            "terms": [{"exponent": -100, "matrix": [[1.0, 0.0], [0.0, 0.0]]},
+                      {"exponent": 0, "matrix": [[0.0, 0.0], [0.0, 1.0]]}],
+        }))
+        assert main(["analyze", "--input", str(p)]) == 0
+        capsys.readouterr()
+        for command in ("verify", "sweep"):
+            assert main([command, "--input", str(p)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: eps^-100 overflows a double at eps = "), err

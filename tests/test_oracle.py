@@ -17,7 +17,7 @@ from asymspec import (
     match_ase,
 )
 from asymspec.gkf import GkfForm
-from asymspec.oracle import _principal_angles
+from asymspec.oracle import _principal_angles, eps_star_indices
 from asymspec.scaling import DiagonalScaling
 
 
@@ -50,6 +50,109 @@ class TestEigenSweep:
             eigen_sweep(ex_2x2, [1e-1, 1e-2, 1e-3])  # too few
         with pytest.raises(ValueError):
             eigen_sweep(ex_2x2, [1e-3, 1e-2, 1e-1, 1.0])  # increasing
+
+
+class TestValuesOnlySweep:
+    """Eigenvectors only at ``vectors_at``; ``eigvalsh`` everywhere else."""
+
+    @staticmethod
+    def _count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        return calls
+
+    def test_values_only_makes_no_eigh_call(self, monkeypatch):
+        source = (kernel_model("matern2"), generate_nodes("uniform:50", seed=0))
+        grid = np.geomspace(1e-2, 1e-1, 24)[::-1]
+        full = eigen_sweep(source, grid)
+        calls = self._count_eigh(monkeypatch)
+        partial = eigen_sweep(source, grid, vectors_at=())
+        assert calls == []
+        assert partial.eigenvectors == {}
+        scale = np.abs(full.eigenvalues).max()
+        assert np.abs(partial.eigenvalues - full.eigenvalues).max() <= 1e-14 * scale
+        eigen_sweep(source, grid, vectors_at=[3, 7, 3])
+        assert len(calls) == 2
+
+    def test_full_sweep_keys_every_point(self, ex_5x5):
+        sweep = eigen_sweep(ex_5x5, default_grid(pts=6))
+        assert sorted(sweep.eigenvectors) == list(range(6))
+        assert all(u.shape == (5, 5) for u in sweep.eigenvectors.values())
+
+    @pytest.mark.parametrize("vectors_at", [[6], [-1]])
+    def test_vectors_at_outside_the_grid(self, ex_5x5, vectors_at):
+        with pytest.raises(ValueError, match="vectors_at"):
+            eigen_sweep(ex_5x5, default_grid(pts=6), vectors_at=vectors_at)
+
+    @pytest.mark.parametrize("case", ["ex_5x5", "ex_degenerate", "matern2"])
+    def test_partial_sweep_matches_full(self, request, case):
+        if case == "matern2":
+            kernel, nodes = kernel_model("matern2"), generate_nodes("uniform:50", seed=0)
+            ase, _ = kernel_ase(kernel, nodes)
+            source = (kernel, nodes)
+        else:
+            source = request.getfixturevalue(case)
+            ase = analyze_series(source, "auto")
+        grid = default_grid()
+        stars = eps_star_indices(grid, ase.readout)
+        partial = eigen_sweep(source, grid, [i for i in stars if i is not None])
+        assert len(partial.eigenvectors) == len({i for i in stars if i is not None}) >= 1
+        want = match_ase(ase, eigen_sweep(source, grid), 1e-2, 1e-2)
+        got = match_ase(ase, partial, 1e-2, 1e-2)
+        assert got.passed == want.passed
+        for g, w in zip(got.groups, want.groups):
+            assert (g.verifiable, g.eps_star) == (w.verifiable, w.eps_star)
+            assert g.coeff_rel_errors == w.coeff_rel_errors
+            assert g.angle == w.angle
+            assert (g.slope_ok, g.coeff_ok, g.angle_ok, g.passed) == (
+                w.slope_ok, w.coeff_ok, w.angle_ok, w.passed)
+
+    def test_missing_vectors_at_eps_star(self, ex_3x3):
+        ase = analyze_series(ex_3x3, "auto")
+        sweep = eigen_sweep(ex_3x3, default_grid(), vectors_at=())
+        with pytest.raises(ValueError, match="no eigenvectors at eps"):
+            match_ase(ase, sweep, 1e-2, 1e-2)
+
+    def test_eps_star_indices(self, ex_3x3):
+        ase = analyze_series(ex_3x3, "auto")
+        grid = default_grid()
+        stars = eps_star_indices(grid, ase.readout)
+        report = match_ase(ase, eigen_sweep(ex_3x3, grid), 1e-2, 1e-2)
+        assert [grid[i] for i in stars] == [g.eps_star for g in report.groups]
+        # a group that never clears the ceiling has no eps*
+        unseen = Ase(2, [(Exponent(0), np.diag([1.0, 0.0])), (Exponent(10), np.diag([0.0, 1.0]))])
+        assert eps_star_indices(default_grid(1e-4, 1e-2, 25), unseen.readout)[1] is None
+
+    def test_perturbed_eigenvalue_fails_the_check(self, ex_5x5, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def off(a):
+            w = eigvalsh(a)
+            w[0] += 1e-8 * max(np.abs(a).max(), 1.0)
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", off)
+        with pytest.raises(np.linalg.LinAlgError, match="norm and trace"):
+            eigen_sweep(ex_5x5, default_grid(pts=6), vectors_at=())
+
+    @pytest.mark.parametrize("vectors_at", [None, ()])
+    def test_nan_entry_fails(self, vectors_at):
+        a = np.diag([3.0, 2.0, 1.0])
+        a[0, 1] = a[1, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            eigen_sweep(lambda eps: a, default_grid(pts=6), vectors_at=vectors_at)
+
+    @pytest.mark.parametrize("vectors_at", [None, ()])
+    def test_huge_entries_pass(self, vectors_at):
+        # ||a||_F would overflow if the values-only check did not scale first
+        rng = np.random.default_rng(3)
+        q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        base = (q * np.array([4.0, 3.0, 2.0, 1.0, 0.5, 0.25])) @ q.T
+        sweep = eigen_sweep(lambda eps: 1e160 * (base + eps * np.eye(6)), default_grid(pts=6),
+                            vectors_at=vectors_at)
+        lam = sweep.eigenvalues[-1] / 1e160
+        np.testing.assert_allclose(lam, [4.0, 3.0, 2.0, 1.0, 0.5, 0.25], rtol=1e-3)
 
 
 class TestEstimateValuations:
