@@ -169,12 +169,13 @@ def _clean_rank(term: np.ndarray, rank_tol: float) -> np.ndarray:
     return (u[:, keep] * w[keep]) @ u[:, keep].T
 
 
-def _chain_groups(chain: SchurChain, nus, lift, rank_tol: float):
-    """ASE groups (2 nu_i, lift(i, S_i)) over a Schur chain, and ``truncated_at``.
+def _chain_groups(chain: SchurChain, nus, bases, rank_tol: float):
+    """ASE groups (2 nu_i, Q_i S_i Q_i^T) over a Schur chain, and ``truncated_at``.
 
-    The last complement of a stopped chain is rank-cleaned and truncates the
-    expansion at its valuation; complements that are (or clean to) zero
-    contribute no group.
+    Each complement S_i is lifted through its block's basis Q_i (columns in
+    the original coordinates) and symmetrized.  The last complement of a
+    stopped chain is rank-cleaned and truncates the expansion at its
+    valuation; complements that are (or clean to) zero contribute no group.
     """
     groups = []
     truncated_at = None
@@ -184,18 +185,9 @@ def _chain_groups(chain: SchurChain, nus, lift, rank_tol: float):
             truncated_at = 2 * nus[i]
         if np.abs(s).max() == 0.0:
             continue
-        groups.append((2 * nus[i], lift(i, s)))
-    return groups, truncated_at
-
-
-def _basis_lift(bases):
-    """Lift S_i to the symmetrized Q_i S_i Q_i^T for per-block bases Q_i."""
-
-    def lift(i, s):
         term = bases[i] @ s @ bases[i].T
-        return 0.5 * (term + term.T)
-
-    return lift
+        groups.append((2 * nus[i], 0.5 * (term + term.T)))
+    return groups, truncated_at
 
 
 def ase_from_scaled(form: ScaledForm, rank_tol: float = SERIES_RANK_TOL) -> Ase:
@@ -203,13 +195,9 @@ def ase_from_scaled(form: ScaledForm, rank_tol: float = SERIES_RANK_TOL) -> Ase:
     chain = schur_chain(form.H, form.block_sizes, rank_tol)
     n = form.scaling.n
     offsets = np.cumsum((0,) + form.block_sizes)
-
-    def place(i, s):  # S_i sits in its own coordinate block
-        term = np.zeros((n, n))
-        term[offsets[i] : offsets[i + 1], offsets[i] : offsets[i + 1]] = s
-        return term
-
-    return Ase(n, *_chain_groups(chain, form.scaling.nus, place, rank_tol))
+    eye = np.eye(n)  # S_i sits in its own coordinate block
+    bases = [eye[:, offsets[i] : offsets[i + 1]] for i in range(len(form.block_sizes))]
+    return Ase(n, *_chain_groups(chain, form.scaling.nus, bases, rank_tol))
 
 
 @dataclass

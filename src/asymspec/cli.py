@@ -136,6 +136,15 @@ def _load_kernel(args):
             psi = json.loads(args.psi)
         except json.JSONDecodeError as exc:
             raise InputError(f"--psi: {exc.msg}") from exc
+        # bool is a subclass of int, so the types are compared exactly
+        ok = isinstance(psi, list) and psi and all(type(c) in (int, float) for c in psi)
+        try:
+            ok = ok and np.isfinite(np.array(psi, dtype=float)).all()
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+        if not ok:
+            raise InputError(f"--psi must be a non-empty JSON list of finite numbers, "
+                             f"got {args.psi!r}")
     try:
         return kernel_model(args.kernel, psi_coefficients=psi)
     except ValueError as exc:

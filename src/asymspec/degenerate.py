@@ -4,8 +4,9 @@ When the Schur chain of a diagonally scaled matrix stalls on a singular
 complement, the expansion can be continued: partition the scaled series with
 a uniform bottom exponent, form the series Schur complement of the top block
 (congruence by I + O(eps), which preserves the spectral equivalent), rotate
-the bottom block's leading coefficient to eigenbasis, and recurse.  Each
-round resolves at least one new dimension, so depth n suffices.
+the bottom block's leading coefficient to eigenbasis, and recurse.  The
+first round is the plain scaled construction; each round resolves at least
+one new dimension, so depth n suffices.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .series import (
     valuation_matrix,
 )
 from .scaling import DiagonalScaling, auto_scale_with_permutation, extract_H
-from .ase import Ase, SchurChain, fix_column_signs, schur_chain, _basis_lift, _chain_groups
+from .ase import Ase, SchurChain, fix_column_signs, schur_chain, _chain_groups
 
 __all__ = ["PartitionedScaledSeries", "schur_reduce", "iterative_ase"]
 
@@ -119,22 +120,26 @@ def _symmetric(m: MatrixSeries) -> MatrixSeries:
 
 
 def iterative_ase(k: MatrixSeries, rank_tol: float = SERIES_RANK_TOL, max_depth=None) -> Ase:
-    """Spectral equivalent of a symmetric series with no helpful global scaling.
+    """Spectral equivalent of a symmetric matrix series.
 
     Driver loop: auto-scale and run the Schur-chain construction; when the
     chain stalls, isolate the unresolved trailing block as a series Schur
     complement, rotate its leading coefficient to eigenbasis (which makes the
     result diagonally scaled again) and recurse on it.  Rotations accumulate
-    so every reported term lives in the original coordinates.  Exhausting the
-    horizon or the depth budget yields a truncated result, never a silently
-    wrong one.
+    so every reported term lives in the original coordinates.
+
+    Stop rule: a round whose chain completes, or the last round the depth
+    budget allows (``max_depth`` rounds after the first, n by default; 0 is
+    the plain scaled construction), keeps its whole chain, so a stalled
+    complement is rank-cleaned and truncates the result at its valuation
+    2 nu_stall.  Any other round keeps only its resolved complements and
+    goes on.  Later rounds live in the trailing block, whose entries are
+    O(eps^{2 nu_stall}), so valuations strictly increase from round to round.
+    Only the series Schur step needs a finite truncation horizon; exhausting
+    it yields a truncated result, never a silently wrong one.
     """
-    if k.shape[0] != k.shape[1]:
-        raise ValueError("matrix series must be square")
-    if not k.symmetric:
+    if not k.symmetric:  # the flag also guarantees a square shape
         raise ValueError("matrix series must be symmetric")
-    if k.trunc_order.is_infinite:
-        raise ValueError("iterative extraction needs a finite truncation horizon")
     n = k.n
     if max_depth is None:
         max_depth = n
@@ -142,8 +147,8 @@ def iterative_ase(k: MatrixSeries, rank_tol: float = SERIES_RANK_TOL, max_depth=
     basis = np.eye(n)
     current = k
     truncated_at = None
-    horizon_cap = None
-    for _ in range(max_depth + 1):
+    horizons = []  # of dropped zero rows: the result is only good below them
+    for depth in range(max_depth + 1):
         if current.is_zero:
             # remaining eigenvalues are below the horizon (or exactly zero)
             truncated_at = current.trunc_order
@@ -155,12 +160,9 @@ def iterative_ase(k: MatrixSeries, rank_tol: float = SERIES_RANK_TOL, max_depth=
         live = ~omega.inf.all(axis=1)
         if not live.all():
             keep = np.flatnonzero(live)
-            horizon_cap = _exp_min(horizon_cap, current.trunc_order)
+            horizons.append(current.trunc_order)
             current = _symmetric(current.submatrix(keep, keep))
             basis = basis[:, keep]
-            if not keep.size:
-                truncated_at = current.trunc_order
-                break
             omega = valuation_matrix(current)
         perm, scaling = auto_scale_with_permutation(omega)
         cur_p = current.permuted(perm)
@@ -169,14 +171,17 @@ def iterative_ase(k: MatrixSeries, rank_tol: float = SERIES_RANK_TOL, max_depth=
         chain = schur_chain(form.H, form.block_sizes, rank_tol)
         offsets = np.cumsum((0,) + form.block_sizes)
         nus = scaling.nus
-        resolved = len(chain.complements) - (1 if chain.stopped_early else 0)
-        bases = [basis_p[:, offsets[i] : offsets[i + 1]] for i in range(resolved)]
-        done = SchurChain(chain.complements[:resolved], stopped_early=False)
-        groups += _chain_groups(done, nus, _basis_lift(bases), rank_tol)[0]
-        if not chain.stopped_early:
-            truncated_at = None
+        last = not chain.stopped_early or depth == max_depth
+        stall = len(chain.complements) - 1
+        if not last:
+            chain = SchurChain(chain.complements[:stall], stopped_early=False)
+        bases = [basis_p[:, offsets[i] : offsets[i + 1]] for i in range(len(chain.complements))]
+        new, truncated_at = _chain_groups(chain, nus, bases, rank_tol)
+        groups += new
+        if last:
             break
-        stall = resolved
+        if current.trunc_order.is_infinite:
+            raise ValueError("iterative extraction needs a finite truncation horizon")
         try:
             trailing = _series_schur_block(cur_p, scaling, stall, rank_tol)
         except ValueError:
@@ -189,7 +194,6 @@ def iterative_ase(k: MatrixSeries, rank_tol: float = SERIES_RANK_TOL, max_depth=
         trailing = _prune(trailing, noise)
         if trailing.is_zero:
             truncated_at = trailing.trunc_order
-            basis = basis_p[:, offsets[stall]:]
             break
         gamma = trailing.valuation
         lead = trailing.coefficient(gamma)
@@ -208,18 +212,8 @@ def iterative_ase(k: MatrixSeries, rank_tol: float = SERIES_RANK_TOL, max_depth=
             terms.append((gamma, lead_diag))
         current = MatrixSeries(rotated.shape, terms, rotated.trunc_order, symmetric=True)
         basis = basis_p[:, offsets[stall]:] @ q
-    else:
-        truncated_at = current.valuation if not current.is_zero else current.trunc_order
-    truncated_at = _exp_min(truncated_at, horizon_cap) if horizon_cap is not None else truncated_at
-    return Ase(n, _merge_groups(groups), truncated_at)
-
-
-def _exp_min(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a < b else b
+    ends = horizons + ([] if truncated_at is None else [truncated_at])
+    return Ase(n, groups, min(ends, default=None))
 
 
 def _coefficient_scale(m: MatrixSeries) -> float:
@@ -235,15 +229,3 @@ def _prune(m: MatrixSeries, floor: float) -> MatrixSeries:
         if np.any(c != 0.0):
             terms.append((e, c))
     return MatrixSeries(m.shape, terms, m.trunc_order, m.symmetric)
-
-
-def _merge_groups(groups):
-    # group valuations from successive rounds are strictly increasing, but
-    # merge defensively in case a round emits a duplicate valuation
-    merged = {}
-    for alpha, term in groups:
-        if alpha in merged:
-            merged[alpha] = merged[alpha] + term
-        else:
-            merged[alpha] = term
-    return [(a, merged[a]) for a in sorted(merged, key=lambda e: e._key())]

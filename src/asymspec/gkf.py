@@ -15,7 +15,7 @@ import numpy as np
 
 from .series import SERIES_RANK_TOL, is_singular, _eps_power
 from .scaling import DiagonalScaling
-from .ase import Ase, fix_column_signs, schur_chain, _basis_lift, _chain_groups
+from .ase import Ase, fix_column_signs, schur_chain, _chain_groups
 
 __all__ = ["GkfForm", "BlockQr", "block_rrqr", "build_H", "ase_from_gkf", "simplified_schur"]
 
@@ -155,8 +155,7 @@ def ase_from_gkf(form: GkfForm, rank_tol: float = SERIES_RANK_TOL) -> Ase:
     qr = block_rrqr(form.V, form.widths, rank_tol)
     h, sizes = build_H(qr, form.W)
     chain = schur_chain(h, sizes, rank_tol)
-    lift = _basis_lift(qr.q_blocks)
-    return Ase(form.n, *_chain_groups(chain, form.scaling.nus, lift, rank_tol))
+    return Ase(form.n, *_chain_groups(chain, form.scaling.nus, qr.q_blocks, rank_tol))
 
 
 def simplified_schur(w: np.ndarray, qr: BlockQr, j: int) -> np.ndarray:

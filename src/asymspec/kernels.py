@@ -23,7 +23,7 @@ import numpy as np
 
 from .series import Exponent, ScalarSeries, is_singular
 from .scaling import DiagonalScaling
-from .ase import Ase, fix_column_signs, rank_floor, schur_chain, _basis_lift, _chain_groups
+from .ase import Ase, fix_column_signs, rank_floor, schur_chain, _chain_groups
 from .gkf import BlockQr, GkfForm, build_H, _extend_basis
 
 __all__ = [
@@ -464,7 +464,7 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
         sizes.append(a.shape[1])
         bases.append(a)
     chain = schur_chain(h, sizes, rank_tol)
-    groups, truncated_at = _chain_groups(chain, nus, _basis_lift(bases), rank_tol)
+    groups, truncated_at = _chain_groups(chain, nus, bases, rank_tol)
     if short and not finite:
         truncated_at = 2 * nus[len(chain.complements) - 1]
     ase = Ase(nodes.n, [(alpha, scale ** float(alpha) * t) for alpha, t in groups], truncated_at)
@@ -526,9 +526,12 @@ def generate_nodes(spec: str, d: int = 2, seed: int = 0) -> NodeSet:
                 at degree 3).
     """
     kind, _, count = spec.partition(":")
-    if not count:
+    if not count.isdecimal():
         raise ValueError(f"node spec {spec!r} must look like 'uniform:10'")
     n = int(count)
+    if n < 1 or d < 1:
+        raise ValueError(f"node spec {spec!r} needs a count and a dimension of at least 1, "
+                         f"got {n} points in dimension {d}")
     rng = np.random.default_rng(seed)
     if kind == "equispaced":
         return NodeSet(np.linspace(0.0, 1.0, n)[:, None])

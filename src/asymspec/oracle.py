@@ -109,7 +109,11 @@ def eigen_sweep(source, eps_grid, vectors_at=None) -> SweepResult:
     lams = None
     vecs = {}
     for i, eps in enumerate(eps_grid):
-        a = fn(float(eps))
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = fn(float(eps))
+        if not np.isfinite(a).all():
+            raise np.linalg.LinAlgError(
+                f"matrix at eps = {eps:.6g} has non-finite entries (overflow or NaN)")
         scale = max(np.abs(a).max(), 1.0)
         if i in wanted:
             w, u = np.linalg.eigh(a)

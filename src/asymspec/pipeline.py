@@ -1,12 +1,14 @@
-"""High-level analysis drivers shared by the CLI and the test suite."""
+"""High-level analysis driver shared by the CLI and the test suite.
+
+Every series mode runs the one reduction loop of ``iterative_ase``: its
+first round is the diagonal-scaling construction, and later rounds continue
+a stalled Schur chain through a series Schur complement and a rotation.
+"""
 
 from __future__ import annotations
 
-import numpy as np
-
-from .series import SERIES_RANK_TOL, MatrixSeries, valuation_matrix
-from .scaling import auto_scale_with_permutation, extract_H
-from .ase import Ase, ase_from_scaled
+from .series import SERIES_RANK_TOL, MatrixSeries
+from .ase import Ase
 from .degenerate import iterative_ase
 
 __all__ = ["analyze_series"]
@@ -15,29 +17,13 @@ __all__ = ["analyze_series"]
 def analyze_series(k: MatrixSeries, mode: str = "auto", rank_tol: float = SERIES_RANK_TOL) -> Ase:
     """Spectral equivalent of a symmetric matrix series.
 
-    Modes: 'scaled' applies the diagonal-scaling construction once (possibly
-    truncated); 'iterative' always runs the recursive reduction; 'auto' tries
-    the scaled route and falls back to the iterative one when it truncates.
-    Rows need not be pre-ordered: the automatic scaling's sort is applied
-    internally and the reported terms live in the original coordinates.
+    Modes: 'scaled' stops after the first round (the diagonal-scaling
+    construction, truncated where its Schur chain stalls); 'iterative' and
+    'auto' are two names for the full route, which continues past a stall
+    round by round.  Rows need not be pre-ordered: the automatic scaling's
+    sort is applied internally and the reported terms live in the original
+    coordinates.
     """
     if mode not in ("scaled", "iterative", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "iterative":
-        return iterative_ase(k, rank_tol)
-    ase = _scaled_once(k, rank_tol)
-    if mode == "auto" and not ase.complete:
-        return iterative_ase(k, rank_tol)
-    return ase
-
-
-def _scaled_once(k: MatrixSeries, rank_tol: float) -> Ase:
-    perm, scaling = auto_scale_with_permutation(valuation_matrix(k))
-    kp = k.permuted(perm)
-    ase_p = ase_from_scaled(extract_H(kp, scaling), rank_tol)
-    if np.array_equal(perm, np.arange(k.n)):
-        return ase_p
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(k.n)
-    groups = [(alpha, term[np.ix_(inv, inv)]) for alpha, term in ase_p.groups]
-    return Ase(k.n, groups, ase_p.truncated_at)
+    return iterative_ase(k, rank_tol, max_depth=0 if mode == "scaled" else None)

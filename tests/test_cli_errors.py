@@ -1,0 +1,67 @@
+"""Classified errors for malformed flags and numerically unusable inputs."""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+
+from asymspec import eigen_sweep, generate_nodes
+from asymspec.cli import main
+
+
+@pytest.mark.parametrize(
+    "psi", ["3", "[[1]]", "true", "[1,null]", "[1e400]", "[]", "[1,true]", '"1"', "NaN"]
+)
+def test_bad_psi_values(capsys, psi):
+    code = main(["kernel", "--nodes", "uniform:4", "--kernel", "custom", "--psi", psi])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: --psi")
+    assert "Traceback" not in err
+
+
+@pytest.fixture
+def overflowing_gkf(tmp_path):
+    # eps^-100 overflows the evaluated matrix on most of the grid
+    gkf = {
+        "V": [[1, 0, 0], [0, 1, -1], [0, 1, 1]],
+        "W": [[1, 1, 0], [1, 0, 0], [0, 0, 1]],
+        "valuations": [
+            {"nu": -100, "mult": 1},
+            {"nu": 1, "mult": 1},
+            {"nu": {"num": 3, "den": 2}, "mult": 1},
+        ],
+    }
+    path = tmp_path / "gkf.json"
+    path.write_text(json.dumps(gkf))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_overflow_is_named(capsys, overflowing_gkf, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning reaches the user
+        code = main([command, "--input", overflowing_gkf, "--mode", "gkf",
+                     "--output", "/dev/null"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "non-finite entries" in err and "eps =" in err
+    assert "did not converge" not in err
+
+
+def test_eigen_sweep_rejects_infinite_entries():
+    grid = np.geomspace(1e-3, 1e-1, 6)[::-1]
+    with pytest.raises(np.linalg.LinAlgError, match=r"eps = 0\.001 has non-finite"):
+        eigen_sweep(lambda eps: np.diag([1.0, 1.0 if eps > 1e-3 else np.inf]), grid)
+
+
+@pytest.mark.parametrize("spec, d", [("uniform:0", 2), ("circle:0", 2), ("uniform:5", 0)])
+def test_node_generator_rejects_empty_specs(spec, d):
+    with pytest.raises(ValueError, match=f"node spec '{spec}'"):
+        generate_nodes(spec, d=d)
+
+
+def test_node_generator_message_reaches_cli(capsys):
+    assert main(["kernel", "--kernel", "gaussian", "--nodes", "uniform:0"]) == 1
+    assert "node spec 'uniform:0'" in capsys.readouterr().err
