@@ -56,7 +56,9 @@ def _add_common(p):
     p.add_argument("--nodes", help="node CSV path, or generator spec like 'uniform:10'")
     p.add_argument("--kernel", choices=("gaussian", "exponential", "matern2", "custom"))
     p.add_argument("--psi", help="JSON list of psi coefficients for --kernel custom")
-    p.add_argument("--dim", type=int, default=2, help="dimension for generated nodes")
+    p.add_argument("--dim", type=int, default=None,
+                   help="dimension of 'uniform' nodes (default 2); for any other "
+                   "node source it must match the nodes' own dimension")
     p.add_argument("--mode", choices=("scaled", "gkf", "iterative", "auto"), default="auto")
     p.add_argument("--rank-tol", type=float, default=None)
     p.add_argument("--eps-grid", default=DEFAULT_GRID)
@@ -124,7 +126,11 @@ def _load_nodes(args) -> NodeSet:
 
     if not os.path.exists(args.nodes):
         raise InputError(f"node file {args.nodes} does not exist")
-    return serialize.read_nodes_csv(args.nodes)
+    nodes = serialize.read_nodes_csv(args.nodes)
+    if args.dim is not None and args.dim != nodes.d:
+        raise InputError(f"--dim {args.dim} does not match the {nodes.d} coordinates "
+                         f"per node in {args.nodes}")
+    return nodes
 
 
 def _load_kernel(args):

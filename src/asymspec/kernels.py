@@ -516,19 +516,31 @@ def kernel_matrix(kernel: KernelModel, nodes: NodeSet, eps: float, dist=None) ->
 # ---------------------------------------------------------------------------
 
 
-def generate_nodes(spec: str, d: int = 2, seed: int = 0) -> NodeSet:
+_FIXED_DIM = {"equispaced": 1, "circle": 2, "cubic": 2}
+
+
+def generate_nodes(spec: str, d: int | None = None, seed: int = 0) -> NodeSet:
     """Named node-set generators: 'equispaced:N', 'uniform:N', 'circle:N', 'cubic:N'.
 
     equispaced: N points on [0, 1] (d = 1).
-    uniform:    N i.i.d. points in the unit cube of dimension d.
+    uniform:    N i.i.d. points in the unit cube of dimension d (default 2).
     circle:     N points on the unit circle (d = 2, non-unisolvent at degree 2).
     cubic:      N points on the curve x2^2 = x1^3 - x1 (d = 2, non-unisolvent
                 at degree 3).
+
+    Only 'uniform' reads d; any other family raises when d is given and is
+    not its own dimension.
     """
     kind, _, count = spec.partition(":")
     if not count.isdecimal():
         raise ValueError(f"node spec {spec!r} must look like 'uniform:10'")
     n = int(count)
+    fixed = _FIXED_DIM.get(kind)
+    if d is None:
+        d = fixed or 2
+    elif fixed is not None and d != fixed:
+        raise ValueError(f"node generator {kind!r} makes points in dimension {fixed}, "
+                         f"not {d}; only 'uniform' takes a dimension")
     if n < 1 or d < 1:
         raise ValueError(f"node spec {spec!r} needs a count and a dimension of at least 1, "
                          f"got {n} points in dimension {d}")

@@ -21,6 +21,17 @@ When the symmetrized assignment duals dip below the bound, or no finite
 perfect assignment exists, the bounded program (the dual of a min-cost edge
 cover) takes one more Hungarian run by Gallai's cover-matching reduction; its
 optimum stays half-integral (Nemhauser & Trotter 1975).
+
+In the paper's scaled case, ``K_ij ~ eps^(nu_i + nu_j)`` with every leading
+``H_ii`` nonzero, the diagonal alone fixes the answer, and the solver checks
+that first.  Every feasible nu has ``nu_i <= Omega_ii / 2``, so when
+``nu = diag(Omega) / 2`` is feasible it is the unique optimum.  It is also what
+the assignment route would return: the identity is then an optimal
+assignment, so the symmetrized duals satisfy ``u_i + v_i <= Omega_ii`` with
+``sum(u + v) = tr Omega``, which forces equality; and ``Omega_ii >= lb`` with
+``lb <= 0`` gives ``Omega_ii / 2 >= lb``, so the bounded program is never
+needed there.  The Hungarian runs only when a diagonal entry is infinite or
+this certificate fails.
 """
 
 from __future__ import annotations
@@ -252,22 +263,29 @@ def auto_scale_exponents(omega: ValuationMatrix):
     if dead.size:
         raise ValueError(
             f"structurally zero row {dead[0]}: all entries have valuation infinity")
-    scale = omega.den
-    finite = omega.num[~omega.inf]
-    lb_num = min(int(finite.min()), 0)
-    big = max(int(finite.max()), 0) * n + 1 + abs(lb_num) * n
-    cost = np.array(omega.num, dtype=exact_int_dtype(big))
-    cost[omega.inf] = big
-    assignment, u, v = _hungarian(cost)
-    twice = [u[i] + v[i] for i in range(n)]  # 2 * scale * nu
-    if omega.inf[np.arange(n), assignment].any() or min(twice) < 2 * lb_num:
-        # the duals dip below the bound, or every perfect assignment crosses an
-        # identically-zero entry so the big-M duals are meaningless; the
-        # bounded program is still feasible
-        twice = _bounded_optimum(omega, lb_num)
-    if min(twice) < 2 * lb_num or not _feasible(omega, twice):
-        raise RuntimeError("internal error: scaling exponents are infeasible")
-    return [Exponent(Fraction(t, 2 * scale)) for t in twice]
+    diag = np.diagonal(omega.num)
+    if not np.diagonal(omega.inf).any() and _feasible(omega, diag):
+        # the certificate: nu_i <= Omega_ii / 2 for every feasible nu, so this
+        # is the optimum, and the route below returns it too (the identity is
+        # an optimal assignment, so u_i + v_i <= Omega_ii with sum tr Omega
+        # forces equality; and lb <= min(0, Omega_ii) gives Omega_ii / 2 >= lb)
+        twice = diag.tolist()  # 2 * den * nu
+    else:
+        finite = omega.num[~omega.inf]
+        lb_num = min(int(finite.min()), 0)
+        big = max(int(finite.max()), 0) * n + 1 + abs(lb_num) * n
+        cost = np.array(omega.num, dtype=exact_int_dtype(big))
+        cost[omega.inf] = big
+        assignment, u, v = _hungarian(cost)
+        twice = [u[i] + v[i] for i in range(n)]  # 2 * den * nu
+        if omega.inf[np.arange(n), assignment].any() or min(twice) < 2 * lb_num:
+            # the duals dip below the bound, or every perfect assignment crosses
+            # an identically-zero entry so the big-M duals are meaningless; the
+            # bounded program is still feasible
+            twice = _bounded_optimum(omega, lb_num)
+        if min(twice) < 2 * lb_num or not _feasible(omega, twice):
+            raise RuntimeError("internal error: scaling exponents are infeasible")
+    return [Exponent(Fraction(t, 2 * omega.den)) for t in twice]
 
 
 def _feasible(omega, twice):

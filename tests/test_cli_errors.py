@@ -65,3 +65,29 @@ def test_node_generator_rejects_empty_specs(spec, d):
 def test_node_generator_message_reaches_cli(capsys):
     assert main(["kernel", "--kernel", "gaussian", "--nodes", "uniform:0"]) == 1
     assert "node spec 'uniform:0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, dim, fixed", [
+    ("circle:6", "3", 2), ("cubic:6", "1", 2), ("equispaced:6", "2", 1)])
+def test_dim_of_a_fixed_family_is_checked(capsys, spec, dim, fixed):
+    code = main(["kernel", "--kernel", "gaussian", "--nodes", spec, "--dim", dim,
+                 "--output", "/dev/null"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"'{spec.split(':')[0]}' makes points in dimension {fixed}, not {dim}" in err
+
+
+@pytest.mark.parametrize("spec, dim, d", [
+    ("circle:6", None, 2), ("circle:6", 2, 2), ("equispaced:6", None, 1),
+    ("uniform:6", None, 2)])
+def test_dim_defaults(spec, dim, d):
+    assert generate_nodes(spec, d=dim).points.shape == (6, d)
+
+
+def test_dim_of_a_node_file_is_checked(tmp_path, capsys):
+    path = tmp_path / "nodes.csv"
+    path.write_text("# d=2\n0,0\n1,0\n0,1\n")
+    argv = ["kernel", "--kernel", "gaussian", "--nodes", str(path), "--output", "/dev/null"]
+    assert main(argv + ["--dim", "3"]) == 1
+    assert "--dim 3 does not match the 2 coordinates per node" in capsys.readouterr().err
+    assert main(argv + ["--dim", "2"]) in (0, 2)
