@@ -113,7 +113,7 @@ class Ase:
             term = np.asarray(term, dtype=float)
             term.setflags(write=False)
             groups.append((as_exponent(alpha), term))
-        groups.sort(key=lambda g: g[0]._key())
+        groups.sort(key=lambda g: g[0])
         self.groups = groups
 
     @property

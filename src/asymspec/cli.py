@@ -161,27 +161,31 @@ def _rank_tol(args, default: float) -> float:
     return args.rank_tol if args.rank_tol is not None else default
 
 
-def _series_ase_and_source(args):
-    """The ASE of --input and the form it was read as: a GKF evaluator or a series."""
+def _series_ase_and_source(args, predict=True):
+    """The ASE of --input (None unless ``predict``) and its form: a GKF evaluator or a series."""
     if not args.input:
         raise InputError("this command needs --input")
     obj = _load_json(args.input)
+    tol = _rank_tol(args, SERIES_RANK_TOL)
     if args.mode == "gkf":
         form = serialize.gkf_from_json(obj)
-        return ase_from_gkf(form, _rank_tol(args, SERIES_RANK_TOL)), form.evaluate
+        return ase_from_gkf(form, tol) if predict else None, form.evaluate
     series = serialize.matrix_series_from_json(obj)
     if not series.symmetric:
         raise InputError("field 'symmetric': analysis requires a symmetric series")
-    return analyze_series(series, args.mode, _rank_tol(args, SERIES_RANK_TOL)), series
+    return analyze_series(series, args.mode, tol) if predict else None, series
 
 
-def _pipeline_ase_and_source(args):
+def _pipeline_ase_and_source(args, predict=True):
     """The (prediction, sweep source) pair for verify/sweep; a kernel ASE
-    carries the readout ``kernel_ase`` computed."""
+    carries the readout ``kernel_ase`` computed.  Without ``predict`` only
+    the source is built, and the prediction is None."""
     if args.input:
-        return _series_ase_and_source(args)
+        return _series_ase_and_source(args, predict)
     kernel = _load_kernel(args)
     nodes = _load_nodes(args)
+    if not predict:
+        return None, (kernel, nodes)
     ase, _ = kernel_ase(kernel, nodes, _rank_tol(args, KERNEL_RANK_TOL))
     return ase, (kernel, nodes)
 
@@ -229,12 +233,12 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     if args.format == "json":
         raise InputError("sweep emits CSV; use --format csv")
-    ase, source = _pipeline_ase_and_source(args)
+    # the pipeline runs only to predict the tracked vector
+    track = args.track_vector is not None
+    ase, source = _pipeline_ase_and_source(args, predict=track)
     grid = _parse_eps_grid(args.eps_grid)
-    predicted = None
-    if args.track_vector is not None:
-        predicted = _predicted_vector(ase, args.track_vector)
-    sweep = eigen_sweep(source, grid, vectors_at=None if args.track_vector is not None else ())
+    predicted = _predicted_vector(ase, args.track_vector) if track else None
+    sweep = eigen_sweep(source, grid, vectors_at=None if track else ())
     lines = serialize.sweep_csv_lines(sweep, args.track_vector, predicted)
     _emit("\n".join(lines), args.output)
     return EXIT_OK

@@ -96,8 +96,8 @@ def _series_schur_block(k: MatrixSeries, scaling: DiagonalScaling, split_block: 
     exps = scaling.exponents()
     s = scaling.nus[split_block]
     m = sum(scaling.block_sizes[:split_block])
-    clipped = [exps[i] if i < m else s for i in range(k.n)]
-    h = _symmetric(k.scale_rows_cols([-e for e in clipped], [-e for e in clipped]))
+    unclip = [-e for e in exps[:m]] + [-s] * (k.n - m)
+    h = _symmetric(k.scale_rows_cols(unclip, unclip))
     if m == 0:
         return h.shift(2 * s)
     return _series_schur(h, m, h.trunc_order, cond_tol).shift(2 * s)
@@ -116,7 +116,7 @@ def _series_schur(h: MatrixSeries, m: int, order, cond_tol: float) -> MatrixSeri
 
 def _symmetric(m: MatrixSeries) -> MatrixSeries:
     """The same series flagged symmetric (its coefficients symmetrized)."""
-    return MatrixSeries(m.shape, m.terms, m.trunc_order, symmetric=True)
+    return m if m.symmetric else MatrixSeries(m.shape, m.terms, m.trunc_order, symmetric=True)
 
 
 def iterative_ase(k: MatrixSeries, rank_tol: float = SERIES_RANK_TOL, max_depth=None) -> Ase:
@@ -207,9 +207,8 @@ def iterative_ase(k: MatrixSeries, rank_tol: float = SERIES_RANK_TOL, max_depth=
         rotated = trailing.congruence(q, noise_floor=noise)
         # the leading coefficient is diagonal by construction; pin it exactly
         lead_diag = np.diag(np.where(np.abs(w) > rank_tol * big, w, 0.0))
-        terms = [(e, m) for e, m in rotated.terms if e != gamma]
-        if np.any(lead_diag != 0.0):
-            terms.append((gamma, lead_diag))
+        # gamma is the trailing block's valuation, so its term stays first
+        terms = [(gamma, lead_diag)] + [(e, m) for e, m in rotated.terms if e != gamma]
         current = MatrixSeries(rotated.shape, terms, rotated.trunc_order, symmetric=True)
         basis = basis_p[:, offsets[stall]:] @ q
     ends = horizons + ([] if truncated_at is None else [truncated_at])
@@ -223,9 +222,5 @@ def _coefficient_scale(m: MatrixSeries) -> float:
 def _prune(m: MatrixSeries, floor: float) -> MatrixSeries:
     if floor <= 0.0:
         return m
-    terms = []
-    for e, c in m.terms:
-        c = np.where(np.abs(c) <= floor, 0.0, c)
-        if np.any(c != 0.0):
-            terms.append((e, c))
+    terms = [(e, np.where(np.abs(c) <= floor, 0.0, c)) for e, c in m.terms]
     return MatrixSeries(m.shape, terms, m.trunc_order, m.symmetric)

@@ -37,7 +37,6 @@ this certificate fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 import numpy as np
@@ -50,7 +49,6 @@ from .series import (
     exact_int_dtype,
     exponent_ints,
     max_abs,
-    valuation_matrix,
 )
 
 __all__ = [
@@ -171,13 +169,21 @@ def tight_entries(omega: ValuationMatrix, scaling: DiagonalScaling):
 
 
 def extract_H(k: MatrixSeries, scaling: DiagonalScaling) -> ScaledForm:
-    """Leading coefficients of K at the scaling's tight entries, 0 elsewhere."""
-    todo = _tight_mask(valuation_matrix(k), scaling)
+    """Leading coefficients of K at the scaling's tight entries, 0 elsewhere:
+    its eps^(nu_i + nu_j) terms, read after checking that none lies below."""
+    n = scaling.n
+    if k.shape != (n, n):
+        raise ValueError("size mismatch between valuation matrix and scaling")
+    nums, _ = exponent_ints(scaling.exponents() + [e for e, _ in k.terms])
+    nu = np.asarray(nums[:n], dtype=exact_int_dtype(2 * max_abs(nums)))
+    shift = nu[:, None] + nu[None, :]
     h = np.zeros(k.shape)
-    for _, m in k.terms:  # ascending exponents: the first nonzero one leads
-        hit = todo & (m != 0.0)
+    for e, (_, m) in zip(nums[n:], k.terms):
+        nz = m != 0.0
+        if np.any(nz & (shift > e)):
+            raise ValueError("scaling is not valid for this valuation matrix")
+        hit = nz & (shift == e)
         h[hit] = m[hit]
-        todo &= ~hit
     return ScaledForm(scaling, h, scaling.block_sizes)
 
 
@@ -285,7 +291,7 @@ def auto_scale_exponents(omega: ValuationMatrix):
             twice = _bounded_optimum(omega, lb_num)
         if min(twice) < 2 * lb_num or not _feasible(omega, twice):
             raise RuntimeError("internal error: scaling exponents are infeasible")
-    return [Exponent(Fraction(t, 2 * omega.den)) for t in twice]
+    return [Exponent(t, 2 * omega.den) for t in twice]
 
 
 def _feasible(omega, twice):
@@ -344,6 +350,6 @@ def auto_scale_with_permutation(omega: ValuationMatrix):
     scaling is the grouped scaling of the permuted system.
     """
     exps = auto_scale_exponents(omega)
-    perm = sorted(range(len(exps)), key=lambda i: (exps[i]._key(), i))
+    perm = np.argsort(exponent_ints(exps)[0], kind="stable")
     scaling = DiagonalScaling.from_exponents([exps[i] for i in perm])
-    return np.array(perm), scaling
+    return perm, scaling

@@ -1,9 +1,11 @@
 """Truncated power series in a small parameter eps with exact rational exponents.
 
-Exponents are stored as exact rationals (plus a distinguished +infinity for the
-valuation of the zero series) so that ties between exponents -- which drive all
-scaling and tightness decisions downstream -- are decided exactly.  Grids of
-exponents (``ValuationMatrix``) are integer numerator arrays over one common
+Exponents are stored as reduced pairs of integers ``num / den`` (plus a
+distinguished +infinity, the pair (1, 0), for the valuation of the zero
+series) so that ties between exponents -- which drive all scaling and
+tightness decisions downstream -- are decided exactly, by cross-multiplication,
+and no ``Fraction`` is built unless asked for.  Grids of exponents
+(``ValuationMatrix``) are integer numerator arrays over one common
 denominator, so grid-wide comparisons are exact integer array operations.
 Coefficients are double-precision reals.
 
@@ -40,113 +42,124 @@ class SingularLeadingTermError(ValueError):
 class Exponent:
     """An exact rational exponent of eps, or +infinity (the valuation of 0).
 
-    Immutable, hashable and totally ordered; supports addition, subtraction
-    and multiplication by integers, with the usual +infinity conventions.
+    Stored as a reduced integer pair ``num / den`` with ``den > 0``; +infinity
+    is the pair (1, 0), so cross-multiplication orders it above every finite
+    exponent.  Immutable, hashable and totally ordered; supports addition,
+    subtraction and multiplication by integers, with the usual +infinity
+    conventions.
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, num=0, den=1):
         if isinstance(num, Exponent):
-            if num.is_infinite:
+            if not num._den:
                 raise ValueError("cannot rebuild the infinite exponent; use INFINITY")
-            self._value = num._value * Fraction(1, den)
-        else:
-            self._value = Fraction(num, den)
+            num = num.fraction
+        if type(num) is not int or type(den) is not int or den <= 0:
+            f = Fraction(num, den)  # other rationals, or the errors Fraction raises
+            num, den = f.numerator, f.denominator
+        g = gcd(num, den)
+        self._num, self._den = num // g, den // g
 
     @classmethod
-    def _make_infinite(cls) -> "Exponent":
+    def _ratio(cls, num: int, den: int) -> "Exponent":
+        """num / den for ints with den > 0 (den == 0 only for INFINITY)."""
+        g = gcd(num, den)
         obj = object.__new__(cls)
-        obj._value = None
+        obj._num, obj._den = num // g, den // g
         return obj
 
     @property
     def is_infinite(self) -> bool:
-        return self._value is None
+        return not self._den
 
     @property
     def num(self) -> int:
-        if self.is_infinite:
+        if not self._den:
             raise ValueError("infinite exponent has no numerator")
-        return self._value.numerator
+        return self._num
 
     @property
     def den(self) -> int:
-        if self.is_infinite:
+        if not self._den:
             raise ValueError("infinite exponent has no denominator")
-        return self._value.denominator
+        return self._den
 
     @property
     def fraction(self) -> Fraction:
-        if self.is_infinite:
+        if not self._den:
             raise ValueError("infinite exponent has no rational value")
-        return self._value
+        return Fraction(self._num, self._den)
 
     def __add__(self, other):
         other = as_exponent(other)
-        if self.is_infinite or other.is_infinite:
+        a, b = self._den, other._den
+        if not (a and b):
             return INFINITY
-        return Exponent(self._value + other._value)
+        if a == b:
+            return Exponent._ratio(self._num + other._num, a)
+        return Exponent._ratio(self._num * b + other._num * a, a * b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = as_exponent(other)
-        if other.is_infinite:
+        if not other._den:
             raise ValueError("cannot subtract an infinite exponent")
-        if self.is_infinite:
-            return INFINITY
-        return Exponent(self._value - other._value)
+        return self + Exponent._ratio(-other._num, other._den)
 
     def __mul__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if self.is_infinite:
+        if not self._den:
             return INFINITY
-        return Exponent(self._value * k)
+        return Exponent._ratio(self._num * k, self._den)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        if self.is_infinite:
+        if not self._den:
             raise ValueError("cannot negate the infinite exponent")
-        return Exponent(-self._value)
-
-    def _key(self):
-        return (1,) if self.is_infinite else (0, self._value)
+        return Exponent._ratio(-self._num, self._den)
 
     def __eq__(self, other):
         if not isinstance(other, (Exponent, int, Fraction)):
             return NotImplemented
-        return self._key() == as_exponent(other)._key()
+        other = as_exponent(other)
+        return self._num == other._num and self._den == other._den
 
     def __lt__(self, other):
-        return self._key() < as_exponent(other)._key()
+        other = as_exponent(other)
+        return self._num * other._den < other._num * self._den
 
     def __le__(self, other):
-        return self._key() <= as_exponent(other)._key()
+        other = as_exponent(other)
+        return self._num * other._den <= other._num * self._den
 
     def __gt__(self, other):
-        return self._key() > as_exponent(other)._key()
+        other = as_exponent(other)
+        return self._num * other._den > other._num * self._den
 
     def __ge__(self, other):
-        return self._key() >= as_exponent(other)._key()
+        other = as_exponent(other)
+        return self._num * other._den >= other._num * self._den
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self._num, self._den))
 
     def __float__(self):
-        return float("inf") if self.is_infinite else float(self._value)
+        return self._num / self._den if self._den else float("inf")
 
     def __str__(self):
-        return "inf" if self.is_infinite else str(self._value)
+        return str(self.fraction) if self._den else "inf"
 
     def __repr__(self):
         return f"Exponent({self})"
 
 
 #: The valuation of the zero series.
-INFINITY = Exponent._make_infinite()
+INFINITY = Exponent._ratio(1, 0)
 
 
 def as_exponent(x) -> Exponent:
@@ -189,9 +202,9 @@ def max_abs(a) -> int:
 
 def exponent_ints(exps):
     """(numerators, common denominator) of finite exponents, as Python ints."""
-    fracs = [as_exponent(e).fraction for e in exps]
-    den = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
+    exps = [as_exponent(e) for e in exps]
+    den = lcm(*(e.den for e in exps))
+    return [e._num * (den // e._den) for e in exps], den
 
 
 def _normalize_scalar_terms(terms):
@@ -203,7 +216,7 @@ def _normalize_scalar_terms(terms):
             raise ValueError("term exponents must be finite")
         c = float(c)
         acc[e] = acc.get(e, 0.0) + c
-    return sorted(((e, c) for e, c in acc.items() if c != 0.0), key=lambda t: t[0]._key())
+    return sorted(((e, c) for e, c in acc.items() if c != 0.0), key=lambda t: t[0])
 
 
 class ScalarSeries:
@@ -261,7 +274,7 @@ class ScalarSeries:
     def __add__(self, other):
         if not isinstance(other, ScalarSeries):
             return NotImplemented
-        trunc = min(self._trunc, other._trunc, key=lambda e: e._key())
+        trunc = min(self._trunc, other._trunc)
         return ScalarSeries(list(self._terms) + list(other._terms), trunc)
 
     def __neg__(self):
@@ -278,7 +291,6 @@ class ScalarSeries:
         trunc = min(
             self._effective_valuation() + other._trunc,
             other._effective_valuation() + self._trunc,
-            key=lambda e: e._key(),
         )
         prod = [(e1 + e2, c1 * c2) for e1, c1 in self._terms for e2, c2 in other._terms]
         return ScalarSeries(prod, trunc)
@@ -318,25 +330,31 @@ def _eps_power(eps: float, e: Exponent) -> float:
 
 
 def _normalize_matrix_terms(terms, shape, symmetric):
-    acc = {}
-    items = terms.items() if hasattr(terms, "items") else terms
-    for e, mat in items:
+    items = []
+    for e, mat in terms.items() if hasattr(terms, "items") else terms:
         e = as_exponent(e)
         if e.is_infinite:
             raise ValueError("term exponents must be finite")
         mat = np.asarray(mat, dtype=float)
         if mat.shape != shape:
             raise ValueError(f"coefficient shape {mat.shape} does not match {shape}")
-        acc[e] = acc[e] + mat if e in acc else mat.copy()
+        items.append((e, mat))
+    if any(b[0] <= a[0] for a, b in zip(items, items[1:])):  # merge repeats, then sort
+        acc = {}
+        for e, mat in items:
+            acc[e] = acc[e] + mat if e in acc else mat
+        items = sorted(acc.items(), key=lambda t: t[0])
     out = []
-    for e in sorted(acc, key=lambda t: t._key()):
-        mat = acc[e]
-        if symmetric:
-            mat = 0.5 * (mat + mat.T)
-        if np.any(mat != 0.0):
-            mat.setflags(write=False)
-            out.append((e, mat))
+    for e, mat in items:
+        mat = 0.5 * (mat + mat.T) if symmetric else mat.copy()
+        if mat.any():
+            out.append((e, _frozen(mat)))
     return out
+
+
+def _frozen(mat: np.ndarray) -> np.ndarray:
+    mat.setflags(write=False)
+    return mat
 
 
 class MatrixSeries:
@@ -364,6 +382,14 @@ class MatrixSeries:
         self._terms = tuple((e, m) for e, m in items if e < trunc)
         self._trunc = trunc
         self.symmetric = bool(symmetric)
+
+    @classmethod
+    def _from_terms(cls, shape, terms, trunc, symmetric) -> "MatrixSeries":
+        """A series from terms in normal form: finite exponents strictly increasing below
+        ``trunc``; nonzero read-only coefficients, exactly symmetric if ``symmetric``."""
+        obj = object.__new__(cls)
+        obj.shape, obj._terms, obj._trunc, obj.symmetric = shape, tuple(terms), trunc, symmetric
+        return obj
 
     # -- constructors ------------------------------------------------------
 
@@ -416,21 +442,24 @@ class MatrixSeries:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        return self._plus(other, 1.0)
+
+    def __neg__(self):
+        terms = [(e, _frozen(-m)) for e, m in self._terms]
+        return MatrixSeries._from_terms(self.shape, terms, self._trunc, self.symmetric)
+
+    def __sub__(self, other):
+        return self._plus(other, -1.0)
+
+    def _plus(self, other, sign):
+        """self + sign * other, normalized once."""
         if not isinstance(other, MatrixSeries):
             return NotImplemented
         if other.shape != self.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        trunc = min(self._trunc, other._trunc, key=lambda e: e._key())
-        sym = self.symmetric and other.symmetric
-        return MatrixSeries(self.shape, list(self._terms) + list(other._terms), trunc, sym)
-
-    def __neg__(self):
-        return MatrixSeries(
-            self.shape, [(e, -m) for e, m in self._terms], self._trunc, self.symmetric
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
+        terms = [*self._terms, *((e, sign * m) for e, m in other._terms)]
+        trunc = min(self._trunc, other._trunc)
+        return MatrixSeries(self.shape, terms, trunc, self.symmetric and other.symmetric)
 
     def __matmul__(self, other):
         if not isinstance(other, MatrixSeries):
@@ -440,43 +469,51 @@ class MatrixSeries:
         trunc = min(
             self._effective_valuation() + other._trunc,
             other._effective_valuation() + self._trunc,
-            key=lambda e: e._key(),
         )
-        prod = [(e1 + e2, m1 @ m2) for e1, m1 in self._terms for e2, m2 in other._terms]
-        return MatrixSeries((self.shape[0], other.shape[1]), prod, trunc)
+        # products summed on integer exponent keys over one denominator;
+        # those at or past the horizon are never formed
+        nums, den = exponent_ints([e for e, _ in self._terms + other._terms])
+        acc = {}
+        for a, (_, m1) in zip(nums, self._terms):
+            for b, (_, m2) in zip(nums[len(self._terms):], other._terms):
+                k = a + b
+                if k * trunc._den < trunc._num * den:
+                    acc[k] = acc[k] + m1 @ m2 if k in acc else m1 @ m2
+        terms = [(Exponent._ratio(k, den), _frozen(acc[k])) for k in sorted(acc) if acc[k].any()]
+        return MatrixSeries._from_terms((self.shape[0], other.shape[1]), terms, trunc, False)
 
     def shift(self, delta) -> "MatrixSeries":
         """Multiply by eps**delta."""
         delta = as_exponent(delta)
-        return MatrixSeries(
-            self.shape,
-            [(e + delta, m) for e, m in self._terms],
-            self._trunc + delta,
-            self.symmetric,
-        )
+        if delta.is_infinite and self._terms:
+            raise ValueError("term exponents must be finite")
+        terms = [(e + delta, m) for e, m in self._terms]
+        return MatrixSeries._from_terms(self.shape, terms, self._trunc + delta, self.symmetric)
 
     def truncate(self, order) -> "MatrixSeries":
-        order = as_exponent(order)
-        trunc = min(self._trunc, order, key=lambda e: e._key())
-        return MatrixSeries(self.shape, self._terms, trunc, self.symmetric)
+        trunc = min(self._trunc, as_exponent(order))
+        terms = [(e, m) for e, m in self._terms if e < trunc]
+        return MatrixSeries._from_terms(self.shape, terms, trunc, self.symmetric)
 
     def scale_rows_cols(self, left, right) -> "MatrixSeries":
         """Entry-wise exponent shift: diag(eps^left) @ self @ diag(eps^right).
 
         The horizon shrinks conservatively by the smallest total shift.
         """
-        left = [as_exponent(e) for e in left]
-        right = [as_exponent(e) for e in right]
-        if len(left) != self.shape[0] or len(right) != self.shape[1]:
-            raise ValueError("scaling length mismatch")
-        lmin = min(left, key=lambda e: e._key())
-        rmin = min(right, key=lambda e: e._key())
-        trunc = self._trunc + lmin + rmin
-        nums, den = exponent_ints(left + right + [e for e, _ in self._terms])
-        dtype = exact_int_dtype(3 * max_abs(nums))
+        left, right = list(left), list(right)
         nl, nr = self.shape
-        shift = np.asarray(nums[:nl], dtype=dtype)[:, None] + np.asarray(
-            nums[nl:nl + nr], dtype=dtype)[None, :]
+        if len(left) != nl or len(right) != nr:
+            raise ValueError("scaling length mismatch")
+        nums, den = exponent_ints([*left, *right, *(e for e, _ in self._terms)])
+        lnums, rnums = nums[:nl], nums[nl:nl + nr]
+        sym = self.symmetric and lnums == rnums
+        low = Exponent._ratio(min(lnums) + min(rnums), den)
+        if min(lnums) == max(lnums) and min(rnums) == max(rnums):  # uniform: a shift
+            terms = [(e + low, m) for e, m in self._terms]
+            return MatrixSeries._from_terms(self.shape, terms, self._trunc + low, sym)
+        trunc = self._trunc + low
+        dtype = exact_int_dtype(3 * max_abs(nums))
+        shift = np.asarray(lnums, dtype=dtype)[:, None] + np.asarray(rnums, dtype=dtype)[None, :]
         # every nonzero coefficient moves to exponent e + left[i] + right[j]:
         # gather them all, then group by target exponent
         keys, rows, cols, vals = [], [], [], []
@@ -495,22 +532,25 @@ class MatrixSeries:
                 np.concatenate(vals)[order])
             cuts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
             for a, b in zip(cuts, cuts[1:]):
+                e = Exponent._ratio(int(keys[a]), den)
+                if not e < trunc:
+                    break
                 mat = np.zeros(self.shape)
                 mat[rows[a:b], cols[a:b]] = vals[a:b]
-                out.append((Exponent(int(keys[a]), den), mat))
-        return MatrixSeries(self.shape, out, trunc, self.symmetric and left == right)
+                out.append((e, _frozen(mat)))
+        return MatrixSeries._from_terms(self.shape, out, trunc, sym)
 
     def submatrix(self, rows, cols) -> "MatrixSeries":
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        terms = [(e, m[np.ix_(rows, cols)]) for e, m in self._terms]
-        return MatrixSeries((len(rows), len(cols)), terms, self._trunc)
+        idx = np.ix_(np.asarray(rows), np.asarray(cols))
+        terms = [(e, m[idx]) for e, m in self._terms]
+        terms = [(e, _frozen(m)) for e, m in terms if m.any()]
+        return MatrixSeries._from_terms((len(rows), len(cols)), terms, self._trunc, False)
 
     def permuted(self, perm) -> "MatrixSeries":
         """Simultaneous row/column permutation: self[perm][:, perm]."""
-        perm = np.asarray(perm)
-        terms = [(e, m[np.ix_(perm, perm)]) for e, m in self._terms]
-        return MatrixSeries(self.shape, terms, self._trunc, self.symmetric)
+        idx = np.ix_(np.asarray(perm), np.asarray(perm))
+        terms = [(e, _frozen(m[idx])) for e, m in self._terms]
+        return MatrixSeries._from_terms(self.shape, terms, self._trunc, self.symmetric)
 
     def congruence(self, q, noise_floor=0.0) -> "MatrixSeries":
         """Return q.T @ self @ q for a constant matrix q.
@@ -542,7 +582,7 @@ class MatrixSeries:
         for e, m in other._terms:
             tgt = out.setdefault(e, np.zeros((n, n)))
             tgt[na:, na:] += m
-        trunc = min(self._trunc, other._trunc, key=lambda e: e._key())
+        trunc = min(self._trunc, other._trunc)
         return MatrixSeries((n, n), out, trunc, self.symmetric and other.symmetric)
 
     def evaluate(self, eps: float) -> np.ndarray:
@@ -573,6 +613,15 @@ class MatrixSeries:
         )
 
 
+def _int_pair(x):
+    """(num, den) of an int, Fraction or Exponent, without building an Exponent."""
+    if isinstance(x, Exponent):
+        return x._num, x._den
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    raise TypeError(f"cannot interpret {x!r} as an exponent")
+
+
 class ValuationMatrix:
     """A rectangular grid of exponents (entry-wise valuations or residuals).
 
@@ -586,16 +635,21 @@ class ValuationMatrix:
     __slots__ = ("num", "den", "inf")
 
     def __init__(self, entries):
-        rows = [tuple(as_exponent(e) for e in row) for row in entries]
+        rows = [list(row) for row in entries]
         width = len(rows[0]) if rows else 0
         if any(len(row) != width for row in rows):
             raise ValueError("ragged valuation grid")
-        flat = [e for row in rows for e in row]
-        inf = np.array([e.is_infinite for e in flat], dtype=bool).reshape(len(rows), width)
-        nums, den = exponent_ints([e for e in flat if not e.is_infinite])
-        num = np.zeros(inf.shape, dtype=exact_int_dtype(max_abs(nums)))
-        num[~inf] = nums
-        self._set(num, den, inf)
+        # non-int entries as integer pairs, INFINITY as (1, 0): no Exponent per entry
+        flat = [x for row in rows for x in row]
+        odd = {} if set(map(type, flat)) <= {int} else {
+            i: _int_pair(x) for i, x in enumerate(flat) if type(x) is not int}
+        den = lcm(*{d for _, d in odd.values()} - {0})
+        nums = [x * den if type(x) is int else 0 for x in flat]
+        inf = np.zeros(len(flat), dtype=bool)
+        for i, (n, d) in odd.items():
+            nums[i], inf[i] = (n * (den // d), False) if d else (0, True)
+        num = np.array(nums, dtype=exact_int_dtype(max_abs(nums)))
+        self._set(num.reshape(len(rows), width), den, inf.reshape(len(rows), width))
 
     @classmethod
     def _from_arrays(cls, num, den, inf) -> "ValuationMatrix":
@@ -606,7 +660,7 @@ class ValuationMatrix:
     def _set(self, num, den, inf):
         # canonical form: zero numerators at infinity, smallest denominator
         num = np.where(inf, 0, num)
-        g = gcd(den, int(np.gcd.reduce(num.ravel())) if num.size else 0)
+        g = gcd(den, int(np.gcd.reduce(num.ravel())) if num.size and den > 1 else 0)
         if g > 1:
             num, den = num // g, den // g
         num = np.asarray(num, dtype=exact_int_dtype(max_abs(num)))
@@ -654,39 +708,40 @@ def valuation_matrix(k: MatrixSeries) -> ValuationMatrix:
     first = np.full(k.shape, -1, dtype=np.intp)  # index of each entry's leading term
     for t in range(len(k.terms) - 1, -1, -1):
         first[k.terms[t][1] != 0.0] = t
-    inf = first < 0
-    used = np.unique(first[~inf]).tolist()
-    nums, den = exponent_ints([k.terms[t][0] for t in used])
+    nums, den = exponent_ints([e for e, _ in k.terms])
     lookup = np.zeros(len(k.terms) + 1, dtype=exact_int_dtype(max_abs(nums)))
-    lookup[used] = nums  # the last slot, reached by first == -1, stays 0
-    return ValuationMatrix._from_arrays(lookup[first], den, inf)
+    lookup[:-1] = nums  # the last slot, reached by first == -1, stays 0
+    return ValuationMatrix._from_arrays(lookup[first], den, first < 0)
 
 
 def series_matrix_inverse(h: MatrixSeries, order,
                           cond_tol: float = SERIES_RANK_TOL) -> MatrixSeries:
-    """Neumann-series inverse of a square matrix series, truncated at ``order``.
+    """Inverse of a square matrix series, truncated at min(order, h's horizon).
 
-    Requires the eps^0 coefficient to be invertible (singular-value ratio above
-    ``cond_tol``); the result r satisfies h @ r = I + O(eps**order).
+    Requires the eps^0 coefficient H_0 to be invertible (singular-value ratio
+    above ``cond_tol``); the result y satisfies h @ y = I + o(eps**order).
+    With h = H_0 + sum_j A_j eps^(e_j), e_j > 0, its coefficients are
+    Y_0 = H_0^-1 and Y_t = -Y_0 sum_j A_j Y_(t - e_j), over the sums t of
+    the e_j, computed on integer exponent keys over one denominator.
     """
     if h.shape[0] != h.shape[1]:
         raise ValueError("matrix series must be square")
-    order = as_exponent(order)
+    trunc = min(as_exponent(order), h.trunc_order)
     if not h.is_zero and h.valuation < Exponent(0):
         raise ValueError("series with negative exponents cannot be inverted here")
     h0 = h.coefficient(0)
     if h.shape[0] and is_singular(h0, cond_tol):
         raise SingularLeadingTermError("leading term singular")
-    y0 = np.linalg.inv(h0)
-    n = h.shape[0]
-    rest = (h - MatrixSeries.from_constant(h0, trunc_order=h.trunc_order)).truncate(order)
-    y0s = MatrixSeries.from_constant(y0)
-    m = (-(rest @ y0s)).truncate(order)
-    acc = MatrixSeries.identity(n)
-    power = MatrixSeries.identity(n)
-    while True:
-        power = (power @ m).truncate(order)
-        if power.is_zero:
-            break
-        acc = acc + power
-    return (y0s @ acc).truncate(order)
+    rest = [(e, a) for e, a in h.terms if 0 < e < trunc]
+    # a finite horizon is needed once there is a term to iterate on
+    nums, den = exponent_ints([*(e for e, _ in rest), trunc] if rest else [])
+    steps, limit = nums[:-1], nums[-1] if nums else 0
+    keys = {0}  # every sum of the steps below the limit
+    while new := {t + k for t in keys for k in steps if t + k < limit} - keys:
+        keys |= new
+    y = {0: np.linalg.inv(h0)}
+    for t in sorted(keys)[1:]:
+        parts = [a @ y[t - k] for k, (_, a) in zip(steps, rest) if t - k in y]
+        y[t] = -(y[0] @ sum(parts[1:], parts[0]))
+    terms = [(Exponent._ratio(t, den), _frozen(m)) for t, m in sorted(y.items()) if m.any()]
+    return MatrixSeries._from_terms(h.shape, terms, trunc, False)

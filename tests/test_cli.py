@@ -412,3 +412,35 @@ class TestEigenWork:
             assert main([command, "--input", str(p)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: eps^-100 overflows a double at eps = "), err
+
+
+class TestSweepSource:
+    """``sweep`` runs the pipeline only to predict a tracked vector."""
+
+    def test_kernel_sweep_matches_eigen_sweep(self, tmp_path, capsys):
+        from asymspec import eigen_sweep, kernel_model
+        from asymspec.serialize import sweep_csv_lines
+
+        argv = ["sweep", "--kernel", "matern2", "--nodes", "cubic:100", "--seed", "3",
+                "--eps-grid", "1e-2:1e-1:8", "--format", "csv"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        source = (kernel_model("matern2"), generate_nodes("cubic:100", seed=3))
+        sweep = eigen_sweep(source, cli._parse_eps_grid("1e-2:1e-1:8"), vectors_at=())
+        assert out == "\n".join(sweep_csv_lines(sweep)) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--nodes", "uniform:20", "--kernel", "matern2"],
+        ["--input", "k5"],
+        ["--input", "gkf3", "--mode", "gkf"],
+    ])
+    def test_no_ase_without_track_vector(self, monkeypatch, series_files, argv):
+        def no_pipeline(*_args, **_kwargs):
+            raise AssertionError("sweep built an ASE it does not read")
+
+        for name in ("kernel_ase", "analyze_series", "ase_from_gkf"):
+            monkeypatch.setattr(cli, name, no_pipeline)
+        argv = [series_files.get(a, a) for a in argv]
+        assert main(["sweep", *argv, "--eps-grid", "1e-2:1e-1:8"]) == 0
+        with pytest.raises(AssertionError, match="does not read"):
+            main(["sweep", *argv, "--eps-grid", "1e-2:1e-1:8", "--track-vector", "1"])

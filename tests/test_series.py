@@ -244,3 +244,12 @@ class TestJsonContract:
         }
         m = matrix_series_from_json(obj)
         assert m.terms[0][0] == Exponent(2)
+
+
+class TestSeriesInverseHorizon:
+    def test_constant_input_keeps_its_horizon(self):
+        # known only to o(eps): the inverse cannot claim o(eps^3)
+        h = MatrixSeries.from_constant(2 * np.eye(2), trunc_order=1, symmetric=True)
+        assert series_matrix_inverse(h, 3).trunc_order == Exponent(1)
+        half = h + MatrixSeries(2, {Exponent(1, 2): np.eye(2)}, trunc_order=1, symmetric=True)
+        assert series_matrix_inverse(half, 3).trunc_order == Exponent(1)
