@@ -207,18 +207,22 @@ class SpectralGroup:
     ``ambiguous`` is set when leading coefficients coincide within the group;
     the columns of ``vectors`` then only span the right eigenspace and cannot
     be resolved individually without higher-order terms.  ``projector`` is
-    always well defined.
+    always well defined; it is computed on first use.
     """
 
     valuation: Exponent
     leading_values: list
     vectors: np.ndarray
     ambiguous: bool
-    projector: np.ndarray
 
     @property
     def count(self) -> int:
         return len(self.leading_values)
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """Orthogonal projector onto the group's eigenspace, (n, n)."""
+        return self.vectors @ self.vectors.T
 
 
 def eigen_readout(ase: Ase, zero_tol: float = 1e-10, tie_tol: float = 1e-9):
@@ -243,7 +247,6 @@ def eigen_readout(ase: Ase, zero_tol: float = 1e-10, tie_tol: float = 1e-9):
                 leading_values=[float(x) for x in w],
                 vectors=u,
                 ambiguous=ambiguous,
-                projector=u @ u.T,
             )
         )
     return out

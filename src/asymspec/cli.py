@@ -238,7 +238,9 @@ def cmd_sweep(args) -> int:
     ase, source = _pipeline_ase_and_source(args, predict=track)
     grid = _parse_eps_grid(args.eps_grid)
     predicted = _predicted_vector(ase, args.track_vector) if track else None
-    sweep = eigen_sweep(source, grid, vectors_at=None if track else ())
+    # with a tracked vector, only its column is kept at each grid point
+    sweep = (eigen_sweep(source, grid, columns=[args.track_vector - 1]) if track
+             else eigen_sweep(source, grid, vectors_at=()))
     lines = serialize.sweep_csv_lines(sweep, args.track_vector, predicted)
     _emit("\n".join(lines), args.output)
     return EXIT_OK

@@ -3,10 +3,13 @@
 An eps sweep of dense symmetric eigensolves samples the analytic eigenvalue
 curves directly; eigenvectors are computed only at the grid points where they
 are read, and every other point runs a values-only solver.  Valuations are
-then read off as log-log slopes, leading coefficients as rescaled eigenvalues
-at the smallest reliable eps, and limiting eigenvectors as principal angles
-between predicted group eigenspaces and the numerically computed spans (the
-subspace comparison sidesteps within-group eigenvector ambiguity).
+then read off as log-log slopes, fitted for every curve at once in one array
+pass; leading coefficients as rescaled eigenvalues at the smallest reliable
+eps; and limiting eigenvectors as principal angles between predicted group
+eigenspaces and the numerically computed spans (the subspace comparison
+sidesteps within-group eigenvector ambiguity).  Both sides of that comparison
+are ``eigh`` columns, already orthonormal, so the angles are read off them
+without a further orthonormalization.
 
 Everything runs in double precision; groups whose eigenvalues sink below the
 precision ceiling at the chosen grid are reported as unverifiable, never as
@@ -43,17 +46,38 @@ class SweepResult:
     """Eigenvalues along a decreasing eps grid, eigenvectors where requested.
 
     Per eps, eigenvalues are sorted by decreasing magnitude.  ``eigenvectors``
-    maps a grid index to the (n, n) eigenvector matrix there, columns aligned
-    to that order; a full (m, n, n) array indexes the same way.
+    maps a grid index to the eigenvectors kept there: the (n, n) matrix with
+    columns aligned to that order, or, when ``columns`` names curves by their
+    0-based position in it, the (n, len(columns)) matrix of those curves'
+    eigenvectors alone.  A full (m, n, n) array indexes the same way.
+    ``vectors`` reads either layout.
     """
 
     eps_grid: np.ndarray  # (m,), strictly decreasing
     eigenvalues: np.ndarray  # (m, n)
-    eigenvectors: dict  # grid index -> (n, n)
+    eigenvectors: dict  # grid index -> (n, n), or (n, len(columns))
+    columns: tuple | None = None  # curves whose eigenvectors are kept; None: all
 
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[1]
+
+    def vectors(self, i: int, curves) -> np.ndarray:
+        """Eigenvectors of ``curves`` (0-based positions) at grid index ``i``."""
+        try:
+            u = self.eigenvectors[i]
+        except (KeyError, IndexError):
+            raise ValueError(
+                f"the sweep holds no eigenvectors at eps* = {self.eps_grid[i]:.6g} (grid "
+                f"index {i}); pass the indices from eps_star_indices as vectors_at"
+            ) from None
+        if self.columns is not None:
+            try:
+                curves = [self.columns.index(k) for k in curves]
+            except ValueError:
+                raise ValueError(
+                    f"the sweep keeps eigenvectors of curves {list(self.columns)} only") from None
+        return u[:, list(curves)]
 
     def matrix_norm_at_largest_eps(self) -> float:
         return float(np.abs(self.eigenvalues[0]).max())
@@ -87,11 +111,14 @@ def _values_error(a: np.ndarray, w: np.ndarray, scale: float) -> float:
     return max(abs(np.linalg.norm(ws) - np.linalg.norm(b)), abs(ws.sum() - np.trace(b)))
 
 
-def eigen_sweep(source, eps_grid, vectors_at=None) -> SweepResult:
+def eigen_sweep(source, eps_grid, vectors_at=None, columns=None) -> SweepResult:
     """Symmetric eigenvalues per grid point, eigenvectors at ``vectors_at``.
 
     ``vectors_at`` holds the grid indices whose eigenvectors are wanted;
     None means every point.  The other points run a values-only solver.
+    ``columns`` names the curves (0-based positions in decreasing magnitude)
+    whose eigenvectors are kept; None keeps all n.  Every eigensolve is
+    computed and checked in full either way.
     Curves are matched across eps by magnitude ordering, which is adequate at
     desk scale for well-separated groups (sign-crossing curves inside a group
     may swap; group-level comparisons are unaffected).
@@ -106,6 +133,8 @@ def eigen_sweep(source, eps_grid, vectors_at=None) -> SweepResult:
     wanted = set(range(m)) if vectors_at is None else {int(i) for i in vectors_at}
     if not wanted <= set(range(m)):
         raise ValueError(f"vectors_at must hold grid indices in 0..{m - 1}")
+    if columns is not None:
+        columns = tuple(int(k) for k in columns)
     lams = None
     vecs = {}
     for i, eps in enumerate(eps_grid):
@@ -127,11 +156,13 @@ def eigen_sweep(source, eps_grid, vectors_at=None) -> SweepResult:
             raise np.linalg.LinAlgError(f"eigensolve at eps = {eps:.6g} failed the {check}")
         if lams is None:  # the matrix size is known only from the first point
             lams = np.empty((m,) + w.shape, w.dtype)
+            if columns is not None and not all(0 <= k < len(w) for k in columns):
+                raise ValueError(f"columns must hold curve positions in 0..{len(w) - 1}")
         order = np.argsort(-np.abs(w))
         lams[i] = w[order]
         if i in wanted:
-            vecs[i] = u[:, order]
-    return SweepResult(eps_grid, lams, vecs)
+            vecs[i] = u[:, order if columns is None else order[list(columns)]]
+    return SweepResult(eps_grid, lams, vecs, columns)
 
 
 def eps_star_indices(eps_grid, readout) -> list:
@@ -150,16 +181,6 @@ def eps_star_indices(eps_grid, readout) -> list:
             usable = np.nonzero(min_coeff * eps_grid ** float(g.valuation) > CEILING_ABS)[0]
         out.append(int(usable[np.argmin(eps_grid[usable])]) if usable.size else None)
     return out
-
-
-def _eigenvectors_at(sweep: SweepResult, i: int) -> np.ndarray:
-    try:
-        return sweep.eigenvectors[i]
-    except (KeyError, IndexError):
-        raise ValueError(
-            f"the sweep holds no eigenvectors at eps* = {sweep.eps_grid[i]:.6g} (grid index "
-            f"{i}); pass the indices from eps_star_indices as vectors_at"
-        ) from None
 
 
 def _orth(a: np.ndarray) -> np.ndarray:
@@ -193,7 +214,15 @@ def _principal_angles(a, b) -> np.ndarray:
         raise ValueError(
             f"a and b must have the same number of rows, got {qa.shape[0]} and {b.shape[0]}"
         )
-    qb = _orth(b)
+    return _angles(qa, _orth(b))
+
+
+def _angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Principal angles between the spans of orthonormal columns ``qa`` and ``qb``.
+
+    The formulas of ``_principal_angles``, without its checks and without
+    orthonormalizing: the caller vouches that both bases are orthonormal.
+    """
     qa_qb = qa.conj().T @ qb
     sigma = np.linalg.svd(qa_qb, compute_uv=False)
     if qa.shape[1] >= qb.shape[1]:
@@ -228,33 +257,38 @@ def estimate_valuations(sweep: SweepResult, floor_factor: float = PRECISION_FLOO
     small-eps half is fitted (the large-eps end still carries visible
     next-order corrections).  Curves with fewer than ``min_points`` usable
     samples, or with visible curvature (R^2 < ``r2_min``), are flagged
-    unreliable.
+    unreliable.  Every curve is fitted at once: a mask of the fitted points
+    per curve, and the centred least-squares line over each column.
     """
     floor = floor_factor * sweep.matrix_norm_at_largest_eps()
-    log_eps = np.log(sweep.eps_grid)
-    fits = []
-    for k in range(sweep.n):
-        mags = np.abs(sweep.eigenvalues[:, k])
-        mask = mags > floor
-        pts = int(mask.sum())
-        if pts < min_points:
-            fits.append(ValuationFit(float("nan"), 0.0, pts, False))
-            continue
-        idx = np.nonzero(mask)[0]
-        if pts >= 2 * min_points:
-            idx = idx[pts // 2 :]  # the grid decreases, so this is the tail
-            pts = len(idx)
-        x = log_eps[idx]
-        y = np.log(mags[idx])
-        slope, intercept = np.polyfit(x, y, 1)
-        resid = y - (slope * x + intercept)
-        ss_tot = np.sum((y - y.mean()) ** 2)
-        r2 = 1.0 - float(np.sum(resid**2) / ss_tot) if ss_tot > 0 else 1.0
-        # R^2 is meaningless for near-constant curves (slope ~ 0); a small
-        # absolute residual certifies the line fit just as well there
-        rms = float(np.sqrt(np.mean(resid**2)))
-        fits.append(ValuationFit(float(slope), r2, pts, r2 >= r2_min or rms <= 0.02))
-    return fits
+    mags = np.abs(sweep.eigenvalues)  # (m, n)
+    usable = mags > floor
+    pts = usable.sum(axis=0)
+    # the grid decreases, so dropping the first half of a curve's usable
+    # points keeps its small-eps tail
+    drop = np.where(pts >= 2 * min_points, pts // 2, 0)
+    fitted = usable & (np.cumsum(usable, axis=0) > drop)
+    count = fitted.sum(axis=0)
+    x = np.where(fitted, np.log(sweep.eps_grid)[:, None], 0.0)
+    y = np.log(mags, out=np.zeros_like(mags), where=fitted)
+    size = np.maximum(count, 1)  # curves short of points are not read below
+    dx = np.where(fitted, x - x.sum(axis=0) / size, 0.0)
+    dy = np.where(fitted, y - y.sum(axis=0) / size, 0.0)
+    sxx = (dx * dx).sum(axis=0)
+    slope = np.divide((dx * dy).sum(axis=0), sxx, out=np.zeros_like(sxx), where=sxx > 0)
+    ss_res = ((dy - slope * dx) ** 2).sum(axis=0)
+    ss_tot = (dy * dy).sum(axis=0)
+    r2 = 1.0 - np.divide(ss_res, ss_tot, out=np.zeros_like(ss_tot), where=ss_tot > 0)
+    # R^2 is meaningless for near-constant curves (slope ~ 0); a small
+    # absolute residual certifies the line fit just as well there
+    rms = np.sqrt(ss_res / size)
+    reliable = (r2 >= r2_min) | (rms <= 0.02)
+    return [
+        ValuationFit(s, r, c, bool(ok)) if p >= min_points
+        else ValuationFit(float("nan"), 0.0, p, False)
+        for s, r, c, ok, p in zip(slope.tolist(), r2.tolist(), count.tolist(),
+                                  reliable.tolist(), pts.tolist())
+    ]
 
 
 @dataclass
@@ -330,9 +364,10 @@ def match_ase(ase: Ase, sweep: SweepResult, tol_coeff: float, tol_angle: float,
             abs(m - p) / abs(p) for m, p in zip(meas, pred)
         ]
         rec.coeff_ok = all(e <= tol_coeff for e in rec.coeff_rel_errors)
-        # (3) principal angles between predicted and numerical group spans
-        numerical = _eigenvectors_at(sweep, at)[:, idx]
-        angles = _principal_angles(g.vectors, numerical)
+        # (3) principal angles between predicted and numerical group spans;
+        # both are eigh columns (the readout's, and the sweep's at eps*,
+        # which passed the reconstruction check), so already orthonormal
+        angles = _angles(g.vectors, sweep.vectors(at, idx))
         rec.angle = float(angles.max()) if angles.size else 0.0
         rec.angle_ok = rec.angle <= tol_angle
         records.append(rec)

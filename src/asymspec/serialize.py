@@ -272,12 +272,19 @@ def read_nodes_csv(path) -> NodeSet:
 def write_nodes_csv(path, nodes: NodeSet):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# d={nodes.d}\n")
-        for row in nodes.points:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for line in _csv_rows(nodes.points):
+            fh.write(line + "\n")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _csv_rows(table) -> list:
+    """Rows of a 2-D float array as comma-joined ``%.17g`` fields.
+
+    One format call per row: ``%`` on a row's Python floats gives the same
+    text as ``format(x, ".17g")`` per field, nan, inf and -0 included.
+    """
+    table = np.asarray(table, dtype=float)
+    fmt = ",".join(["%.17g"] * table.shape[1])
+    return [fmt % tuple(row) for row in table.tolist()]
 
 
 def sweep_csv_lines(sweep, track_vector=None, predicted_limit=None):
@@ -288,22 +295,20 @@ def sweep_csv_lines(sweep, track_vector=None, predicted_limit=None):
     final 'limit' row holding the predicted limiting vector.
     """
     n = sweep.n
+    eps = sweep.eps_grid[:, None]
     lines = ["eps," + ",".join(f"lambda_{k}" for k in range(1, n + 1))]
-    for i, eps in enumerate(sweep.eps_grid):
-        vals = ",".join(_fmt(x) for x in sweep.eigenvalues[i])
-        lines.append(f"{_fmt(eps)},{vals}")
+    lines += _csv_rows(np.hstack([eps, sweep.eigenvalues]))
     if track_vector is not None:
         k = int(track_vector)
         if not 1 <= k <= n:
             raise InputError(f"--track-vector index {k} out of range 1..{n}")
         lines.append("")
         lines.append("eps," + ",".join(f"u{k}_{i}" for i in range(1, n + 1)))
-        for i, eps in enumerate(sweep.eps_grid):
-            vec = fix_column_signs(sweep.eigenvectors[i][:, k - 1 : k])[:, 0]
-            lines.append(f"{_fmt(eps)}," + ",".join(_fmt(x) for x in vec))
+        vecs = np.hstack([sweep.vectors(i, [k - 1]) for i in range(len(eps))])
+        lines += _csv_rows(np.hstack([eps, fix_column_signs(vecs).T]))
         if predicted_limit is not None:
-            vec = fix_column_signs(np.asarray(predicted_limit)[:, None])[:, 0]
-            lines.append("limit," + ",".join(_fmt(x) for x in vec))
+            limit = fix_column_signs(np.asarray(predicted_limit)[:, None])
+            lines.append("limit," + _csv_rows(limit.T)[0])
     return lines
 
 

@@ -218,3 +218,12 @@ class TestProbes:
                     got = lam[idx] / eps**alpha
                     assert abs(got - pred) <= 1e-2 * abs(pred)
                     idx += 1
+
+
+class TestProjectorOnDemand:
+    def test_computed_on_first_use(self, ex_5x5):
+        ase = ase_from_scaled(extract_H(ex_5x5, auto_scale(valuation_matrix(ex_5x5))))
+        group = eigen_readout(ase)[1]
+        assert "projector" not in vars(group)  # the readout forms no n x n product
+        np.testing.assert_array_equal(group.projector, group.vectors @ group.vectors.T)
+        assert group.projector is group.projector

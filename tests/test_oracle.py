@@ -369,3 +369,181 @@ class TestPrincipalAngles:
             _principal_angles(np.ones((4, 1)), np.ones((4, 1, 1)))
         with pytest.raises(ValueError, match="same number of rows"):
             _principal_angles(np.ones((4, 1)), np.ones((5, 1)))
+
+
+def _loop_valuations(sweep, floor_factor=1e-13, min_points=4, r2_min=0.999):
+    """The per-curve ``np.polyfit`` loop that ``estimate_valuations`` replaced:
+    the reference for the array fit."""
+    from asymspec.oracle import ValuationFit
+
+    floor = floor_factor * sweep.matrix_norm_at_largest_eps()
+    log_eps = np.log(sweep.eps_grid)
+    fits = []
+    for k in range(sweep.n):
+        mags = np.abs(sweep.eigenvalues[:, k])
+        mask = mags > floor
+        pts = int(mask.sum())
+        if pts < min_points:
+            fits.append(ValuationFit(float("nan"), 0.0, pts, False))
+            continue
+        idx = np.nonzero(mask)[0]
+        if pts >= 2 * min_points:
+            idx = idx[pts // 2 :]
+            pts = len(idx)
+        x = log_eps[idx]
+        y = np.log(mags[idx])
+        slope, intercept = np.polyfit(x, y, 1)
+        resid = y - (slope * x + intercept)
+        ss_tot = np.sum((y - y.mean()) ** 2)
+        r2 = 1.0 - float(np.sum(resid**2) / ss_tot) if ss_tot > 0 else 1.0
+        rms = float(np.sqrt(np.mean(resid**2)))
+        fits.append(ValuationFit(float(slope), r2, pts, r2 >= r2_min or rms <= 0.02))
+    return fits
+
+
+class TestArrayValuationFit:
+    """The one-pass fit against the per-curve loop: slopes within 1e-12
+    absolute, identical point counts and reliability flags, no warnings."""
+
+    @staticmethod
+    def _assert_matches_loop(sweep):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = estimate_valuations(sweep)
+        want = _loop_valuations(sweep)
+        assert len(got) == len(want) == sweep.n
+        for g, w in zip(got, want):
+            assert (g.n_points, g.reliable) == (w.n_points, w.reliable)
+            if np.isnan(w.slope):
+                assert np.isnan(g.slope) and g.r_squared == 0.0
+            else:
+                assert abs(g.slope - w.slope) <= 1e-12
+        return got
+
+    @pytest.mark.parametrize("case", ["ex_2x2", "ex_example1", "ex_scaling_3x3",
+                                      "ex_scaling_2x2", "ex_5x5", "ex_3x3", "ex_degenerate"])
+    def test_conftest_series(self, request, case):
+        self._assert_matches_loop(eigen_sweep(request.getfixturevalue(case), default_grid()))
+
+    def test_gaussian_equispaced(self):
+        source = (kernel_model("gaussian"), generate_nodes("equispaced:20"))
+        fits = self._assert_matches_loop(eigen_sweep(source, np.geomspace(1e-2, 1e-1, 24)[::-1]))
+        # deep curves sink below the floor and are flagged, not fitted
+        assert any(np.isnan(f.slope) for f in fits)
+
+    def test_exponential_uniform(self):
+        source = (kernel_model("exponential"), generate_nodes("uniform:5", d=1, seed=3))
+        self._assert_matches_loop(eigen_sweep(source, default_grid()))
+
+    def test_curve_dips_under_the_floor(self):
+        from asymspec.oracle import SweepResult
+
+        grid = default_grid(pts=20)
+        lam = np.column_stack([np.ones(20), grid, grid**3])
+        lam[8:11, 2] = 1e-20  # under the floor mid-grid: both sides of it are fitted
+        lam[5, 1] = 0.0
+        fits = self._assert_matches_loop(SweepResult(grid, lam, {}))
+        assert [f.n_points for f in fits] == [10, 10, 9]
+
+    def test_constant_curve(self):
+        from asymspec.oracle import SweepResult
+
+        grid = default_grid(pts=9)
+        lam = np.tile([3.0, -2.0, 0.5], (9, 1))  # ss_tot = 0: R^2 reads 1
+        fits = self._assert_matches_loop(SweepResult(grid, lam, {}))
+        assert all(f.slope == 0.0 and f.r_squared == 1.0 and f.reliable for f in fits)
+
+    def test_too_few_usable_points(self, ex_5x5):
+        from asymspec.oracle import SweepResult
+
+        fits = self._assert_matches_loop(eigen_sweep(ex_5x5, np.geomspace(1e-5, 2e-5, 6)[::-1]))
+        assert fits[-1].n_points < 4 and not fits[-1].reliable
+        grid = default_grid(pts=6)
+        lam = np.column_stack([np.ones(6), [1.0, 1e-20, 1e-20, 0.5, 1e-20, 0.25], np.zeros(6)])
+        fits = self._assert_matches_loop(SweepResult(grid, lam, {}))
+        assert [f.n_points for f in fits] == [6, 3, 0]
+
+
+class TestAnglesOnOrthonormalBases:
+    """``_angles`` reads principal angles straight off orthonormal bases."""
+
+    @pytest.mark.parametrize("angles", [[1e-9, 1e-6, 1e-3, 0.5], [1.0, 1.3, np.pi / 2],
+                                        [0.3, 1.2], [0.2, 0.6, 0.9, 1.4]])
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_equals_principal_angles(self, angles, extra):
+        from asymspec.oracle import _angles
+
+        rng = np.random.default_rng(16)
+        for m in (2 * len(angles) + extra, 50, 200):
+            a, b = TestPrincipalAngles._spans_at(np.array(angles), m, rng, extra)
+            qa, qb = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
+            for x, y in ((qa, qb), (qb, qa)):
+                got, want = _angles(x, y), _principal_angles(x, y)
+                assert got.shape == want.shape == (len(angles),)
+                assert np.abs(got - want).max() <= 1e-14
+
+
+class TestMatchAseCalls:
+    """``match_ase`` runs no per-curve ``np.polyfit`` and no SVD with vectors."""
+
+    @pytest.mark.parametrize("case", ["ex_5x5", "ex_degenerate", "matern2"])
+    def test_no_polyfit_no_svd_vectors(self, request, monkeypatch, case):
+        if case == "matern2":
+            kernel, nodes = kernel_model("matern2"), generate_nodes("uniform:50", seed=0)
+            ase, _ = kernel_ase(kernel, nodes)
+            source = (kernel, nodes)
+        else:
+            source = request.getfixturevalue(case)
+            ase = analyze_series(source, "auto")
+        sweep = eigen_sweep(source, default_grid())
+        ase.readout  # noqa: B018 - the readout is computed before counting
+        calls = []
+        polyfit, svd = np.polyfit, np.linalg.svd
+        monkeypatch.setattr(np, "polyfit", lambda *a, **k: calls.append("polyfit") or polyfit(*a, **k))
+
+        def counted_svd(a, full_matrices=True, compute_uv=True, **kwargs):
+            calls.append("svd with vectors" if compute_uv else "svd")
+            return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        report = match_ase(ase, sweep, 1e-2, 1e-2)
+        assert report.passed
+        assert "polyfit" not in calls and "svd with vectors" not in calls
+        assert "svd" in calls  # the angles still ran
+
+
+class TestSweepColumns:
+    """``columns`` keeps only the named curves' eigenvectors."""
+
+    def test_kept_column_equals_full_sweep(self):
+        source = (kernel_model("matern2"), generate_nodes("uniform:40", seed=1))
+        grid = default_grid(pts=12)
+        full = eigen_sweep(source, grid)
+        kept = eigen_sweep(source, grid, columns=[2])
+        assert kept.columns == (2,)
+        assert all(u.shape == (40, 1) for u in kept.eigenvectors.values())
+        np.testing.assert_array_equal(kept.eigenvalues, full.eigenvalues)
+        for i in range(len(grid)):
+            np.testing.assert_array_equal(kept.vectors(i, [2]), full.eigenvectors[i][:, 2:3])
+            np.testing.assert_array_equal(full.vectors(i, [2, 0]), full.eigenvectors[i][:, [2, 0]])
+
+    def test_sweep_csv_identical(self):
+        from asymspec.serialize import sweep_csv_lines
+
+        source = (kernel_model("gaussian"), generate_nodes("equispaced:20"))
+        grid = default_grid(1e-2, 1e-1, 10)
+        full = sweep_csv_lines(eigen_sweep(source, grid), 3, np.ones(20))
+        kept = sweep_csv_lines(eigen_sweep(source, grid, columns=[2]), 3, np.ones(20))
+        assert kept == full
+
+    def test_curve_not_kept(self, ex_5x5):
+        sweep = eigen_sweep(ex_5x5, default_grid(pts=6), columns=[1])
+        with pytest.raises(ValueError, match=r"keeps eigenvectors of curves \[1\] only"):
+            sweep.vectors(0, [0, 1])
+
+    @pytest.mark.parametrize("columns", [[5], [-1]])
+    def test_columns_outside_the_matrix(self, ex_5x5, columns):
+        with pytest.raises(ValueError, match="columns"):
+            eigen_sweep(ex_5x5, default_grid(pts=6), columns=columns)

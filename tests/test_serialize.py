@@ -64,3 +64,28 @@ class TestAseJson:
             for vec in group["vectors"]:
                 first = next(x for x in vec if abs(x) > 1e-9)
                 assert first > 0
+
+
+class TestCsvRows:
+    """One ``%``-format per row gives the text of one ``.17g`` format per field."""
+
+    @staticmethod
+    def _field_by_field(table):
+        return [",".join(f"{x:.17g}" for x in row) for row in np.asarray(table, dtype=float)]
+
+    def test_special_values(self):
+        from asymspec.serialize import _csv_rows
+
+        row = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 1.0 / 3, 1e308]
+        table = np.array([row, row[::-1]])
+        assert _csv_rows(table) == self._field_by_field(table)
+        assert _csv_rows(table)[0].split(",")[:6] == ["nan", "inf", "-inf", "-0", "0",
+                                                       "4.9406564584124654e-324"]
+
+    def test_random_rows(self):
+        from asymspec.serialize import _csv_rows
+
+        rng = np.random.default_rng(4)
+        for shape in ((1, 1), (7, 3), (120, 201)):
+            table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            assert _csv_rows(table) == self._field_by_field(table)
