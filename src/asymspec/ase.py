@@ -7,6 +7,12 @@ limiting eigenvectors.  When some leading submatrix of H is singular the chain
 stops: the last complement's nonzero eigenvalues still belong to the group at
 2 nu_j, while its null directions correspond to eigenvalues of strictly higher
 valuation, recorded by the ``truncated_at`` marker.
+
+An ASE keeps each group as the paper writes it, a factor pair (Q_i, S_i)
+with term Q_i S_i Q_i^T: Q_i is the n x k_i orthonormal basis of the group's
+block and S_i its k_i x k_i complement.  The readout takes ``eigh(S_i)`` and
+maps the eigenvectors through Q_i; the dense n x n terms are formed only
+when something reads ``Ase.groups``.
 """
 
 from __future__ import annotations
@@ -95,26 +101,54 @@ def rank_floor(term: np.ndarray, tol: float = 1e-10) -> float:
     return tol * max(1.0, np.abs(term).max())
 
 
+def _lift(q, s: np.ndarray) -> np.ndarray:
+    """The dense term of a factor pair: sym(Q S Q^T), or S itself when Q is None."""
+    if q is None:
+        return s
+    term = q @ s @ q.T
+    return 0.5 * (term + term.T)
+
+
 @dataclass
 class Ase:
-    """Asymptotic spectral equivalent: sum over groups of eps^alpha_i * term_i.
+    """Asymptotic spectral equivalent: sum over groups of eps^alpha_i * Q_i S_i Q_i^T.
 
-    ``truncated_at`` is present iff the construction stopped early, meaning
-    the expansion is only identified up to o(eps^truncated_at).
+    Each group is given as (alpha, Q, S), Q an n x k orthonormal basis and S
+    a symmetric k x k matrix, or as (alpha, term) with a dense symmetric
+    n x n term, which is its own factor (Q is None and stands for the
+    identity; no product is formed).  ``factors`` holds the read-only
+    (alpha, Q, S) triples sorted by valuation; ``groups`` holds the dense
+    (alpha, term) pairs, formed on first read.  ``truncated_at`` is present
+    iff the construction stopped early, meaning the expansion is only
+    identified up to o(eps^truncated_at).
     """
 
     n: int
-    groups: list = field(default_factory=list)  # [(Exponent, symmetric ndarray)]
+    factors: list = field(default_factory=list)  # [(Exponent, ndarray or None, ndarray)]
     truncated_at: Exponent | None = None
 
     def __post_init__(self):
-        groups = []
-        for alpha, term in self.groups:
-            term = np.asarray(term, dtype=float)
+        factors = []
+        for alpha, *pair in self.factors:
+            q, s = pair if len(pair) == 2 else (None, pair[0])
+            s = np.asarray(s, dtype=float)
+            s.setflags(write=False)
+            if q is not None:
+                q = np.asarray(q, dtype=float)
+                q.setflags(write=False)
+            factors.append((as_exponent(alpha), q, s))
+        factors.sort(key=lambda g: g[0])
+        self.factors = factors
+
+    @cached_property
+    def groups(self) -> list:
+        """[(alpha, dense term)], each term sym(Q S Q^T) and read-only."""
+        out = []
+        for alpha, q, s in self.factors:
+            term = _lift(q, s)
             term.setflags(write=False)
-            groups.append((as_exponent(alpha), term))
-        groups.sort(key=lambda g: g[0])
-        self.groups = groups
+            out.append((alpha, term))
+        return out
 
     @property
     def complete(self) -> bool:
@@ -122,7 +156,7 @@ class Ase:
 
     @property
     def valuations(self):
-        return [alpha for alpha, _ in self.groups]
+        return [alpha for alpha, _, _ in self.factors]
 
     @cached_property
     def readout(self) -> list:
@@ -166,15 +200,16 @@ def _clean_rank(term: np.ndarray, rank_tol: float) -> np.ndarray:
     if big == 0.0:
         return np.zeros_like(term)
     keep = np.abs(w) > rank_tol * big
-    return (u[:, keep] * w[keep]) @ u[:, keep].T
+    cleaned = (u[:, keep] * w[keep]) @ u[:, keep].T
+    return 0.5 * (cleaned + cleaned.T)
 
 
 def _chain_groups(chain: SchurChain, nus, bases, rank_tol: float):
-    """ASE groups (2 nu_i, Q_i S_i Q_i^T) over a Schur chain, and ``truncated_at``.
+    """ASE factors (2 nu_i, Q_i, S_i) over a Schur chain, and ``truncated_at``.
 
-    Each complement S_i is lifted through its block's basis Q_i (columns in
-    the original coordinates) and symmetrized.  The last complement of a
-    stopped chain is rank-cleaned and truncates the expansion at its
+    Q_i is the basis of block i (columns in the original coordinates) and
+    S_i its complement; no n x n product is formed.  The last complement of
+    a stopped chain is rank-cleaned and truncates the expansion at its
     valuation; complements that are (or clean to) zero contribute no group.
     """
     groups = []
@@ -185,8 +220,7 @@ def _chain_groups(chain: SchurChain, nus, bases, rank_tol: float):
             truncated_at = 2 * nus[i]
         if np.abs(s).max() == 0.0:
             continue
-        term = bases[i] @ s @ bases[i].T
-        groups.append((2 * nus[i], 0.5 * (term + term.T)))
+        groups.append((2 * nus[i], bases[i], s))
     return groups, truncated_at
 
 
@@ -226,26 +260,29 @@ class SpectralGroup:
 
 
 def eigen_readout(ase: Ase, zero_tol: float = 1e-10, tie_tol: float = 1e-9):
-    """Per-group eigenvalues (decreasing) and eigenvectors of the ASE terms."""
+    """Per-group eigenvalues (decreasing) and eigenvectors of the ASE terms.
+
+    Each group is read off its k x k factor: ``eigh(S)``, eigenvalues at or
+    below ``zero_tol`` times the largest magnitude dropped, the eigenvectors
+    mapped through Q (orthonormal, so Q U is too) and their signs pinned.
+    """
     out = []
-    for alpha, term in ase.groups:
-        w, u = np.linalg.eigh(term)
+    for alpha, q, s in ase.factors:
+        w, u = np.linalg.eigh(s)
         big = np.abs(w).max()
         keep = np.abs(w) > zero_tol * big
         w = w[keep]
         u = u[:, keep]
         order = np.argsort(-w)
         w = w[order]
-        u = fix_column_signs(u[:, order])
-        ambiguous = any(
-            abs(w[k] - w[k + 1]) <= tie_tol * max(abs(w[k]), abs(w[k + 1]))
-            for k in range(len(w) - 1)
-        )
+        u = u[:, order]
+        gaps = np.abs(w[:-1] - w[1:])
+        ambiguous = bool(np.any(gaps <= tie_tol * np.maximum(np.abs(w[:-1]), np.abs(w[1:]))))
         out.append(
             SpectralGroup(
                 valuation=alpha,
-                leading_values=[float(x) for x in w],
-                vectors=u,
+                leading_values=w.tolist(),
+                vectors=fix_column_signs(u if q is None else q @ u),
                 ambiguous=ambiguous,
             )
         )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -157,6 +158,16 @@ def _load_kernel(args):
         raise InputError(str(exc)) from exc
 
 
+def _check_tolerances(args):
+    """Tolerance flags must be finite and nonnegative: against NaN, inf or a
+    negative value every rank decision or verify check comes out one way."""
+    for name in ("rank_tol", "tol_coeff", "tol_angle"):
+        value = getattr(args, name, None)
+        if value is not None and not 0.0 <= value < math.inf:
+            raise InputError(f"--{name.replace('_', '-')} must be a finite number >= 0, "
+                             f"got {value!r}")
+
+
 def _rank_tol(args, default: float) -> float:
     return args.rank_tol if args.rank_tol is not None else default
 
@@ -218,7 +229,7 @@ def cmd_verify(args) -> int:
     if args.perturb_lambda is not None:
         ase = Ase(
             ase.n,
-            [(alpha, args.perturb_lambda * term) for alpha, term in ase.groups],
+            [(alpha, q, args.perturb_lambda * s) for alpha, q, s in ase.factors],
             ase.truncated_at,
         )
     grid = _parse_eps_grid(args.eps_grid)
@@ -275,6 +286,7 @@ def main(argv=None) -> int:
         "sweep": cmd_sweep,
     }
     try:
+        _check_tolerances(args)
         return handlers[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

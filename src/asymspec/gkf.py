@@ -114,15 +114,17 @@ def _extend_basis(q_blocks, block: np.ndarray, thresh: float):
     """One block-extension step: the new directions ``block`` adds to ``q_blocks``.
 
     The block is orthogonalized twice against the orthonormal blocks found so
-    far (the second pass restores orthogonality at working precision), its
-    residual's numerical rank b is the number of singular values above
-    ``thresh``, and the b new directions get pinned signs.  Returns
-    (Q_new, C): Q_new is n x b and C = Q_new^T residual (b x width), read off
-    the SVD, so small coefficients keep their relative accuracy.
+    far, stacked into one Q (the second pass restores orthogonality at
+    working precision), its residual's numerical rank b is the number of
+    singular values above ``thresh``, and the b new directions get pinned
+    signs.  Returns (Q_new, C): Q_new is n x b and C = Q_new^T residual
+    (b x width), read off the SVD, so small coefficients keep their relative
+    accuracy.
     """
     resid = np.array(block, dtype=float)
-    for _ in range(2):
-        for q in q_blocks:
+    if q_blocks:
+        q = np.hstack(q_blocks)
+        for _ in range(2):
             resid -= q @ (q.T @ resid)
     u, s, vt = np.linalg.svd(resid, full_matrices=False)
     b = int(np.sum(s > thresh))

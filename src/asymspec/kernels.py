@@ -17,13 +17,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
-from fractions import Fraction
 
 import numpy as np
 
-from .series import Exponent, ScalarSeries, is_singular
+from .series import Exponent, ScalarSeries, exact_int_dtype, is_singular
 from .scaling import DiagonalScaling
-from .ase import Ase, fix_column_signs, rank_floor, schur_chain, _chain_groups
+from .ase import Ase, fix_column_signs, rank_floor, schur_chain, _chain_groups, _lift
 from .gkf import BlockQr, GkfForm, build_H, _extend_basis
 
 __all__ = [
@@ -60,19 +59,21 @@ class FinitelySmoothError(Exception):
     r-1, at half the psi horizon, or before a degree it cannot certify."""
 
 
-def _psi_coefficient(name: str, k: int) -> Fraction:
+def _psi_coefficient(name: str, k: int) -> float:
+    """k-th Taylor coefficient of a named psi, a ratio of integers divided
+    once: Python rounds int / int correctly, as it does ``float(Fraction)``."""
     if name == "gaussian":
         # exp(-s^2)
         if k % 2:
-            return Fraction(0)
+            return 0.0
         m = k // 2
-        return Fraction((-1) ** m, math.factorial(m))
+        return (-1) ** m / math.factorial(m)
     if name == "exponential":
         # exp(-s)
-        return Fraction((-1) ** k, math.factorial(k))
+        return (-1) ** k / math.factorial(k)
     if name == "matern2":
         # (1 + s) exp(-s)
-        return Fraction((-1) ** k * (1 - k), math.factorial(k))
+        return (-1) ** k * (1 - k) / math.factorial(k)
     raise ValueError(f"unknown kernel {name!r}")
 
 
@@ -111,7 +112,7 @@ def kernel_model(name: str, psi_coefficients=None, horizon: int = 64) -> KernelM
     else:
         if psi_coefficients is not None:
             raise ValueError("psi coefficients are only accepted for custom kernels")
-        coeffs = [float(_psi_coefficient(name, k)) for k in range(horizon + 1)]
+        coeffs = [_psi_coefficient(name, k) for k in range(horizon + 1)]
     # a zero coefficient is stored as +0.0, as the series form stores none
     coeffs = tuple(c if c != 0.0 else 0.0 for c in coeffs)
     return KernelModel(name, coeffs, _first_odd_index(coeffs))
@@ -233,53 +234,58 @@ def vandermonde(nodes: NodeSet, s: int) -> np.ndarray:
     return v
 
 
-def _wronskian_entry_coeff(alpha, beta) -> int:
-    """Integer coefficient of x^alpha y^beta in (||x-y||^2)^l, l = (|a|+|b|)/2.
+def _wronskian_table(d: int, max_deg: int):
+    """(i, j, c, total) over the pairs of the degree-<= max_deg monomial basis
+    whose alpha + beta is even in every coordinate: c is the exact integer
+    coefficient of x^alpha y^beta in (||x-y||^2)^l, l = |alpha + beta| / 2,
+    and total = 2 l.  No other pair has a nonzero coefficient.
 
-    Zero unless alpha_i + beta_i is even in every coordinate.
+    c = l! / prod m_k! * prod C(2 m_k, alpha_k) * (-1)^|beta|, m = (alpha +
+    beta) / 2, with the multinomial taken as prod C(m_1 + ... + m_k, m_k).
+    Every factor is an integer >= 1, so no partial product exceeds |c|; a
+    float pass bounds the table, and the integer pass runs in int64 where
+    ``exact_int_dtype`` allows, in Python ints otherwise.
     """
-    if any((a + b) % 2 for a, b in zip(alpha, beta)):
-        return 0
-    m = [(a + b) // 2 for a, b in zip(alpha, beta)]
-    l = sum(m)
-    multinom = math.factorial(l)
-    for mi in m:
-        multinom //= math.factorial(mi)
-    prod = 1
-    for mi, ai in zip(m, alpha):
-        prod *= math.comb(2 * mi, ai)
-    return multinom * prod * (-1) ** sum(beta)
+    alpha = np.array(MonomialBasis(d, max_deg).flat, dtype=np.int64).reshape(-1, d)
+    i, j = np.nonzero(((alpha[:, None, :] + alpha[None, :, :]) % 2 == 0).all(axis=2))
+    m = (alpha[i] + alpha[j]) // 2
+    factors = [(np.cumsum(m, axis=1), m), (2 * m, alpha[i])]  # (n, k) of each C(n, k)
+    binom = [[math.comb(a, b) for b in range(2 * max_deg + 1)] for a in range(2 * max_deg + 1)]
+
+    def product(table):
+        out = np.ones(len(i), dtype=table.dtype)
+        for top, bottom in factors:
+            for k in range(d):
+                out *= table[top[:, k], bottom[:, k]]
+        return out
+
+    bound = product(np.array(binom, dtype=float)).max(initial=0.0) * (1 + 1e-9)
+    c = product(np.array(binom, dtype=exact_int_dtype(bound)))
+    c[alpha[j].sum(axis=1) % 2 == 1] *= -1
+    return i, j, c, 2 * m.sum(axis=1)
 
 
 def wronskian(kernel: KernelModel, d: int, max_deg: int) -> np.ndarray:
     """Stacked Wronskian W_{<=max_deg, <=max_deg}: scaled kernel derivatives at 0.
 
     Entry (alpha, beta) is the coefficient of x^alpha y^beta in the even part
-    sum_l psi_{2l} (||x-y||^2)^l, computed by exact multinomial expansion, so
-    custom kernels work from their psi series alone.  For finite regularity r
-    the definition only holds for max_deg <= r - 1.
+    sum_l psi_{2l} (||x-y||^2)^l, computed by exact multinomial expansion
+    over the whole table at once (``_wronskian_table``), so custom kernels
+    work from their psi series alone.  For finite regularity r the
+    definition only holds for max_deg <= r - 1.
     """
     r = kernel.regularity
     if r != INFINITE and max_deg > r - 1:
         raise ValueError(
             f"Wronskian blocks need degree <= r-1 = {int(r) - 1}, got {max_deg}"
         )
-    basis = MonomialBasis(d, max_deg).flat
-    p = len(basis)
+    i, j, c, total = _wronskian_table(d, max_deg)
+    beyond = np.flatnonzero((total >= len(kernel.coeffs)) & (j >= i))
+    if beyond.size:  # the first entry, row by row, that needs psi past the horizon
+        kernel.psi_coeff(int(total[beyond[0]]))
+    p = num_monomials_upto(max_deg, d)
     w = np.zeros((p, p))
-    for i, alpha in enumerate(basis):
-        for j, beta in enumerate(basis):
-            if j < i:
-                w[i, j] = w[j, i]
-                continue
-            total = sum(alpha) + sum(beta)
-            if total % 2:
-                continue
-            coeff = _wronskian_entry_coeff(alpha, beta)
-            if coeff:
-                w[i, j] = kernel.psi_coeff(total) * coeff
-            if j > i:
-                w[j, i] = w[i, j]
+    w[i, j] = np.asarray(kernel.coeffs)[total] * c.astype(float)
     return w
 
 
@@ -441,9 +447,10 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
     short of rank n (a degree the scan cannot certify, or the psi horizon)
     truncates the ASE at its last computed group: degrees past the certified
     ones are invisible at working precision.  Terms are in the caller's
-    units, and the expansion also stops before a group whose smallest
-    leading value is at or below ``rank_floor`` of its term there.  The
-    readout is one ``SpectralGroup`` per ASE group.
+    units (the s^alpha unit map scales S_i only), and the expansion also
+    stops before a group whose smallest leading value is at or below
+    ``rank_floor`` of its term there.  The readout is one ``SpectralGroup``
+    per ASE group.
     """
     y, scale = _unit_nodes(nodes)
     qr = _degree_scan(kernel, y, rank_tol)
@@ -464,14 +471,18 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
         sizes.append(a.shape[1])
         bases.append(a)
     chain = schur_chain(h, sizes, rank_tol)
-    groups, truncated_at = _chain_groups(chain, nus, bases, rank_tol)
+    factors, truncated_at = _chain_groups(chain, nus, bases, rank_tol)
     if short and not finite:
         truncated_at = 2 * nus[len(chain.complements) - 1]
-    ase = Ase(nodes.n, [(alpha, scale ** float(alpha) * t) for alpha, t in groups], truncated_at)
+    ase = Ase(nodes.n, [(alpha, q, scale ** float(alpha) * s) for alpha, q, s in factors],
+              truncated_at)
     readout = ase.readout
-    for i, ((alpha, term), group) in enumerate(zip(ase.groups, readout)):
-        if min(map(abs, group.leading_values)) <= rank_floor(term):
-            head = Ase(nodes.n, ase.groups[:i], alpha)
+    for i, ((alpha, q, s), group) in enumerate(zip(ase.factors, readout)):
+        lam = np.abs(group.leading_values)
+        # max |t_ij| <= ||t||_2 = max lam, so rank_floor(t) <= rank_floor(lam):
+        # the dense term is formed only where the floor can be reached
+        if lam.min() <= rank_floor(lam) and lam.min() <= rank_floor(_lift(q, s)):
+            head = Ase(nodes.n, ase.factors[:i], alpha)
             head.readout = readout[:i]  # the readout is group by group
             return head, head.readout
     return ase, readout

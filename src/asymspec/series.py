@@ -178,9 +178,17 @@ SERIES_RANK_TOL = 1e-10
 
 
 def is_singular(mat: np.ndarray, tol: float) -> bool:
-    """Singular-value ratio test: sigma_min <= tol * sigma_max, or mat is zero."""
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return sv[0] == 0.0 or sv[-1] <= tol * sv[0]
+    """Singular-value ratio test: sigma_min <= tol * sigma_max, or mat is zero.
+
+    The singular values of a symmetric matrix are its eigenvalue magnitudes,
+    read off ``eigvalsh``; any other matrix (the leading term of a series
+    not flagged symmetric) goes through the SVD.
+    """
+    if np.array_equal(mat, mat.T):
+        sv = np.abs(np.linalg.eigvalsh(mat))
+    else:
+        sv = np.linalg.svd(mat, compute_uv=False)
+    return sv.max() == 0.0 or sv.min() <= tol * sv.max()
 
 
 #: int64 arithmetic stays exact while every intermediate value is below this.

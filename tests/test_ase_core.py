@@ -227,3 +227,140 @@ class TestProjectorOnDemand:
         assert "projector" not in vars(group)  # the readout forms no n x n product
         np.testing.assert_array_equal(group.projector, group.vectors @ group.vectors.T)
         assert group.projector is group.projector
+
+
+# ---------------------------------------------------------------------------
+# factored groups: the readout off each k x k complement against the dense
+# n x n eigh readout it replaced
+# ---------------------------------------------------------------------------
+
+SERIES_FIXTURES = ("ex_2x2", "ex_example1", "ex_scaling_3x3", "ex_scaling_2x2", "ex_5x5",
+                   "ex_3x3", "ex_degenerate")
+KERNEL_CASES = (("gaussian", "equispaced:20", None), ("matern2", "uniform:50", 2),
+                ("exponential", "circle:30", None))
+
+
+def dense_readout(ase, zero_tol=1e-10, tie_tol=1e-9):
+    """The readout as it ran before the factors were kept: one n x n eigh per
+    dense term.  [(valuation, values, vectors, ambiguous)]"""
+    from asymspec.ase import fix_column_signs
+
+    out = []
+    for alpha, term in ase.groups:
+        w, u = np.linalg.eigh(term)
+        big = np.abs(w).max()
+        keep = np.abs(w) > zero_tol * big
+        w = w[keep]
+        u = u[:, keep]
+        order = np.argsort(-w)
+        w = w[order]
+        u = fix_column_signs(u[:, order])
+        ambiguous = any(
+            abs(w[k] - w[k + 1]) <= tie_tol * max(abs(w[k]), abs(w[k + 1]))
+            for k in range(len(w) - 1)
+        )
+        out.append((alpha, w, u, ambiguous))
+    return out
+
+
+def assert_readout_matches_dense(ase, readout):
+    want = dense_readout(ase)
+    assert len(readout) == len(want)
+    for group, (alpha, w, u, ambiguous) in zip(readout, want):
+        assert group.valuation == alpha
+        assert group.count == len(w)
+        assert group.ambiguous == ambiguous
+        values = np.array(group.leading_values)
+        assert np.abs(values - w).max() <= 1e-12 * np.abs(w).max()
+        v = group.vectors
+        assert v.shape == u.shape
+        # the span of the group, whatever basis each side picked within ties
+        assert np.linalg.norm(v - u @ (u.T @ v), 2) <= 1e-10
+        # oracle._angles takes these columns as an orthonormal basis
+        assert np.abs(v.T @ v - np.eye(v.shape[1])).max() <= 1e-13
+
+
+def _series_ases(k):
+    from asymspec import analyze_series
+
+    return [analyze_series(k, mode) for mode in ("auto", "scaled")]
+
+
+class TestFactoredReadout:
+    @pytest.mark.parametrize("fixture", SERIES_FIXTURES)
+    def test_series_matches_dense(self, request, fixture):
+        for ase in _series_ases(request.getfixturevalue(fixture)):
+            assert all(q is not None for _, q, _ in ase.factors)
+            assert_readout_matches_dense(ase, eigen_readout(ase))
+
+    def test_gkf_matches_dense(self, ex_3x3_gkf):
+        from asymspec import GkfForm, ase_from_gkf
+
+        v, w = ex_3x3_gkf
+        scaling = DiagonalScaling.from_exponents([Exponent(0), Exponent(1), Exponent(3, 2)])
+        ase = ase_from_gkf(GkfForm(v, scaling, w))
+        assert_readout_matches_dense(ase, eigen_readout(ase))
+
+    @pytest.mark.parametrize("name, spec, d", KERNEL_CASES)
+    def test_kernel_matches_dense(self, name, spec, d):
+        from asymspec import generate_nodes, kernel_ase, kernel_model
+
+        ase, readout = kernel_ase(kernel_model(name), generate_nodes(spec, d=d, seed=0))
+        assert readout is ase.readout
+        assert_readout_matches_dense(ase, readout)
+
+    def test_stopped_chain_with_cleaned_complement(self, ex_3x3):
+        ase = ase_from_scaled(extract_H(ex_3x3, auto_scale(valuation_matrix(ex_3x3))))
+        assert not ase.complete
+        alpha, q, s = ase.factors[-1]
+        assert alpha == ase.truncated_at
+        # the cleaned complement has a null direction, dropped by the readout
+        assert np.linalg.matrix_rank(s) < s.shape[0]
+        np.testing.assert_array_equal(s, s.T)
+        assert_readout_matches_dense(ase, eigen_readout(ase))
+
+    def test_dense_terms_are_their_own_factor(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((6, 6))
+        term = a + a.T
+        ase = Ase(6, [(Exponent(1), term), (Exponent(0), np.diag([1.0, 0, 0, 0, 0, 0]))])
+        assert [alpha for alpha, _, _ in ase.factors] == [Exponent(0), Exponent(1)]
+        assert all(q is None for _, q, _ in ase.factors)
+        np.testing.assert_array_equal(ase.groups[1][1], term)  # no product formed
+        assert_readout_matches_dense(ase, eigen_readout(ase))
+
+
+class TestFactoredGroups:
+    def test_groups_are_the_symmetrized_lift(self):
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.standard_normal((7, 3)))
+        a = rng.standard_normal((3, 3))
+        s = a + a.T
+        ase = Ase(7, [(Exponent(2), q, s)], truncated_at=Exponent(4))
+        assert "groups" not in vars(ase)  # formed on first read only
+        (alpha, term), = ase.groups
+        lift = q @ s @ q.T
+        np.testing.assert_array_equal(term, 0.5 * (lift + lift.T))
+        assert alpha == Exponent(2)
+        assert ase.groups is ase.groups
+        assert not term.flags.writeable
+        with pytest.raises(ValueError):
+            term[0, 0] = 1.0
+        assert not ase.factors[0][1].flags.writeable
+        assert not ase.factors[0][2].flags.writeable
+
+    def test_kernel_readout_eigh_sizes(self, monkeypatch):
+        from asymspec import generate_nodes, kernel_ase, kernel_model
+
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        ase, readout = kernel_ase(kernel_model("gaussian"), generate_nodes("equispaced:50"))
+        assert sizes  # the readout ran inside kernel_ase
+        assert max(sizes) <= max(g.count for g in readout)
+        assert max(sizes) < ase.n

@@ -91,3 +91,33 @@ def test_dim_of_a_node_file_is_checked(tmp_path, capsys):
     assert main(argv + ["--dim", "3"]) == 1
     assert "--dim 3 does not match the 2 coordinates per node" in capsys.readouterr().err
     assert main(argv + ["--dim", "2"]) in (0, 2)
+
+
+@pytest.mark.parametrize("flag", ["--rank-tol", "--tol-coeff", "--tol-angle"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-12"])
+def test_tolerance_flags_reject_non_finite_and_negative(capsys, flag, value):
+    # NaN once truncated every kernel ASE (exit 2) and failed every verify check
+    command = "kernel" if flag == "--rank-tol" else "verify"
+    code = main([command, "--kernel", "gaussian", "--nodes", "uniform:6", f"{flag}={value}",
+                 "--output", "/dev/null"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {flag} must be a finite number >= 0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--rank-tol", "nan"], ["verify", "--rank-tol", "-1"],
+    ["sweep", "--rank-tol", "inf"], ["verify", "--tol-coeff", "nan"],
+    ["verify", "--tol-angle", "-1"]])
+def test_tolerance_checks_reach_every_command(capsys, argv):
+    code = main(argv[:1] + ["--kernel", "gaussian", "--nodes", "uniform:6",
+                            "--output", "/dev/null"] + argv[1:])
+    assert code == 1
+    assert f"error: {argv[1]} must be" in capsys.readouterr().err
+
+
+def test_tolerance_flags_accept_finite_values(capsys):
+    argv = ["verify", "--kernel", "gaussian", "--nodes", "uniform:6", "--rank-tol", "0",
+            "--tol-coeff", "0.5", "--tol-angle", "1e300", "--output", "/dev/null"]
+    assert main(argv) in (0, 2)
+    assert "error" not in capsys.readouterr().err
