@@ -43,6 +43,8 @@ def _parse_eps_grid(spec: str) -> np.ndarray:
         start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise InputError("--eps-grid fields must be numeric") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise InputError("--eps-grid endpoints must be finite")
     if start <= 0 or stop <= 0 or points < 4:
         raise InputError("--eps-grid needs positive endpoints and at least 4 points")
     lo, hi = min(start, stop), max(start, stop)
@@ -101,11 +103,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, output):
+    """Write ``text`` and a final newline (unless it ends with one) without
+    copying the document to append it."""
+    end = "" if text.endswith("\n") else "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+            fh.write(end)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
+        sys.stdout.write(end)
 
 
 def _load_json(path):

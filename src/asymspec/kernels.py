@@ -145,7 +145,7 @@ def _first_odd_index(coeffs):
 
 @dataclass(frozen=True)
 class NodeSet:
-    """n points in R^d, pairwise distinct (exact comparison)."""
+    """n points in R^d, finite and pairwise distinct (exact comparison)."""
 
     points: np.ndarray
 
@@ -155,6 +155,10 @@ class NodeSet:
             pts = pts[:, None]
         if pts.ndim != 2:
             raise ValueError("points must be an n x d array")
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            raise ValueError(f"node {bad[0]} has a non-finite coordinate: "
+                             f"{tuple(pts[bad[0]].tolist())}")
         seen = set()
         for row in pts:
             key = tuple(row.tolist())
@@ -290,10 +294,17 @@ def wronskian(kernel: KernelModel, d: int, max_deg: int) -> np.ndarray:
 
 
 def distance_matrix(nodes: NodeSet, q: int) -> np.ndarray:
-    """Entry-wise Euclidean distance to the power q; symmetric, zero diagonal."""
-    diff = nodes.points[:, None, :] - nodes.points[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    return dist**q
+    """Entry-wise Euclidean distance to the power q; symmetric, zero diagonal.
+
+    The squares are summed one coordinate at a time, with no n x n x d
+    difference tensor.  Below d = 8 that is the order of numpy's sum over a
+    last axis, so the matrix is bitwise the same as that sum's.
+    """
+    squared = np.zeros((nodes.n, nodes.n))
+    for coord in nodes.points.T:
+        diff = np.subtract.outer(coord, coord)
+        squared += diff * diff
+    return np.sqrt(squared) ** q
 
 
 # ---------------------------------------------------------------------------

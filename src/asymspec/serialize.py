@@ -3,12 +3,21 @@
 All emitters are deterministic (fixed key order, repr-exact floats in JSON,
 17-significant-digit floats in CSV) so repeated runs produce byte-identical
 output.
+
+``dumps`` writes the text of ``json.dumps(obj, indent=2)``.  The floats of
+its all-float lists are formatted together: a document with at least
+``_BATCH_MIN_DIGITS`` (1000) nonzero finite ones gets them from one chunked
+numpy pass (``floattext``: Schubfach's shortest round-trip digits on uint64
+arrays, the digits ``float.__repr__`` picks, laid out by repr's rules as
+bytes).  Below that count, where the pass's fixed cost does not pay, and for
+documents of mostly zeros, each float goes through ``float.__repr__``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -171,7 +180,7 @@ def ase_to_json(ase: Ase, readout=None) -> dict:
                 "valuation": exponent_to_json(g.valuation),
                 "lambda": [float(x) for x in g.leading_values],
                 "ambiguous": bool(g.ambiguous),
-                "vectors": [g.vectors[:, k].tolist() for k in range(g.vectors.shape[1])],
+                "vectors": g.vectors.T.tolist(),
             }
         )
     return {
@@ -234,7 +243,7 @@ def match_report_to_json(report) -> dict:
 
 
 def read_nodes_csv(path) -> NodeSet:
-    """One node per line, comma-separated doubles; optional '# d=<int>' header."""
+    """One node per line, comma-separated finite doubles; optional '# d=<int>' header."""
     d = None
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -254,6 +263,8 @@ def read_nodes_csv(path) -> NodeSet:
                 vals = [float(x) for x in line.split(",")]
             except ValueError as exc:
                 raise InputError(f"line {lineno}: non-numeric coordinate") from exc
+            if not all(map(math.isfinite, vals)):
+                raise InputError(f"line {lineno}: non-finite coordinate")
             rows.append(vals)
     if not rows:
         raise InputError("node file contains no nodes")
@@ -313,18 +324,24 @@ def sweep_csv_lines(sweep, track_vector=None, predicted_limit=None):
 
 
 def dumps(obj) -> str:
-    """``json.dumps(obj, indent=2)``, with lists of floats joined in one step.
+    """``json.dumps(obj, indent=2)``, with lists of floats formatted together.
 
     The standard library encodes indented JSON in pure Python; ASE vectors
-    are long float lists, so they are emitted through ``float.__repr__``
-    directly.  Anything else (non-string keys, types outside JSON) falls
-    back to the library encoder, which converts or rejects it as usual.
+    are long float lists.  One traversal writes the document's text but for
+    the bodies of its all-float lists, which are made afterwards in one
+    step (see ``_float_list_bodies``).  A document the traversal does not
+    take (non-string keys, types outside JSON) goes to the library encoder,
+    which converts or rejects it as usual.
     """
-    parts = []
+    parts, float_lists = [], []
     try:
-        _encode(obj, "\n", parts)
+        _encode(obj, "\n", parts, float_lists)
     except (_Unsupported, RecursionError):
         return json.dumps(obj, indent=2)
+    bodies = _float_list_bodies([lst for _, lst, _ in float_lists],
+                                [sep for _, _, sep in float_lists])
+    for (slot, _, _), body in zip(float_lists, bodies):
+        parts[slot] = body
     return "".join(parts)
 
 
@@ -361,8 +378,12 @@ def _scalar_text(o):
     return None
 
 
-def _encode(o, newline: str, parts: list):
-    """Append the indent=2 text of ``o``; ``newline`` is a line break plus o's indent."""
+def _encode(o, newline: str, parts: list, float_lists: list):
+    """Append the indent=2 text of ``o``; ``newline`` is a line break plus o's indent.
+
+    The body of each all-float list is left as a placeholder in ``parts``;
+    ``float_lists`` gets (its index in parts, the list, its separator).
+    """
     text = _scalar_text(o)
     if text is not None:
         parts.append(text)
@@ -372,15 +393,13 @@ def _encode(o, newline: str, parts: list):
             return
         inner = newline + "  "
         if set(map(type, o)) == {float}:
-            body = ("," + inner).join(map(_FLOAT_REPR, o))
-            if "n" in body:  # nan or inf: no finite float's repr has an 'n'
-                body = ("," + inner).join(map(_float_text, o))
-            parts += ("[", inner, body, newline, "]")
+            float_lists.append((len(parts) + 2, o, "," + inner))
+            parts += ("[", inner, None, newline, "]")
             return
         parts.append("[")
         for k, item in enumerate(o):
             parts.append(inner if k == 0 else "," + inner)
-            _encode(item, inner, parts)
+            _encode(item, inner, parts, float_lists)
         parts += (newline, "]")
     elif isinstance(o, dict):
         if not o:
@@ -393,8 +412,41 @@ def _encode(o, newline: str, parts: list):
                 raise _Unsupported()
             parts += (inner if k == 0 else "," + inner,
                       json.encoder.encode_basestring_ascii(key), ": ")
-            _encode(value, inner, parts)
+            _encode(value, inner, parts, float_lists)
         parts += (newline, "}")
     else:
         raise _Unsupported()
 
+
+# Nonzero finite floats a document needs for the batch (see _float_list_bodies).
+# Measured against the float.__repr__ join on the benchmark's ASE documents
+# (2-vCPU host, interleaved runs): the batch took 1.05-1.15x repr's time at
+# 420-459 such floats, 0.85-0.87x at 765-909 and 0.5-0.65x at 10,100-40,200;
+# series ASEs of 65-80 % exact zeros were level (0.99-1.04x) up to 8,200.
+_BATCH_MIN_DIGITS = 1000
+
+
+def _float_list_bodies(lists, seps) -> list:
+    """The JSON body of each float list: its values' text joined by its separator.
+
+    Lists holding at least ``_BATCH_MIN_DIGITS`` nonzero finite values in
+    all are formatted by ``floattext.list_bodies`` in one numpy pass; the
+    module is imported on first use, so calls that never reach it do not
+    load it.  Fewer such values (zeros need no digits, and
+    ``float.__repr__`` writes them quickly) are joined through
+    ``float.__repr__``.
+    """
+    total = sum(map(len, lists))
+    if total >= _BATCH_MIN_DIGITS:
+        values = np.fromiter(chain.from_iterable(lists), np.float64, total)
+        if np.count_nonzero(np.isfinite(values) & (values != 0)) >= _BATCH_MIN_DIGITS:
+            from . import floattext
+
+            return floattext.list_bodies(values, [len(lst) for lst in lists], seps)
+    bodies = []
+    for lst, sep in zip(lists, seps):
+        body = sep.join(map(_FLOAT_REPR, lst))
+        if "n" in body:  # nan or inf: no finite float's repr has an 'n'
+            body = sep.join(map(_float_text, lst))
+        bodies.append(body)
+    return bodies

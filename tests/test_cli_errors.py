@@ -121,3 +121,33 @@ def test_tolerance_flags_accept_finite_values(capsys):
             "--tol-coeff", "0.5", "--tol-angle", "1e300", "--output", "/dev/null"]
     assert main(argv) in (0, 2)
     assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_node_file_rejects_non_finite_coordinates(tmp_path, capsys, value):
+    # a NaN node once reached the SVD, which printed a RuntimeWarning and
+    # failed with "SVD did not converge"
+    path = tmp_path / "nodes.csv"
+    path.write_text(f"# d=2\n0,0\n\n1,{value}\n0,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["kernel", "--kernel", "gaussian", "--nodes", str(path),
+                     "--output", "/dev/null"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: line 4: non-finite coordinate")
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("grid", ["1e-4:inf:8", "1e-4:nan:8", "inf:1e-1:8", "nan:1e-1:8",
+                                  "-inf:1e-1:8", "1e-4:Infinity:8"])
+def test_eps_grid_rejects_non_finite_endpoints(capsys, command, grid):
+    # inf once warned and failed at "matrix at eps = inf"; nan failed with
+    # "eps grid must be positive and strictly decreasing"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--kernel", "gaussian", "--nodes", "uniform:5",
+                     f"--eps-grid={grid}", "--output", "/dev/null"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: --eps-grid endpoints must be finite")

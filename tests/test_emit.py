@@ -1,8 +1,10 @@
 """JSON emit, sign pinning and input parsing on the CLI's output paths.
 
 ``dumps`` must produce exactly the text of ``json.dumps(obj, indent=2)``;
-it is checked byte for byte on a fuzzed corpus.  ``fix_column_signs`` is
-checked against a per-column loop with the same pivots and flips.
+it is checked byte for byte on a fuzzed corpus and on documents large
+enough for the batch float formatter, whose text is also compared with
+``float.__repr__`` value by value.  ``fix_column_signs`` is checked against
+a per-column loop with the same pivots and flips.
 """
 
 import json
@@ -11,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from asymspec import cli
+from asymspec import cli, floattext, serialize
 from asymspec.ase import fix_column_signs
 from asymspec.serialize import dumps, matrix_series_to_json
 
@@ -79,6 +81,63 @@ def test_dumps_rejects_what_json_rejects():
 def test_dumps_series_document(ex_5x5):
     obj = matrix_series_to_json(ex_5x5)
     assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=False)
+
+
+MIN_DIGITS = serialize._BATCH_MIN_DIGITS
+
+
+def _batch_document(rng, zero_share, specials):
+    """An ASE-like document of float lists at two indents, one longer than a
+    batch step; ``zero_share`` of the values exact zeros, and with
+    ``specials`` some NaN, +-inf, +-0.0 or subnormal."""
+    sizes = [1, 7, MIN_DIGITS // 2, floattext._CHUNK + 3, MIN_DIGITS]  # one spans two steps
+    values = rng.standard_normal(sum(sizes)) * 10.0 ** rng.integers(-8, 8, sum(sizes))
+    values[rng.random(values.size) < zero_share] = 0.0
+    if specials:
+        pool = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1e-320,
+                         2.2250738585072009e-308, 2.2250738585072014e-308])
+        hit = rng.random(values.size) < 0.05
+        values[hit] = rng.choice(pool, hit.sum())
+    lists = [v.tolist() for v in np.split(values, np.cumsum(sizes)[:-1])]
+    return {"n": 3, "groups": [{"lambda": lists[0], "ambiguous": False, "vectors": lists[1:3]},
+                               {"lambda": lists[3], "vectors": [[1, 2.0], lists[4]]}]}
+
+
+@pytest.mark.parametrize("zero_share, specials", [(0.0, False), (0.7, False), (0.5, True)])
+def test_dumps_matches_indented_json_above_batch_cutover(zero_share, specials):
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        obj = _batch_document(rng, zero_share, specials)
+        floats = [x for g in obj["groups"] for lst in (g["lambda"], *g["vectors"])
+                  for x in lst if isinstance(x, float)]
+        assert sum(x != 0 and math.isfinite(x) for x in floats) >= MIN_DIGITS
+        assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+def _boundary_doubles():
+    """Doubles where shortest digits and repr's layout change."""
+    powers2 = [2.0 ** e for e in range(-1074, 1024)]  # significand 2^52: uneven neighbours
+    powers10 = [float(f"1e{e}") for e in range(-323, 309)]
+    near = [math.nextafter(x, t) for x in powers10 for t in (0.0, math.inf)]
+    edges = [t for x in (1e-4, 1e16, 1.0, 1e15, 1e17, 0.001, 1e-5)
+             for t in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))]
+    integers = [float(2 ** 53 + k) for k in range(-3000, 3000)]
+    small = [float(k) for k in range(1, 3000)]
+    return np.array(powers2 + powers10 + near + edges + integers + small)
+
+
+def test_batch_float_text_equals_repr(monkeypatch):
+    """The batch text of each double equals float.__repr__: random bit
+    patterns, powers of two and of ten, integers around 2^53 and the 1e-4
+    and 1e16 notation switches +-1 ulp, both signs."""
+    monkeypatch.setattr(serialize, "_BATCH_MIN_DIGITS", 1)
+    rng = np.random.default_rng(2024)
+    patterns = rng.integers(0, 2 ** 64, 60000, dtype=np.uint64, endpoint=False).view(np.float64)
+    values = np.concatenate([patterns, _boundary_doubles()])
+    values = np.concatenate([values, -values])
+    values = values[np.isfinite(values)].tolist()
+    (body,) = serialize._float_list_bodies([values], [","])
+    assert body.split(",") == [float.__repr__(x) for x in values]
 
 
 def fix_column_signs_reference(mat, rel_tol=1e-12):

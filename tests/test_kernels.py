@@ -57,6 +57,11 @@ class TestNodesAndMonomials:
         with pytest.raises(ValueError, match="duplicate"):
             NodeSet(np.array([[0.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_nodes_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"node 1 has a non-finite coordinate"):
+            NodeSet(np.array([[0.0, 1.0], [2.0, bad], [3.0, 4.0]]))
+
     def test_monomial_counts(self):
         for d in range(1, 11):
             for s in range(0, 11):
@@ -152,6 +157,22 @@ class TestDistanceMatrix:
         np.testing.assert_array_equal(
             distance_matrix(line, 1), [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
         )
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 12])
+    def test_matches_difference_tensor(self, d):
+        # the n x n x d tensor it replaced is the reference: bitwise below
+        # d = 8, where numpy sums the last axis in the same order
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            pts = rng.standard_normal((40, d)) * 10.0 ** rng.uniform(-3, 3, d)
+            diff = pts[:, None, :] - pts[None, :, :]
+            dist = np.sqrt(np.sum(diff * diff, axis=2))
+            for q in (1, 3, 5):
+                got = distance_matrix(NodeSet(pts), q)
+                if d < 8:
+                    assert got.tobytes() == (dist**q).tobytes()
+                else:
+                    np.testing.assert_allclose(got, dist**q, rtol=8 * q * d * 2.0 ** -52)
 
     def test_conditional_definiteness(self):
         # (-1)^r A^T D^(2r-1) A is SPD for A spanning the complement of V_{<=r-1}
