@@ -38,8 +38,13 @@ __all__ = [
     "fix_column_signs",
 ]
 
+SIGN_PIN_TOL = 1e-12  # a column's sign is its first entry above this times its largest magnitude
+TERM_RANK_TOL = 1e-10  # rank floor, and symmetry/orthogonality slack, of an ASE term
+READOUT_ZERO_TOL = 1e-10  # readout drops eigenvalues at or below this times a group's largest
+READOUT_TIE_TOL = 1e-9  # leading coefficients this close (relative) make a group ambiguous
 
-def fix_column_signs(mat: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+
+def fix_column_signs(mat: np.ndarray) -> np.ndarray:
     """Flip columns so the first significant entry of each is positive.
 
     Pins the sign freedom of eigenvectors / orthonormal bases so golden tests
@@ -49,7 +54,7 @@ def fix_column_signs(mat: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     if mat.size == 0:
         return mat
     mag = np.abs(mat)
-    first = np.argmax(mag > rel_tol * mag.max(axis=0), axis=0)
+    first = np.argmax(mag > SIGN_PIN_TOL * mag.max(axis=0), axis=0)
     flip = mat[first, np.arange(mat.shape[1])] < 0
     mat[:, flip] = -mat[:, flip]
     return mat
@@ -96,9 +101,9 @@ def schur_chain(h: np.ndarray, block_sizes, rank_tol: float = SERIES_RANK_TOL) -
     return SchurChain(complements, stopped)
 
 
-def rank_floor(term: np.ndarray, tol: float = 1e-10) -> float:
+def rank_floor(term: np.ndarray) -> float:
     """Singular values of an ASE term at or below this do not count toward its rank."""
-    return tol * max(1.0, np.abs(term).max())
+    return TERM_RANK_TOL * max(1.0, np.abs(term).max())
 
 
 def _lift(q, s: np.ndarray) -> np.ndarray:
@@ -163,16 +168,16 @@ class Ase:
         """``eigen_readout(self)``, computed on first use and kept (terms are read-only)."""
         return eigen_readout(self)
 
-    def term_rank_sum(self, tol: float = 1e-10) -> int:
-        return sum(int(np.linalg.matrix_rank(t, rank_floor(t, tol))) for _, t in self.groups)
+    def term_rank_sum(self) -> int:
+        return sum(int(np.linalg.matrix_rank(t, rank_floor(t))) for _, t in self.groups)
 
-    def validate(self, tol: float = 1e-10):
+    def validate(self):
         """Check the structural invariants; raises ValueError on violation."""
         prev = None
         for alpha, term in self.groups:
             if term.shape != (self.n, self.n):
                 raise ValueError("term shape mismatch")
-            if not np.allclose(term, term.T, atol=tol * max(1.0, np.abs(term).max())):
+            if not np.allclose(term, term.T, atol=rank_floor(term)):
                 raise ValueError("term is not symmetric")
             if np.abs(term).max() == 0.0:
                 raise ValueError("zero term stored")
@@ -183,23 +188,25 @@ class Ase:
             for j in range(i + 1, len(self.groups)):
                 ti = self.groups[i][1]
                 tj = self.groups[j][1]
-                bound = tol * np.linalg.norm(ti) * np.linalg.norm(tj)
-                if np.linalg.norm(ti.T @ tj) > max(bound, tol):
+                bound = TERM_RANK_TOL * np.linalg.norm(ti) * np.linalg.norm(tj)
+                if np.linalg.norm(ti.T @ tj) > max(bound, TERM_RANK_TOL):
                     raise ValueError(f"terms {i} and {j} are not orthogonal")
-        rank_sum = self.term_rank_sum(tol)
+        rank_sum = self.term_rank_sum()
         if rank_sum > self.n:
             raise ValueError("term ranks sum beyond the dimension")
         if self.truncated_at is None and rank_sum != self.n:
             raise ValueError("complete ASE must have term ranks summing to n")
 
 
+def _eigh_cut(mat: np.ndarray, tol: float):
+    """``eigh`` of a symmetric matrix and the mask of |w| above ``tol`` times max |w|."""
+    w, u = np.linalg.eigh(mat)
+    return w, u, np.abs(w) > tol * np.abs(w).max()
+
+
 def _clean_rank(term: np.ndarray, rank_tol: float) -> np.ndarray:
     """Project out below-tolerance eigendirections of a symmetric matrix."""
-    w, u = np.linalg.eigh(term)
-    big = np.abs(w).max()
-    if big == 0.0:
-        return np.zeros_like(term)
-    keep = np.abs(w) > rank_tol * big
+    w, u, keep = _eigh_cut(term, rank_tol)
     cleaned = (u[:, keep] * w[keep]) @ u[:, keep].T
     return 0.5 * (cleaned + cleaned.T)
 
@@ -259,25 +266,24 @@ class SpectralGroup:
         return self.vectors @ self.vectors.T
 
 
-def eigen_readout(ase: Ase, zero_tol: float = 1e-10, tie_tol: float = 1e-9):
+def eigen_readout(ase: Ase):
     """Per-group eigenvalues (decreasing) and eigenvectors of the ASE terms.
 
     Each group is read off its k x k factor: ``eigh(S)``, eigenvalues at or
-    below ``zero_tol`` times the largest magnitude dropped, the eigenvectors
+    below ``READOUT_ZERO_TOL`` times the largest magnitude dropped, the eigenvectors
     mapped through Q (orthonormal, so Q U is too) and their signs pinned.
     """
     out = []
     for alpha, q, s in ase.factors:
-        w, u = np.linalg.eigh(s)
-        big = np.abs(w).max()
-        keep = np.abs(w) > zero_tol * big
+        w, u, keep = _eigh_cut(s, READOUT_ZERO_TOL)
         w = w[keep]
         u = u[:, keep]
         order = np.argsort(-w)
         w = w[order]
         u = u[:, order]
         gaps = np.abs(w[:-1] - w[1:])
-        ambiguous = bool(np.any(gaps <= tie_tol * np.maximum(np.abs(w[:-1]), np.abs(w[1:]))))
+        ambiguous = bool(np.any(gaps <= READOUT_TIE_TOL
+                                * np.maximum(np.abs(w[:-1]), np.abs(w[1:]))))
         out.append(
             SpectralGroup(
                 valuation=alpha,

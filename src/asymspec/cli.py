@@ -6,8 +6,9 @@ Subcommands:
   verify    run a pipeline, then check it against the numerical oracle
   sweep     eigenvalue curves over an eps grid as CSV (flat-limit figure data)
 
-Exit codes: 0 complete / all verifiable groups pass, 2 truncated expansion,
-1 malformed input or invalid configuration.
+Each subcommand takes only the flags it reads.  Exit codes: 0 complete / all
+verifiable groups pass, 2 truncated expansion, 1 malformed input (a usage
+error included) or invalid configuration.
 """
 
 from __future__ import annotations
@@ -49,57 +50,6 @@ def _parse_eps_grid(spec: str) -> np.ndarray:
         raise InputError("--eps-grid needs positive endpoints and at least 4 points")
     lo, hi = min(start, stop), max(start, stop)
     return np.geomspace(lo, hi, points)[::-1]
-
-
-DEFAULT_GRID = "1e-4:1e-1:37"  # 12 points per decade over [1e-4, 1e-1]
-
-
-def _add_common(p):
-    p.add_argument("--input", help="matrix-series (or GKF) JSON file")
-    p.add_argument("--nodes", help="node CSV path, or generator spec like 'uniform:10'")
-    p.add_argument("--kernel", choices=("gaussian", "exponential", "matern2", "custom"))
-    p.add_argument("--psi", help="JSON list of psi coefficients for --kernel custom")
-    p.add_argument("--dim", type=int, default=None,
-                   help="dimension of 'uniform' nodes (default 2); for any other "
-                   "node source it must match the nodes' own dimension")
-    p.add_argument("--mode", choices=("scaled", "gkf", "iterative", "auto"), default="auto")
-    p.add_argument("--rank-tol", type=float, default=None)
-    p.add_argument("--eps-grid", default=DEFAULT_GRID)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", help="write the main result here instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default=None)
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing fills a fresh
-    namespace each call, so no value carries over between calls)."""
-    parser = argparse.ArgumentParser(
-        prog="asymspec",
-        description="Limiting eigenvalues and eigenvectors of symmetric "
-        "analytic matrix perturbations and kernel matrices in the flat limit.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("analyze", "spectral equivalent of a matrix series from JSON"),
-        ("kernel", "flat-limit spectral equivalent of a kernel matrix"),
-        ("verify", "pipeline result checked against a numerical eigen-sweep"),
-        ("sweep", "eigenvalue curves over an eps grid as CSV"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        _add_common(p)
-        if name == "verify":
-            p.add_argument("--tol-coeff", type=float, default=1e-2)
-            p.add_argument("--tol-angle", type=float, default=1e-2)
-            p.add_argument(
-                "--perturb-lambda",
-                type=float,
-                default=None,
-                help="test hook: scale predicted leading coefficients before checking",
-            )
-        if name == "sweep":
-            p.add_argument("--track-vector", type=int, default=None, metavar="K")
-    return parser
 
 
 def _emit(text: str, output):
@@ -199,6 +149,9 @@ def _pipeline_ase_and_source(args, predict=True):
     carries the readout ``kernel_ase`` computed.  Without ``predict`` only
     the source is built, and the prediction is None."""
     if args.input:
+        other = "--kernel" if args.kernel else "--nodes" if args.nodes else None
+        if other:
+            raise InputError(f"--input and {other} name two sources; give one")
         return _series_ase_and_source(args, predict)
     kernel = _load_kernel(args)
     nodes = _load_nodes(args)
@@ -209,16 +162,12 @@ def _pipeline_ase_and_source(args, predict=True):
 
 
 def cmd_analyze(args) -> int:
-    if args.format == "csv":
-        raise InputError("analyze emits JSON; use --format json")
     ase, _ = _series_ase_and_source(args)
     _emit(serialize.dumps(serialize.ase_to_json(ase)), args.output)
     return EXIT_OK if ase.complete else EXIT_TRUNCATED
 
 
 def cmd_kernel(args) -> int:
-    if args.format == "csv":
-        raise InputError("kernel emits JSON (plus the group table); use --format json")
     kernel = _load_kernel(args)
     nodes = _load_nodes(args)
     ase, readout = kernel_ase(kernel, nodes, _rank_tol(args, KERNEL_RANK_TOL))
@@ -249,8 +198,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.format == "json":
-        raise InputError("sweep emits CSV; use --format csv")
     # the pipeline runs only to predict the tracked vector
     track = args.track_vector is not None
     ase, source = _pipeline_ase_and_source(args, predict=track)
@@ -284,20 +231,67 @@ def _predicted_vector(ase: Ase, k: int) -> np.ndarray:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is malformed input: exit 1 through main, not 2
+        raise InputError(f"{self.prog}: {message}")
+
+
+_FLAGS = {  # every flag once; each subcommand takes exactly the flags its handler reads
+    "--input": dict(help="matrix-series (or GKF) JSON file"),
+    "--kernel": dict(choices=("gaussian", "exponential", "matern2", "custom")),
+    "--psi": dict(help="JSON list of psi coefficients for --kernel custom"),
+    "--nodes": dict(help="node CSV path, or generator spec like 'uniform:10'"),
+    "--dim": dict(type=int, help="dimension of 'uniform' nodes (default 2); for any other "
+                  "node source it must match the nodes' own dimension"),
+    "--seed": dict(type=int, default=0),
+    "--mode": dict(choices=("scaled", "gkf", "iterative", "auto"), default="auto"),
+    "--rank-tol": dict(type=float),
+    "--eps-grid": dict(default="1e-4:1e-1:37"),  # 12 points per decade over [1e-4, 1e-1]
+    "--output": dict(help="write the main result here instead of stdout"),
+    "--tol-coeff": dict(type=float, default=1e-2),
+    "--tol-angle": dict(type=float, default=1e-2),
+    "--perturb-lambda": dict(type=float, help="test hook: scale predicted leading "
+                             "coefficients before checking"),
+    "--format": dict(choices=("csv",)),  # sweep writes only CSV; the benchmark's sweeps pass it
+    "--track-vector": dict(type=int, metavar="K"),
+}
+_KERNEL = ("--kernel", "--psi", "--nodes", "--dim", "--seed")
+_SOURCE = ("--input", *_KERNEL, "--mode", "--rank-tol", "--eps-grid", "--output")
+_COMMANDS = (  # name, help, handler, flags
+    ("analyze", "spectral equivalent of a matrix series from JSON", cmd_analyze,
+     ("--input", "--mode", "--rank-tol", "--output")),
+    ("kernel", "flat-limit spectral equivalent of a kernel matrix", cmd_kernel,
+     (*_KERNEL, "--rank-tol", "--output")),
+    ("verify", "pipeline result checked against a numerical eigen-sweep", cmd_verify,
+     (*_SOURCE, "--tol-coeff", "--tol-angle", "--perturb-lambda")),
+    ("sweep", "eigenvalue curves over an eps grid as CSV", cmd_sweep,
+     (*_SOURCE, "--format", "--track-vector")),
+)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing fills a fresh
+    namespace each call, so no value carries over between calls)."""
+    parser = _Parser(
+        prog="asymspec",
+        description="Limiting eigenvalues and eigenvectors of symmetric "
+        "analytic matrix perturbations and kernel matrices in the flat limit.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, doc, handler, flags in _COMMANDS:
+        p = sub.add_parser(name, help=doc)
+        p.set_defaults(handler=handler)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+    return parser
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "analyze": cmd_analyze,
-        "kernel": cmd_kernel,
-        "verify": cmd_verify,
-        "sweep": cmd_sweep,
-    }
-    try:
+    try:  # an InputError is a ValueError
+        args = build_parser().parse_args(argv)
         _check_tolerances(args)
-        return handlers[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return args.handler(args)
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -25,7 +25,7 @@ from .series import (
     valuation_matrix,
 )
 from .scaling import DiagonalScaling, auto_scale_with_permutation, extract_H
-from .ase import Ase, SchurChain, fix_column_signs, schur_chain, _chain_groups
+from .ase import Ase, SchurChain, fix_column_signs, schur_chain, _chain_groups, _eigh_cut
 
 __all__ = ["PartitionedScaledSeries", "schur_reduce", "iterative_ase"]
 
@@ -44,7 +44,6 @@ class PartitionedScaledSeries:
 
     scaling: DiagonalScaling
     H: MatrixSeries
-    cond_tol: float = SERIES_RANK_TOL
 
     def __post_init__(self):
         if self.scaling.num_blocks < 2:
@@ -54,7 +53,7 @@ class PartitionedScaledSeries:
         if not self.H.symmetric:
             raise ValueError("H must be a symmetric matrix series")
         m = self.m
-        if is_singular(self.H.coefficient(0)[:m, :m], self.cond_tol):
+        if is_singular(self.H.coefficient(0)[:m, :m], SERIES_RANK_TOL):
             raise ValueError("H_11(0) is singular at tolerance")
 
     @property
@@ -77,7 +76,7 @@ def schur_reduce(part: PartitionedScaledSeries, order) -> MatrixSeries:
     order = as_exponent(order)
     m = part.m
     s = part.s
-    schur = _series_schur(part.H, m, order - 2 * s, part.cond_tol)
+    schur = _series_schur(part.H, m, order - 2 * s, SERIES_RANK_TOL)
     top_exps = part.scaling.exponents()[:m]
     top_idx = np.arange(m)
     top = _symmetric(part.H.submatrix(top_idx, top_idx).scale_rows_cols(top_exps, top_exps))
@@ -197,16 +196,13 @@ def iterative_ase(k: MatrixSeries, rank_tol: float = SERIES_RANK_TOL, max_depth=
             break
         gamma = trailing.valuation
         lead = trailing.coefficient(gamma)
-        w, q = np.linalg.eigh(lead)
-        big = np.abs(w).max()
-        nonzero = np.abs(w) > rank_tol * big
+        w, q, nonzero = _eigh_cut(lead, rank_tol)
         # nonsingular part first (descending), null directions last
         order = sorted(range(len(w)), key=lambda i: (not nonzero[i], -w[i]))
         q = fix_column_signs(q[:, order])
-        w = w[order]
         rotated = trailing.congruence(q, noise_floor=noise)
         # the leading coefficient is diagonal by construction; pin it exactly
-        lead_diag = np.diag(np.where(np.abs(w) > rank_tol * big, w, 0.0))
+        lead_diag = np.diag(np.where(nonzero[order], w[order], 0.0))
         # gamma is the trailing block's valuation, so its term stays first
         terms = [(gamma, lead_diag)] + [(e, m) for e, m in rotated.terms if e != gamma]
         current = MatrixSeries(rotated.shape, terms, rotated.trunc_order, symmetric=True)

@@ -39,6 +39,10 @@ __all__ = [
 
 PRECISION_FLOOR_FACTOR = 1e-13  # slope fits ignore |lambda| below this times ||K||
 CEILING_ABS = 1e-12  # a group is verifiable only if |lambda~| eps^alpha exceeds this
+FIT_MIN_POINTS = 4  # a curve with fewer usable points has no reliable slope
+FIT_R2_MIN = 0.999  # a slope fit is reliable at this R^2 or above ...
+FIT_RMS_MAX = 0.02  # ... or at this rms residual (in log) or below, for near-flat curves
+SLOPE_TOL = 0.1  # a reliable slope this close to the predicted valuation passes
 
 
 @dataclass
@@ -249,24 +253,23 @@ class ValuationFit:
     reliable: bool
 
 
-def estimate_valuations(sweep: SweepResult, floor_factor: float = PRECISION_FLOOR_FACTOR,
-                        min_points: int = 4, r2_min: float = 0.999):
+def estimate_valuations(sweep: SweepResult):
     """Fitted slopes per eigenvalue curve, over the grid tail above the floor.
 
     When a curve clears the precision floor on plenty of points, only the
     small-eps half is fitted (the large-eps end still carries visible
-    next-order corrections).  Curves with fewer than ``min_points`` usable
-    samples, or with visible curvature (R^2 < ``r2_min``), are flagged
+    next-order corrections).  Curves with fewer than ``FIT_MIN_POINTS`` usable
+    samples, or with visible curvature (R^2 < ``FIT_R2_MIN``), are flagged
     unreliable.  Every curve is fitted at once: a mask of the fitted points
     per curve, and the centred least-squares line over each column.
     """
-    floor = floor_factor * sweep.matrix_norm_at_largest_eps()
+    floor = PRECISION_FLOOR_FACTOR * sweep.matrix_norm_at_largest_eps()
     mags = np.abs(sweep.eigenvalues)  # (m, n)
     usable = mags > floor
     pts = usable.sum(axis=0)
     # the grid decreases, so dropping the first half of a curve's usable
     # points keeps its small-eps tail
-    drop = np.where(pts >= 2 * min_points, pts // 2, 0)
+    drop = np.where(pts >= 2 * FIT_MIN_POINTS, pts // 2, 0)
     fitted = usable & (np.cumsum(usable, axis=0) > drop)
     count = fitted.sum(axis=0)
     x = np.where(fitted, np.log(sweep.eps_grid)[:, None], 0.0)
@@ -282,9 +285,9 @@ def estimate_valuations(sweep: SweepResult, floor_factor: float = PRECISION_FLOO
     # R^2 is meaningless for near-constant curves (slope ~ 0); a small
     # absolute residual certifies the line fit just as well there
     rms = np.sqrt(ss_res / size)
-    reliable = (r2 >= r2_min) | (rms <= 0.02)
+    reliable = (r2 >= FIT_R2_MIN) | (rms <= FIT_RMS_MAX)
     return [
-        ValuationFit(s, r, c, bool(ok)) if p >= min_points
+        ValuationFit(s, r, c, bool(ok)) if p >= FIT_MIN_POINTS
         else ValuationFit(float("nan"), 0.0, p, False)
         for s, r, c, ok, p in zip(slope.tolist(), r2.tolist(), count.tolist(),
                                   reliable.tolist(), pts.tolist())
@@ -321,8 +324,7 @@ class MatchReport:
     note: str = ""
 
 
-def match_ase(ase: Ase, sweep: SweepResult, tol_coeff: float, tol_angle: float,
-              slope_tol: float = 0.1) -> MatchReport:
+def match_ase(ase: Ase, sweep: SweepResult, tol_coeff: float, tol_angle: float) -> MatchReport:
     """Compare a predicted spectral equivalent against a numerical sweep.
 
     Checks per group: (1) the matched eigenvalue curves' slopes sit at the
@@ -353,7 +355,7 @@ def match_ase(ase: Ase, sweep: SweepResult, tol_coeff: float, tol_angle: float,
         # indeterminate, not failures (the coefficient check still gates)
         rec.slopes = [fits[k].slope for k in idx]
         rec.slope_ok = all(
-            abs(fits[k].slope - alpha) <= slope_tol for k in idx if fits[k].reliable
+            abs(fits[k].slope - alpha) <= SLOPE_TOL for k in idx if fits[k].reliable
         )
         # (2) leading coefficients, paired in decreasing signed order (the
         # within-group convention; magnitude order would mis-pair +a with -a)
