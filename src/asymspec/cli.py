@@ -79,7 +79,7 @@ def _load_nodes(args) -> NodeSet:
     if not args.nodes:
         raise InputError("this command needs --nodes")
     if ":" in args.nodes:
-        return generate_nodes(args.nodes, d=args.dim, seed=args.seed)
+        return generate_nodes(args.nodes, d=args.dim, seed=args.seed or 0)
     import os
 
     if not os.path.exists(args.nodes):
@@ -149,7 +149,8 @@ def _pipeline_ase_and_source(args, predict=True):
     carries the readout ``kernel_ase`` computed.  Without ``predict`` only
     the source is built, and the prediction is None."""
     if args.input:
-        other = "--kernel" if args.kernel else "--nodes" if args.nodes else None
+        other = next((f"--{name}" for name in ("kernel", "psi", "nodes", "dim", "seed")
+                      if getattr(args, name) is not None), None)
         if other:
             raise InputError(f"--input and {other} name two sources; give one")
         return _series_ase_and_source(args, predict)
@@ -243,7 +244,7 @@ _FLAGS = {  # every flag once; each subcommand takes exactly the flags its handl
     "--nodes": dict(help="node CSV path, or generator spec like 'uniform:10'"),
     "--dim": dict(type=int, help="dimension of 'uniform' nodes (default 2); for any other "
                   "node source it must match the nodes' own dimension"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=int, help="seed of generated nodes (default 0)"),
     "--mode": dict(choices=("scaled", "gkf", "iterative", "auto"), default="auto"),
     "--rank-tol": dict(type=float),
     "--eps-grid": dict(default="1e-4:1e-1:37"),  # 12 points per decade over [1e-4, 1e-1]

@@ -20,7 +20,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .series import Exponent, ScalarSeries, exact_int_dtype, is_singular
+from .series import Exponent, ScalarSeries, exact_int_dtype
 from .scaling import DiagonalScaling
 from .ase import Ase, fix_column_signs, rank_floor, schur_chain, _chain_groups, _lift
 from .gkf import BlockQr, GkfForm, build_H, _extend_basis
@@ -124,11 +124,7 @@ def regularity_index(psi: ScalarSeries, horizon: int):
     An INFINITE answer for a custom kernel only certifies r > horizon/2; the
     stored horizon travels with the model so callers can tell.
     """
-    coeffs = [0.0] * (horizon + 1)
-    for e, c in psi.terms:
-        if e.den == 1 and 0 <= e.num <= horizon:
-            coeffs[e.num] = c
-    return _first_odd_index(coeffs)
+    return _first_odd_index([psi.coefficient(k) for k in range(horizon + 1)])
 
 
 def _first_odd_index(coeffs):
@@ -454,19 +450,19 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
     One route: the degree scan of the unit nodes feeds ``build_H`` and the
     Schur chain.  When the scan of a finitely smooth kernel stops short of
     rank n below the psi horizon, the complement A of its basis is a last
-    block at r - 1/2 with H block psi_{2r-1} A^T D^(2r-1) A.  Any other stop
-    short of rank n (a degree the scan cannot certify, or the psi horizon)
-    truncates the ASE at its last computed group: degrees past the certified
-    ones are invisible at working precision.  Terms are in the caller's
-    units (the s^alpha unit map scales S_i only), and the expansion also
-    stops before a group whose smallest leading value is at or below
+    block at r - 1/2 with H block psi_{2r-1} A^T D^(2r-1) A; the Schur chain
+    alone rules on its invertibility, and a stall there truncates at 2r - 1.
+    Any other stop short of rank n (a degree the scan cannot certify, or the
+    psi horizon) truncates the ASE at its last computed group: degrees past
+    the certified ones are invisible at working precision.  Terms are in the
+    caller's units (the s^alpha unit map scales S_i only), and the expansion
+    also stops before a group whose smallest leading value is at or below
     ``rank_floor`` of its term there.  The readout is one ``SpectralGroup``
     per ASE group.
     """
     y, scale = _unit_nodes(nodes)
     qr = _degree_scan(kernel, y, rank_tol)
-    w = wronskian(kernel, nodes.d, len(qr.ranks) - 1)
-    h, sizes = build_H(qr, w)
+    h, sizes = build_H(qr, wronskian(kernel, nodes.d, len(qr.ranks) - 1))
     nus = [Exponent(t) for t in range(len(qr.ranks))]
     bases = list(qr.q_blocks)
     short = sum(qr.ranks) < nodes.n
@@ -475,9 +471,6 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
         a, w_bot = _complement_block(kernel, nodes, qr.Q)
         nus.append(Exponent(2 * int(kernel.regularity) - 1, 2))
         w_bot /= scale ** float(2 * nus[-1])
-        if is_singular(_blockdiag(w, w_bot), rank_tol):
-            raise ValueError("W is singular at tolerance; the generalized kernel "
-                             "form does not determine the full ASE")
         h = _blockdiag(h, w_bot)
         sizes.append(a.shape[1])
         bases.append(a)

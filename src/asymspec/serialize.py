@@ -126,6 +126,8 @@ def matrix_series_from_json(obj) -> MatrixSeries:
         if symmetric and not np.allclose(m, m.T, atol=0.0):
             raise InputError(f"{where}.matrix: declared symmetric but is not")
         terms.append((e, m))
+    if trunc is None and not any(m.any() for _, m in terms):
+        raise InputError("field 'trunc_order': required when no term is nonzero")
     return MatrixSeries(n, terms, trunc, symmetric=symmetric)
 
 
@@ -173,6 +175,8 @@ def gkf_from_json(obj) -> GkfForm:
 
 def ase_to_json(ase: Ase, readout=None) -> dict:
     """ASE JSON; ``readout`` defaults to ``ase.readout``."""
+    if ase.truncated_at is not None and ase.truncated_at.is_infinite:
+        raise ValueError("truncated_at is infinite; ASE JSON writes null for a complete ASE")
     groups = []
     for g in ase.readout if readout is None else readout:
         groups.append(

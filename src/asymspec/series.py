@@ -215,110 +215,75 @@ def exponent_ints(exps):
     return [e._num * (den // e._den) for e in exps], den
 
 
-def _normalize_scalar_terms(terms):
-    acc = {}
-    items = terms.items() if hasattr(terms, "items") else terms
-    for e, c in items:
-        e = as_exponent(e)
-        if e.is_infinite:
-            raise ValueError("term exponents must be finite")
-        c = float(c)
-        acc[e] = acc.get(e, 0.0) + c
-    return sorted(((e, c) for e, c in acc.items() if c != 0.0), key=lambda t: t[0])
-
-
 class ScalarSeries:
-    """A truncated real power series in eps with rational exponents.
+    """A truncated real power series in eps with rational exponents: a view of
+    a 1 x 1 ``MatrixSeries``, whose algebra it runs on, with float coefficients.
 
     Stored coefficients are never exactly zero; exponents are strictly
     increasing and strictly below ``trunc_order``.
     """
 
-    __slots__ = ("_terms", "_trunc")
+    __slots__ = ("_m",)
 
     def __init__(self, terms=(), trunc_order=None):
-        items = _normalize_scalar_terms(terms)
-        if trunc_order is None:
-            # default horizon: one past the largest supplied exponent
-            trunc = items[-1][0] + 1 if items else INFINITY
-        else:
-            trunc = as_exponent(trunc_order)
-        self._terms = tuple((e, c) for e, c in items if e < trunc)
-        self._trunc = trunc
+        items = terms.items() if hasattr(terms, "items") else terms
+        self._m = MatrixSeries((1, 1), [(e, [[c]]) for e, c in items], trunc_order)
+
+    @classmethod
+    def _of(cls, m: "MatrixSeries") -> "ScalarSeries":
+        obj = object.__new__(cls)
+        obj._m = m
+        return obj
 
     @property
     def terms(self):
-        return self._terms
+        return tuple((e, float(m[0, 0])) for e, m in self._m.terms)
 
     @property
     def trunc_order(self) -> Exponent:
-        return self._trunc
+        return self._m.trunc_order
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return self._m.is_zero
 
     @property
     def valuation(self) -> Exponent:
-        return self._terms[0][0] if self._terms else INFINITY
+        return self._m.valuation
 
     def leading(self):
         """Return (valuation, leading coefficient); (INFINITY, 0.0) for the zero series."""
-        if not self._terms:
-            return (INFINITY, 0.0)
-        return self._terms[0]
+        return self.terms[0] if self._m.terms else (INFINITY, 0.0)
 
     def coefficient(self, e) -> float:
-        e = as_exponent(e)
-        for ee, c in self._terms:
-            if ee == e:
-                return c
-        return 0.0
-
-    def _effective_valuation(self) -> Exponent:
-        # for truncation bookkeeping a stored-zero series is only known to be o(eps^trunc)
-        return self.valuation if self._terms else self._trunc
+        return float(self._m.coefficient(e)[0, 0])
 
     def __add__(self, other):
         if not isinstance(other, ScalarSeries):
             return NotImplemented
-        trunc = min(self._trunc, other._trunc)
-        return ScalarSeries(list(self._terms) + list(other._terms), trunc)
+        return ScalarSeries._of(self._m + other._m)
 
     def __neg__(self):
-        return ScalarSeries([(e, -c) for e, c in self._terms], self._trunc)
+        return ScalarSeries._of(-self._m)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return ScalarSeries([(e, c * other) for e, c in self._terms], self._trunc)
+            return ScalarSeries([(e, c * other) for e, c in self.terms], self.trunc_order)
         if not isinstance(other, ScalarSeries):
             return NotImplemented
-        trunc = min(
-            self._effective_valuation() + other._trunc,
-            other._effective_valuation() + self._trunc,
-        )
-        prod = [(e1 + e2, c1 * c2) for e1, c1 in self._terms for e2, c2 in other._terms]
-        return ScalarSeries(prod, trunc)
+        return ScalarSeries._of(self._m @ other._m)
 
     __rmul__ = __mul__
 
     def evaluate(self, eps: float) -> float:
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
-        total = 0.0
-        for e, c in self._terms:
-            total += c * _eps_power(eps, e)
-        return total
+        return float(self._m.evaluate(eps)[0, 0])
 
     def __repr__(self):
-        if not self._terms:
-            body = "0"
-        else:
-            body = " + ".join(f"{c:g}*eps^{e}" for e, c in self._terms)
-        return f"ScalarSeries({body}; o(eps^{self._trunc}))"
+        body = " + ".join(f"{c:g}*eps^{e}" for e, c in self.terms) or "0"
+        return f"ScalarSeries({body}; o(eps^{self.trunc_order}))"
 
 
 def _eps_power(eps: float, e: Exponent) -> float:

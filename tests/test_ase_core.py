@@ -364,3 +364,28 @@ class TestFactoredGroups:
         assert sizes  # the readout ran inside kernel_ase
         assert max(sizes) <= max(g.count for g in readout)
         assert max(sizes) < ase.n
+
+
+
+_E1 = np.diag([1.0, 0.0])
+_E2 = np.diag([0.0, 1.0])
+
+
+@pytest.mark.parametrize("n, groups, truncated_at, message", [
+    (2, [(0, np.eye(3))], None, "term shape mismatch"),
+    (2, [(0, np.array([[1.0, 1.0], [0.0, 1.0]]))], None, "term is not symmetric"),
+    (2, [(0, np.eye(2)), (1, np.zeros((2, 2)))], None, "zero term stored"),
+    (2, [(1, _E1), (1, _E2)], None, "valuations are not strictly increasing"),
+    (2, [(0, _E1), (1, np.ones((2, 2)))], None, "terms 0 and 1 are not orthogonal"),
+    # two rank-one terms of size 1e-6 on one coordinate: their product, 1e-12,
+    # is inside the orthogonality slack, and each is above the rank floor
+    (1, [(0, [[1e-6]]), (1, [[1e-6]])], Exponent(2), "term ranks sum beyond the dimension"),
+    (2, [(0, _E1)], None, "complete ASE must have term ranks summing to n"),
+])
+def test_validate_rejects_each_broken_invariant(n, groups, truncated_at, message):
+    with pytest.raises(ValueError, match=message):
+        Ase(n, groups, truncated_at).validate()
+
+
+def test_validate_accepts_a_truncated_ase_short_of_n():
+    Ase(2, [(0, _E1)], Exponent(1)).validate()

@@ -1,6 +1,7 @@
 """Classified errors for malformed flags and numerically unusable inputs."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from asymspec import eigen_sweep, generate_nodes
 from asymspec.cli import main
+from asymspec.serialize import InputError, ase_from_json
 
 
 @pytest.mark.parametrize(
@@ -151,3 +153,94 @@ def test_eps_grid_rejects_non_finite_endpoints(capsys, command, grid):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: --eps-grid endpoints must be finite")
+
+
+_TERM = {"exponent": 0, "matrix": [[1, 0], [0, 1]]}
+
+
+def _series(**fields):
+    return {"n": 2, "symmetric": True, "terms": [_TERM], **fields}
+
+
+def _gkf(**fields):
+    return {"V": [[1, 0], [0, 1]], "W": [[1, 0], [0, 1]], "valuations": [{"nu": 0, "mult": 2}],
+            **fields}
+
+
+# (analyze --mode, file text or JSON document, text the error must hold); mode
+# None is a node file read by `kernel --nodes`
+_READER_ERRORS = [
+    ("auto", _series(trunc_order=True), "field 'trunc_order': expected an exponent, got a boolean"),
+    ("auto", _series(trunc_order={"den": 2}), "field 'trunc_order': exponent object needs 'num'"),
+    ("auto", _series(trunc_order={"num": 1, "den": 0}),
+     "field 'trunc_order': exponent num/den must be integers with den >= 1"),
+    ("auto", _series(trunc_order=1.5), "field 'trunc_order': expected an integer or"),
+    ("auto", _series(terms=[{"exponent": "0", "matrix": [[1, 0], [0, 1]]}]),
+     "terms[0].exponent: expected an integer or"),
+    ("auto", _series(terms=[{"exponent": 0, "matrix": [["a", 0], [0, 1]]}]),
+     "terms[0].matrix: matrix must be an array of arrays of numbers"),
+    ("auto", _series(terms=[{"exponent": 0, "matrix": [[1, 0], [0]]}]),
+     "terms[0].matrix: matrix must be an array of arrays of numbers"),
+    ("auto", _series(terms=[{"exponent": 0, "matrix": [[1, 0, 0], [0, 1, 0]]}]),
+     "terms[0].matrix: matrix shape (2, 3) != (2, 2)"),
+    ("auto", '{"n": 2, "terms": [{"exponent": 0, "matrix": [[1, 0], [0, NaN]]}]}',
+     "terms[0].matrix: matrix entries must be finite"),
+    ("auto", '{"n": 2, "terms": [{"exponent": 0, "matrix": [[1, 0], [0, 1e400]]}]}',
+     "terms[0].matrix: matrix entries must be finite"),
+    ("auto", [_TERM], "top level: expected a JSON object"),
+    ("auto", {"terms": [_TERM]}, "top level: missing field 'n'"),
+    ("auto", _series(n=0), "field 'n': must be a positive integer"),
+    ("auto", _series(n="2"), "field 'n': must be a positive integer"),
+    ("auto", _series(symmetric="yes"), "field 'symmetric': must be a boolean"),
+    ("auto", _series(symmetric=False), "field 'symmetric': analysis requires a symmetric series"),
+    ("auto", _series(terms=None), "field 'terms': must be a list"),
+    ("auto", _series(terms=[[1, 0]]), "terms[0]: expected an object"),
+    ("auto", _series(terms=[{"exponent": 0}]), "terms[0]: needs 'exponent' and 'matrix'"),
+    ("auto", _series(terms=[_TERM, {"exponent": 1, "matrix": [[0, 1], [2, 0]]}]),
+     "terms[1].matrix: declared symmetric but is not"),
+    ("gkf", [1], "top level: expected a JSON object"),
+    ("gkf", {"V": [[1]], "W": [[1]]}, "top level: missing field 'valuations'"),
+    ("gkf", _gkf(V=[["a"]]), "fields 'V'/'W': must be numeric arrays"),
+    ("gkf", _gkf(W=[1, 0]), "fields 'V'/'W': must be two-dimensional"),
+    ("gkf", _gkf(valuations={"nu": 0}), "field 'valuations': expected a list of"),
+    ("gkf", _gkf(valuations=[{"mult": 2}]), "field 'valuations'[0]: needs 'nu'"),
+    ("gkf", _gkf(valuations=[{"nu": 0, "mult": 0}]),
+     "field 'valuations'[0].mult: must be a positive integer"),
+    ("gkf", _gkf(valuations=[{"nu": False}]),
+     "field 'valuations'[0].nu: expected an exponent, got a boolean"),
+    (None, "# d=two\n0,0\n1,0\n", "line 1: bad dimension header"),
+    (None, "0,0\n1,x\n", "line 2: non-numeric coordinate"),
+    (None, "# d=2\n\n", "node file contains no nodes"),
+    (None, "0,0\n1,0,0\n", "node rows have inconsistent lengths"),
+    (None, "# d=3\n0,0\n1,0\n", "header says d=3 but rows have 2 coordinates"),
+    (None, "0,0\n1,0\n0,0\n", "duplicate node (0.0, 0.0)"),
+]
+
+
+@pytest.mark.parametrize("mode, content, message", _READER_ERRORS)
+def test_input_reader_errors_name_the_field(tmp_path, capsys, mode, content, message):
+    path = tmp_path / ("input.json" if mode else "nodes.csv")
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    argv = (["analyze", "--input", str(path), "--mode", mode] if mode else
+            ["kernel", "--kernel", "gaussian", "--nodes", str(path)])
+    code = main([*argv, "--output", "/dev/null"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 2}, "ASE JSON needs 'n' and 'groups'"),
+    ({"n": 2, "groups": [{"valuation": 0, "lambda": [1.0]}]},
+     "groups[0]: needs 'lambda' and 'vectors'"),
+    ({"n": 2, "groups": [{"valuation": 0, "lambda": [1.0], "vectors": [[1.0, 0.0, 0.0]]}]},
+     "groups[0].vectors: shape mismatch"),
+    ({"n": 2, "groups": [{"valuation": True, "lambda": [1.0], "vectors": [[1.0, 0.0]]}]},
+     "groups[0].valuation: expected an exponent, got a boolean"),
+    ({"n": 1, "groups": [], "truncated_at": "2"}, "truncated_at: expected an integer or"),
+])
+def test_ase_json_reader_errors_name_the_field(doc, message):
+    # no command reads ASE JSON, so its reader is called directly
+    with pytest.raises(InputError, match=re.escape(message)):
+        ase_from_json(doc)

@@ -108,3 +108,24 @@ def test_source_dependent_flags_are_kept(capsys):
     assert main(["verify", *kernel, "--mode", "scaled"]) == 0
     assert main(["sweep", *kernel, "--rank-tol", "1e-9", "--eps-grid", "1e-2:1e-1:8"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("flag, value", [("--psi", "[1,2]"), ("--dim", "3"), ("--seed", "5"),
+                                         ("--seed", "0")])
+def test_kernel_source_flags_are_rejected_with_input(capsys, series_file, command, flag, value):
+    # each was once parsed beside --input and never read
+    code = main([command, "--input", series_file, flag, value, "--output", os.devnull])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: --input and {flag} name two sources")
+
+
+def test_generated_nodes_default_to_seed_0(tmp_path):
+    outputs = []
+    for seed in ([], ["--seed", "0"]):
+        out = tmp_path / f"ase{len(seed)}.json"
+        assert main(["kernel", "--kernel", "gaussian", "--nodes", "uniform:8", *seed,
+                     "--output", str(out)]) in (0, 2)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

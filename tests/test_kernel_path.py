@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asymspec import generate_nodes, kernel_ase, kernel_matrix, kernel_model, vandermonde
+from asymspec import (Exponent, generate_nodes, kernel_ase, kernel_matrix, kernel_model,
+                      vandermonde)
 from asymspec.ase import Ase, eigen_readout
 from asymspec.cli import main
 from asymspec.gkf import ase_from_gkf
@@ -237,16 +238,20 @@ def test_kernel_ase_is_invariant_under_affine_maps(kernel_name, spec, d):
 def test_finitely_smooth_route_after_a_stall():
     # two tight clusters at +-1: y^2 is constant at tolerance, so the scan of
     # a kernel with r = 3 stops after degree 1; kernel_ase still takes the
-    # finitely smooth route that finite_smooth_flat_limit builds (whose W is
-    # singular here), instead of truncating
+    # finitely smooth route that finite_smooth_flat_limit builds.  Its bottom
+    # block is singular here, so the Schur chain stalls there and the ASE is
+    # truncated at that block's valuation 2 (r - 1/2) = 5; the smooth route
+    # would truncate at 2.  The GKF route keeps its whole-W test.
     custom = KERNELS["custom-r3"]
     nodes = NodeSet(np.array([-1.0 - 1e-10, -1.0, 1.0, 1.0 + 1e-10]))
     assert _scan(custom, nodes).ranks == (1, 1)
     form = finite_smooth_flat_limit(custom, nodes)
     assert form.widths[-1] == 2
-    for build in (lambda: kernel_ase(custom, nodes), lambda: ase_from_gkf(form, KERNEL_RANK_TOL)):
-        with pytest.raises(ValueError, match="W is singular"):
-            build()
+    ase, _ = kernel_ase(custom, nodes)
+    assert ase.valuations == [Exponent(0), Exponent(2)]
+    assert ase.truncated_at == Exponent(5)
+    with pytest.raises(ValueError, match="W is singular"):
+        ase_from_gkf(form, KERNEL_RANK_TOL)
 
 
 def _prefix_of(got, want, truncated_at):

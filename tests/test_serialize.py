@@ -1,9 +1,12 @@
 """Serialization contracts not covered by the CLI flow tests."""
 
+import json
+
 import numpy as np
 import pytest
 
-from asymspec import Ase, DiagonalScaling, Exponent, analyze_series
+from asymspec import INFINITY, Ase, DiagonalScaling, Exponent, analyze_series
+from asymspec.cli import main
 from asymspec.serialize import (
     InputError,
     ase_from_json,
@@ -89,3 +92,31 @@ class TestCsvRows:
         for shape in ((1, 1), (7, 3), (120, 201)):
             table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
             assert _csv_rows(table) == self._field_by_field(table)
+
+
+class TestZeroSeries:
+    """An all-zero series has no default horizon; ASE JSON has no infinite one."""
+
+    def write(self, tmp_path, **extra):
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps({"n": 2, "symmetric": True, **extra, "terms": [
+            {"exponent": 0, "matrix": [[0, 0], [0, 0]]}]}))
+        return str(path)
+
+    @pytest.mark.parametrize("mode", ["auto", "scaled", "iterative"])
+    def test_trunc_order_is_required(self, tmp_path, capsys, mode):
+        # without it the series was reported complete ("truncated_at": null) but exited 2
+        assert main(["analyze", "--input", self.write(tmp_path), "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'trunc_order': required when no term is nonzero")
+
+    @pytest.mark.parametrize("mode", ["auto", "scaled", "iterative"])
+    def test_with_a_horizon_it_truncates(self, tmp_path, capsys, mode):
+        path = self.write(tmp_path, trunc_order=4)
+        assert main(["analyze", "--input", path, "--mode", mode]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["truncated_at"] == {"num": 4, "den": 1} and doc["groups"] == []
+
+    def test_infinite_truncation_is_not_written(self):
+        with pytest.raises(ValueError, match="truncated_at is infinite"):
+            ase_to_json(Ase(2, [], INFINITY))
