@@ -5,8 +5,8 @@ successive Schur complements S_i of H determine, group by group, the leading
 eigenvalue coefficients (eigenvalues of S_i, at valuation 2 nu_i) and the
 limiting eigenvectors.  When some leading submatrix of H is singular the chain
 stops: the last complement's nonzero eigenvalues still belong to the group at
-2 nu_j, while its null directions correspond to eigenvalues of strictly higher
-valuation, recorded by the ``truncated_at`` marker.
+2 nu_j and make up its factor, while its null directions correspond to
+eigenvalues of strictly higher valuation, recorded by ``truncated_at``.
 
 An ASE keeps each group as the paper writes it, a factor pair (Q_i, S_i)
 with term Q_i S_i Q_i^T: Q_i is the n x k_i orthonormal basis of the group's
@@ -106,11 +106,19 @@ def rank_floor(term: np.ndarray) -> float:
     return TERM_RANK_TOL * max(1.0, np.abs(term).max())
 
 
+def _diagonal(s: np.ndarray):
+    """The diagonal of S when S is diagonal (its eigenpairs are then known), else None."""
+    d = np.diag(s)
+    return d if np.array_equal(s, np.diag(d)) else None
+
+
 def _lift(q, s: np.ndarray) -> np.ndarray:
-    """The dense term of a factor pair: sym(Q S Q^T), or S itself when Q is None."""
+    """The dense term of a factor pair: sym(Q S Q^T), as (Q d) Q^T when S = diag(d),
+    or S itself when Q is None."""
     if q is None:
         return s
-    term = q @ s @ q.T
+    d = _diagonal(s)
+    term = q @ s @ q.T if d is None else (q * d) @ q.T
     return 0.5 * (term + term.T)
 
 
@@ -204,31 +212,22 @@ def _eigh_cut(mat: np.ndarray, tol: float):
     return w, u, np.abs(w) > tol * np.abs(w).max()
 
 
-def _clean_rank(term: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Project out below-tolerance eigendirections of a symmetric matrix."""
-    w, u, keep = _eigh_cut(term, rank_tol)
-    cleaned = (u[:, keep] * w[keep]) @ u[:, keep].T
-    return 0.5 * (cleaned + cleaned.T)
-
-
 def _chain_groups(chain: SchurChain, nus, bases, rank_tol: float):
     """ASE factors (2 nu_i, Q_i, S_i) over a Schur chain, and ``truncated_at``.
 
     Q_i is the basis of block i (columns in the original coordinates) and
     S_i its complement; no n x n product is formed.  The last complement of
-    a stopped chain is rank-cleaned and truncates the expansion at its
-    valuation; complements that are (or clean to) zero contribute no group.
+    a stopped chain truncates the expansion at its valuation and is kept as
+    its eigenpairs above ``rank_tol``, the factor (Q_i U, diag(w)) of one
+    ``eigh``.  Complements that are (or cut to) zero contribute no group.
     """
-    groups = []
+    groups = [(2 * nu, q, s) for nu, q, s in zip(nus, bases, chain.complements)]
     truncated_at = None
-    for i, s in enumerate(chain.complements):
-        if chain.stopped_early and i == len(chain.complements) - 1:
-            s = _clean_rank(s, rank_tol)
-            truncated_at = 2 * nus[i]
-        if np.abs(s).max() == 0.0:
-            continue
-        groups.append((2 * nus[i], bases[i], s))
-    return groups, truncated_at
+    if chain.stopped_early:
+        truncated_at, q, s = groups[-1]
+        w, u, keep = _eigh_cut(s, rank_tol)
+        groups[-1] = (truncated_at, q @ u[:, keep], np.diag(w[keep]))
+    return [g for g in groups if np.abs(g[2]).max(initial=0.0) != 0.0], truncated_at
 
 
 def ase_from_scaled(form: ScaledForm, rank_tol: float = SERIES_RANK_TOL) -> Ase:
@@ -271,16 +270,20 @@ def eigen_readout(ase: Ase):
 
     Each group is read off its k x k factor: ``eigh(S)``, eigenvalues at or
     below ``READOUT_ZERO_TOL`` times the largest magnitude dropped, the eigenvectors
-    mapped through Q (orthonormal, so Q U is too) and their signs pinned.
+    mapped through Q (orthonormal, so Q U is too) and their signs pinned.  A
+    diagonal S holds its eigenpairs as they are: its values, and Q's columns.
     """
     out = []
     for alpha, q, s in ase.factors:
-        w, u, keep = _eigh_cut(s, READOUT_ZERO_TOL)
-        w = w[keep]
-        u = u[:, keep]
-        order = np.argsort(-w)
-        w = w[order]
-        u = u[:, order]
+        d = _diagonal(s)
+        w, u = (d, np.eye(len(d))) if d is not None else np.linalg.eigh(s)
+        keep = np.flatnonzero(np.abs(w) > READOUT_ZERO_TOL * np.abs(w).max())
+        cols = keep[np.argsort(-w[keep], kind="stable")]  # ties keep the stored order
+        w = w[cols]
+        if q is None:
+            u = u[:, cols]
+        else:  # C order, as Q U is: BLAS products of the vectors depend on layout
+            u = q @ u[:, cols] if d is None else np.ascontiguousarray(q[:, cols])
         gaps = np.abs(w[:-1] - w[1:])
         ambiguous = bool(np.any(gaps <= READOUT_TIE_TOL
                                 * np.maximum(np.abs(w[:-1]), np.abs(w[1:]))))
@@ -288,7 +291,7 @@ def eigen_readout(ase: Ase):
             SpectralGroup(
                 valuation=alpha,
                 leading_values=w.tolist(),
-                vectors=fix_column_signs(u if q is None else q @ u),
+                vectors=fix_column_signs(u),
                 ambiguous=ambiguous,
             )
         )

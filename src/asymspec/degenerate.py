@@ -130,8 +130,8 @@ def iterative_ase(k: MatrixSeries, rank_tol: float = SERIES_RANK_TOL, max_depth=
     Stop rule: a round whose chain completes, or the last round the depth
     budget allows (``max_depth`` rounds after the first, n by default; 0 is
     the plain scaled construction), keeps its whole chain, so a stalled
-    complement is rank-cleaned and truncates the result at its valuation
-    2 nu_stall.  Any other round keeps only its resolved complements and
+    complement is cut to its nonzero eigenpairs and truncates the result at
+    its valuation 2 nu_stall.  Any other round keeps only its resolved complements and
     goes on.  Later rounds live in the trailing block, whose entries are
     O(eps^{2 nu_stall}), so valuations strictly increase from round to round.
     Only the series Schur step needs a finite truncation horizon; exhausting

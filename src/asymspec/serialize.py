@@ -72,15 +72,21 @@ def exponent_from_json(obj, where: str) -> Exponent:
     raise InputError(f"{where}: expected an integer or {{'num','den'}} object")
 
 
-def _matrix_from_json(obj, n: int, where: str) -> np.ndarray:
+def _finite_floats(obj, where: str, what: str, form: str) -> np.ndarray:
+    """``obj`` as a float array of finite numbers; ``form`` names its expected nesting."""
     try:
-        mat = np.asarray(obj, dtype=float)
+        arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: matrix must be an array of arrays of numbers") from exc
+        raise InputError(f"{where}: {what} must be {form} of numbers") from exc
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{where}: {what} entries must be finite")
+    return arr
+
+
+def _matrix_from_json(obj, n: int, where: str) -> np.ndarray:
+    mat = _finite_floats(obj, where, "matrix", "an array of arrays")
     if mat.shape != (n, n):
         raise InputError(f"{where}: matrix shape {mat.shape} != ({n}, {n})")
-    if not np.all(np.isfinite(mat)):
-        raise InputError(f"{where}: matrix entries must be finite")
     return mat
 
 
@@ -195,23 +201,31 @@ def ase_to_json(ase: Ase, readout=None) -> dict:
 
 
 def ase_from_json(obj) -> Ase:
-    """Rebuild an Ase from its JSON form (terms from lambda + vectors)."""
+    """Rebuild an Ase from its JSON form: each group is the factor (vectors, diag(lambda))."""
     if not isinstance(obj, dict) or "n" not in obj or "groups" not in obj:
         raise InputError("ASE JSON needs 'n' and 'groups'")
     n = obj["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InputError("field 'n': must be a positive integer")
+    if not isinstance(obj["groups"], list):
+        raise InputError("field 'groups': must be a list")
     groups = []
     for idx, g in enumerate(obj["groups"]):
         where = f"groups[{idx}]"
+        if not isinstance(g, dict) or "valuation" not in g:
+            raise InputError(f"{where}: expected an object with 'valuation'")
         alpha = exponent_from_json(g["valuation"], f"{where}.valuation")
         lams = g.get("lambda")
         vecs = g.get("vectors")
         if not isinstance(lams, list) or vecs is None:
             raise InputError(f"{where}: needs 'lambda' and 'vectors'")
-        u = np.asarray(vecs, dtype=float).T  # columns are vectors
-        if u.shape != (n, len(lams)):
+        lam = _finite_floats(lams, where, "lambda", "a list")
+        if lam.ndim != 1:
+            raise InputError(f"{where}: lambda must be a list of numbers")
+        u = _finite_floats(vecs, where, "vectors", "a list of lists").T  # columns are vectors
+        if u.shape != (n, len(lam)):
             raise InputError(f"{where}.vectors: shape mismatch")
-        term = (u * np.asarray(lams)) @ u.T
-        groups.append((alpha, 0.5 * (term + term.T)))
+        groups.append((alpha, u, np.diag(lam)))
     trunc_raw = obj.get("truncated_at")
     trunc = None if trunc_raw is None else exponent_from_json(trunc_raw, "truncated_at")
     return Ase(n, groups, trunc)

@@ -287,19 +287,19 @@ class ScalarSeries:
 
 
 def _eps_power(eps: float, e: Exponent) -> float:
+    """eps^e, read off the integer pair (float(e) is num/den, as for a Fraction)."""
     if e.is_infinite:
         return 0.0
-    f = e.fraction
-    if f == 0:
+    if e._num == 0:
         return 1.0
     if eps == 0.0:
-        if f < 0:
+        if e._num < 0:
             raise ValueError("negative exponent at eps=0")
         return 0.0
     try:
-        return float(eps) ** float(f)
+        return float(eps) ** float(e)
     except OverflowError:
-        raise ValueError(f"eps^{f} overflows a double at eps = {eps:g}") from None
+        raise ValueError(f"eps^{e} overflows a double at eps = {eps:g}") from None
 
 
 def _normalize_matrix_terms(terms, shape, symmetric):

@@ -314,10 +314,12 @@ class TestFactoredReadout:
         assert not ase.complete
         alpha, q, s = ase.factors[-1]
         assert alpha == ase.truncated_at
-        # the cleaned complement has a null direction, dropped by the readout
-        assert np.linalg.matrix_rank(s) < s.shape[0]
-        np.testing.assert_array_equal(s, s.T)
-        assert_readout_matches_dense(ase, eigen_readout(ase))
+        # the stalled complement is kept as its kept eigenpairs: Q U and diag(w)
+        np.testing.assert_array_equal(s, np.diag(np.diag(s)))
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
+        readout = eigen_readout(ase)
+        assert s.shape[0] == readout[-1].count
+        assert_readout_matches_dense(ase, readout)
 
     def test_dense_terms_are_their_own_factor(self):
         rng = np.random.default_rng(5)

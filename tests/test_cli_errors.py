@@ -239,6 +239,23 @@ def test_input_reader_errors_name_the_field(tmp_path, capsys, mode, content, mes
     ({"n": 2, "groups": [{"valuation": True, "lambda": [1.0], "vectors": [[1.0, 0.0]]}]},
      "groups[0].valuation: expected an exponent, got a boolean"),
     ({"n": 1, "groups": [], "truncated_at": "2"}, "truncated_at: expected an integer or"),
+    ({"n": "x", "groups": []}, "field 'n': must be a positive integer"),
+    ({"n": -3, "groups": []}, "field 'n': must be a positive integer"),
+    ({"n": True, "groups": []}, "field 'n': must be a positive integer"),
+    ({"n": 2, "groups": {}}, "field 'groups': must be a list"),
+    ({"n": 2, "groups": [[0, [1.0]]]}, "groups[0]: expected an object with 'valuation'"),
+    ({"n": 2, "groups": [{"lambda": [1.0], "vectors": [[1.0, 0.0]]}]},
+     "groups[0]: expected an object with 'valuation'"),
+    ({"n": 2, "groups": [{"valuation": 0, "lambda": ["a"], "vectors": [[1.0, 0.0]]}]},
+     "groups[0]: lambda must be a list of numbers"),
+    ({"n": 2, "groups": [{"valuation": 0, "lambda": [[1.0]], "vectors": [[1.0, 0.0]]}]},
+     "groups[0]: lambda must be a list of numbers"),
+    ({"n": 2, "groups": [{"valuation": 0, "lambda": [float("nan")], "vectors": [[1.0, 0.0]]}]},
+     "groups[0]: lambda entries must be finite"),
+    ({"n": 2, "groups": [{"valuation": 0, "lambda": [1.0], "vectors": [["a", 0.0]]}]},
+     "groups[0]: vectors must be a list of lists of numbers"),
+    ({"n": 2, "groups": [{"valuation": 0, "lambda": [1.0], "vectors": [[float("inf"), 0.0]]}]},
+     "groups[0]: vectors entries must be finite"),
 ])
 def test_ase_json_reader_errors_name_the_field(doc, message):
     # no command reads ASE JSON, so its reader is called directly

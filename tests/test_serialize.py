@@ -61,6 +61,37 @@ class TestAseJson:
             assert v1 == v2
             np.testing.assert_allclose(t1, t2, atol=1e-12)
 
+    @staticmethod
+    def _documents(request):
+        from asymspec import generate_nodes, kernel_ase, kernel_model
+        from asymspec.serialize import dumps
+
+        ases = [kernel_ase(kernel_model(name), generate_nodes(spec, seed=0))[0]
+                for name, spec in (("gaussian", "uniform:50"), ("exponential", "uniform:200"),
+                                   ("matern2", "equispaced:200"), ("matern2", "circle:100"))]
+        for fixture in ("ex_5x5", "ex_degenerate"):
+            k = request.getfixturevalue(fixture)
+            ases += [analyze_series(k, mode) for mode in ("auto", "scaled")]
+        return [dumps(ase_to_json(ase)) for ase in ases]
+
+    def test_text_round_trips_byte_for_byte(self, request):
+        # each group is read back as its eigenpairs, so the readout returns them as stored
+        from asymspec.serialize import dumps
+
+        for text in self._documents(request):
+            assert dumps(ase_to_json(ase_from_json(json.loads(text)))) == text
+
+    def test_groups_are_the_eigenpair_lift_bit_for_bit(self, request):
+        for text in self._documents(request):
+            obj = json.loads(text)
+            back = ase_from_json(obj)
+            for g, (alpha, term) in zip(obj["groups"], back.groups):
+                u = np.asarray(g["vectors"], dtype=float).T
+                want = (u * np.asarray(g["lambda"])) @ u.T
+                want = 0.5 * (want + want.T)
+                assert alpha == exponent_from_json(g["valuation"], "valuation")
+                assert term.tobytes() == want.tobytes()
+
     def test_vectors_sign_convention(self, ex_3x3):
         obj = ase_to_json(analyze_series(ex_3x3, "auto"))
         for group in obj["groups"]:

@@ -253,3 +253,88 @@ class TestSeriesInverseHorizon:
         assert series_matrix_inverse(h, 3).trunc_order == Exponent(1)
         half = h + MatrixSeries(2, {Exponent(1, 2): np.eye(2)}, trunc_order=1, symmetric=True)
         assert series_matrix_inverse(half, 3).trunc_order == Exponent(1)
+
+
+def _eps_power_by_fraction(eps, e):
+    """eps^e as it was computed through ``e.fraction``: the reference."""
+    if e.is_infinite:
+        return 0.0
+    f = e.fraction
+    if f == 0:
+        return 1.0
+    if eps == 0.0:
+        if f < 0:
+            raise ValueError("negative exponent at eps=0")
+        return 0.0
+    try:
+        return float(eps) ** float(f)
+    except OverflowError:
+        raise ValueError(f"eps^{f} overflows a double at eps = {eps:g}") from None
+
+
+class TestEpsPower:
+    """eps^e read off the integer pair gives the Fraction path's doubles, bit for bit."""
+
+    EPS = (0.0, 1e-300, 1e-12, 3.7e-5, 0.01, 0.25, 0.5, 1.0, 2.0, 7.5)
+
+    @staticmethod
+    def _exponents():
+        rng = np.random.default_rng(3)
+        out = [Exponent(0), Exponent(1), Exponent(-1), Exponent(7, 2), INFINITY]
+        for _ in range(300):
+            den = int(rng.integers(1, 10**6 + 1))
+            out.append(Exponent(int(rng.integers(-20 * den, 20 * den + 1)), den))
+        return out
+
+    @staticmethod
+    def _outcome(fn, eps, e):
+        try:
+            return np.float64(fn(eps, e)).tobytes()
+        except ValueError as exc:
+            return str(exc)
+
+    def test_matches_the_fraction_path(self):
+        from asymspec.series import _eps_power
+
+        for e in self._exponents():
+            for eps in self.EPS:
+                assert self._outcome(_eps_power, eps, e) == \
+                    self._outcome(_eps_power_by_fraction, eps, e)
+
+    def test_overflow_message(self):
+        from asymspec.series import _eps_power
+
+        for e in (Exponent(-100), Exponent(-301, 3), Exponent(-999999, 1000)):
+            with pytest.raises(ValueError) as got:
+                _eps_power(1e-300, e)
+            with pytest.raises(ValueError) as want:
+                _eps_power_by_fraction(1e-300, e)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith(f"eps^{e.fraction} overflows a double")
+
+    def test_evaluate_matches_the_fraction_path(self, monkeypatch, ex_5x5, ex_degenerate):
+        import asymspec.gkf
+        import asymspec.series
+        from asymspec import DiagonalScaling, GkfForm
+
+        rng = np.random.default_rng(4)
+        exps = [e for e in self._exponents() if not e.is_infinite][:40]
+        n = 4
+        mats = [(lambda a: a + a.T)(rng.standard_normal((n, n))) for _ in exps]
+        random_series = MatrixSeries(n, list(zip(exps, mats)), symmetric=True)
+        v = rng.standard_normal((n, 3))
+        w = (lambda a: a @ a.T + np.eye(3))(rng.standard_normal((3, 3)))
+        gkf = GkfForm(v, DiagonalScaling.from_exponents(
+            [Exponent(-7, 999983), Exponent(0), Exponent(5, 3)]), w)
+        sources = [ex_5x5, ex_degenerate, random_series, gkf]
+        grid = [e for e in self.EPS if e >= 1e-12]  # eps^-20 stays finite
+
+        def evaluate_all():
+            return [s.evaluate(eps).tobytes() for s in sources for eps in grid]
+
+        got = evaluate_all()
+        with monkeypatch.context() as m:
+            m.setattr(asymspec.series, "_eps_power", _eps_power_by_fraction)
+            m.setattr(asymspec.gkf, "_eps_power", _eps_power_by_fraction)
+            want = evaluate_all()
+        assert got == want
