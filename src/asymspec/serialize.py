@@ -4,13 +4,14 @@ All emitters are deterministic (fixed key order, repr-exact floats in JSON,
 17-significant-digit floats in CSV) so repeated runs produce byte-identical
 output.
 
-``dumps`` writes the text of ``json.dumps(obj, indent=2)``.  The floats of
-its all-float lists are formatted together: a document with at least
-``_BATCH_MIN_DIGITS`` (1000) nonzero finite ones gets them from one chunked
-numpy pass (``floattext``: Schubfach's shortest round-trip digits on uint64
-arrays, the digits ``float.__repr__`` picks, laid out by repr's rules as
-bytes).  Below that count, where the pass's fixed cost does not pay, and for
-documents of mostly zeros, each float goes through ``float.__repr__``.
+``dumps`` writes the text of ``json.dumps(obj, indent=2)``.  The standard
+library lays out the document; only the bodies of its all-float lists are
+written here, all together: a document with at least ``_BATCH_MIN_DIGITS``
+(1000) nonzero finite floats gets them from one chunked numpy pass
+(``floattext``: Schubfach's shortest round-trip digits on uint64 arrays, the
+digits ``float.__repr__`` picks, laid out by repr's rules as bytes).  Below
+that count, where the pass's fixed cost does not pay, and for documents of
+mostly zeros, each float goes through ``float.__repr__``.
 """
 
 from __future__ import annotations
@@ -344,27 +345,36 @@ def sweep_csv_lines(sweep, track_vector=None, predicted_limit=None):
 def dumps(obj) -> str:
     """``json.dumps(obj, indent=2)``, with lists of floats formatted together.
 
-    The standard library encodes indented JSON in pure Python; ASE vectors
-    are long float lists.  One traversal writes the document's text but for
-    the bodies of its all-float lists, which are made afterwards in one
-    step (see ``_float_list_bodies``).  A document the traversal does not
-    take (non-string keys, types outside JSON) goes to the library encoder,
-    which converts or rejects it as usual.
+    The library lays out a copy with each all-float list a placeholder; their
+    bodies (``_float_list_bodies``), joined by the comma, line break and indent
+    before each placeholder, replace its text.  A cycle, nesting too deep or the
+    placeholder's text in the document's strings leaves it all to the library.
     """
-    parts, float_lists = [], []
+    lists = []
     try:
-        _encode(obj, "\n", parts, float_lists)
-    except (_Unsupported, RecursionError):
+        pieces = json.dumps(_skeleton(obj, lists), indent=2).split(_MARK_TEXT)
+    except RecursionError:
+        pieces = ()
+    if len(pieces) != len(lists) + 1:
         return json.dumps(obj, indent=2)
-    bodies = _float_list_bodies([lst for _, lst, _ in float_lists],
-                                [sep for _, _, sep in float_lists])
-    for (slot, _, _), body in zip(float_lists, bodies):
-        parts[slot] = body
-    return "".join(parts)
+    bodies = _float_list_bodies(lists, ["," + p[p.rindex("\n"):] for p in pieces[:-1]])
+    return "".join(chain.from_iterable(zip(pieces, bodies + [""])))
 
 
-class _Unsupported(Exception):
-    """A value the fast encoder leaves to the standard library."""
+_MARK = ["\x00"]
+_MARK_TEXT = json.dumps(_MARK[0])
+
+
+def _skeleton(o, lists: list):
+    """``o`` with ``_MARK`` for each nonempty all-float list or tuple, moved to ``lists``."""
+    if isinstance(o, dict):
+        return {key: _skeleton(value, lists) for key, value in o.items()}
+    if isinstance(o, (list, tuple)) and o:
+        if set(map(type, o)) == {float}:
+            lists.append(o)
+            return _MARK
+        return [_skeleton(item, lists) for item in o]
+    return o
 
 
 _FLOAT_REPR = float.__repr__
@@ -378,62 +388,6 @@ def _float_text(x: float) -> str:
     if x == -math.inf:
         return "-Infinity"
     return _FLOAT_REPR(x)
-
-
-def _scalar_text(o):
-    if isinstance(o, str):
-        return json.encoder.encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    return None
-
-
-def _encode(o, newline: str, parts: list, float_lists: list):
-    """Append the indent=2 text of ``o``; ``newline`` is a line break plus o's indent.
-
-    The body of each all-float list is left as a placeholder in ``parts``;
-    ``float_lists`` gets (its index in parts, the list, its separator).
-    """
-    text = _scalar_text(o)
-    if text is not None:
-        parts.append(text)
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        if set(map(type, o)) == {float}:
-            float_lists.append((len(parts) + 2, o, "," + inner))
-            parts += ("[", inner, None, newline, "]")
-            return
-        parts.append("[")
-        for k, item in enumerate(o):
-            parts.append(inner if k == 0 else "," + inner)
-            _encode(item, inner, parts, float_lists)
-        parts += (newline, "]")
-    elif isinstance(o, dict):
-        if not o:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        parts.append("{")
-        for k, (key, value) in enumerate(o.items()):
-            if not isinstance(key, str):
-                raise _Unsupported()
-            parts += (inner if k == 0 else "," + inner,
-                      json.encoder.encode_basestring_ascii(key), ": ")
-            _encode(value, inner, parts, float_lists)
-        parts += (newline, "}")
-    else:
-        raise _Unsupported()
 
 
 # Nonzero finite floats a document needs for the batch (see _float_list_bodies).
