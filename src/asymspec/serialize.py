@@ -67,10 +67,16 @@ def exponent_from_json(obj, where: str) -> Exponent:
             den = obj.get("den", 1)
         except KeyError as exc:
             raise InputError(f"{where}: exponent object needs 'num'") from exc
-        if not isinstance(num, int) or not isinstance(den, int) or den < 1:
-            raise InputError(f"{where}: exponent num/den must be integers with den >= 1")
-        return Exponent(num, den)
+        message = f"{where}: exponent num/den must be integers with den >= 1"
+        return Exponent(_int_at_least(num, -math.inf, message), _int_at_least(den, 1, message))
     raise InputError(f"{where}: expected an integer or {{'num','den'}} object")
+
+
+def _int_at_least(value, least, message: str) -> int:
+    """``value`` if it is an int (not a bool) of at least ``least``, else InputError(message)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise InputError(message)
+    return value
 
 
 def _finite_floats(obj, where: str, what: str, form: str) -> np.ndarray:
@@ -106,11 +112,9 @@ def matrix_series_from_json(obj) -> MatrixSeries:
     if not isinstance(obj, dict):
         raise InputError("top level: expected a JSON object")
     try:
-        n = obj["n"]
+        n = _int_at_least(obj["n"], 1, "field 'n': must be a positive integer")
     except KeyError as exc:
         raise InputError("top level: missing field 'n'") from exc
-    if not isinstance(n, int) or n < 1:
-        raise InputError("field 'n': must be a positive integer")
     symmetric = obj.get("symmetric", True)
     if not isinstance(symmetric, bool):
         raise InputError("field 'symmetric': must be a boolean")
@@ -156,9 +160,8 @@ def scaling_from_json(obj, where: str = "scaling") -> DiagonalScaling:
         if not isinstance(b, dict) or "nu" not in b:
             raise InputError(f"{where}[{idx}]: needs 'nu' (and optional 'mult')")
         nu = exponent_from_json(b["nu"], f"{where}[{idx}].nu")
-        mult = b.get("mult", 1)
-        if not isinstance(mult, int) or mult < 1:
-            raise InputError(f"{where}[{idx}].mult: must be a positive integer")
+        mult = _int_at_least(b.get("mult", 1), 1,
+                             f"{where}[{idx}].mult: must be a positive integer")
         blocks.append((nu, mult))
     return DiagonalScaling(tuple(blocks))
 
@@ -176,6 +179,8 @@ def gkf_from_json(obj) -> GkfForm:
         raise InputError("fields 'V'/'W': must be numeric arrays") from exc
     if v.ndim != 2 or w.ndim != 2:
         raise InputError("fields 'V'/'W': must be two-dimensional")
+    v = _finite_floats(v, "field 'V'", "matrix", "an array of arrays")
+    w = _finite_floats(w, "field 'W'", "matrix", "an array of arrays")
     scaling = scaling_from_json(obj["valuations"], "field 'valuations'")
     return GkfForm(v, scaling, w)
 
@@ -205,9 +210,7 @@ def ase_from_json(obj) -> Ase:
     """Rebuild an Ase from its JSON form: each group is the factor (vectors, diag(lambda))."""
     if not isinstance(obj, dict) or "n" not in obj or "groups" not in obj:
         raise InputError("ASE JSON needs 'n' and 'groups'")
-    n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InputError("field 'n': must be a positive integer")
+    n = _int_at_least(obj["n"], 1, "field 'n': must be a positive integer")
     if not isinstance(obj["groups"], list):
         raise InputError("field 'groups': must be a list")
     groups = []
@@ -347,15 +350,15 @@ def dumps(obj) -> str:
 
     The library lays out a copy with each all-float list a placeholder; their
     bodies (``_float_list_bodies``), joined by the comma, line break and indent
-    before each placeholder, replace its text.  A cycle, nesting too deep or the
-    placeholder's text in the document's strings leaves it all to the library.
+    before each placeholder, replace its text.  A document the copy cannot take
+    is left whole to the library.
     """
     lists = []
     try:
         pieces = json.dumps(_skeleton(obj, lists), indent=2).split(_MARK_TEXT)
-    except RecursionError:
-        pieces = ()
-    if len(pieces) != len(lists) + 1:
+    except RecursionError:  # a cycle, or nesting past the recursion limit
+        return json.dumps(obj, indent=2)
+    if len(pieces) != len(lists) + 1:  # the document's own strings hold _MARK_TEXT
         return json.dumps(obj, indent=2)
     bodies = _float_list_bodies(lists, ["," + p[p.rindex("\n"):] for p in pieces[:-1]])
     return "".join(chain.from_iterable(zip(pieces, bodies + [""])))

@@ -214,6 +214,23 @@ _READER_ERRORS = [
     (None, "0,0\n1,0,0\n", "node rows have inconsistent lengths"),
     (None, "# d=3\n0,0\n1,0\n", "header says d=3 but rows have 2 coordinates"),
     (None, "0,0\n1,0\n0,0\n", "duplicate node (0.0, 0.0)"),
+    # a boolean where an integer belongs: True is an int to Python, and an
+    # otherwise valid input once read it as 1
+    ("auto", {"n": True, "terms": [{"exponent": 0, "matrix": [[1.0]]}]},
+     "field 'n': must be a positive integer"),
+    ("auto", _series(trunc_order={"num": True, "den": True}),
+     "field 'trunc_order': exponent num/den must be integers with den >= 1"),
+    ("auto", _series(trunc_order={"num": 4, "den": True}),
+     "field 'trunc_order': exponent num/den must be integers with den >= 1"),
+    ("auto", _series(terms=[{"exponent": {"num": False}, "matrix": [[1, 0], [0, 1]]}]),
+     "terms[0].exponent: exponent num/den must be integers with den >= 1"),
+    ("gkf", _gkf(valuations=[{"nu": 0, "mult": True}, {"nu": 1, "mult": 1}]),
+     "field 'valuations'[0].mult: must be a positive integer"),
+    # non-finite GKF entries: once a truncated expansion (exit 2) or an SVD failure
+    ("gkf", '{"V": [[1, 0], [0, 1]], "W": [[Infinity, 0], [0, 1]], '
+            '"valuations": [{"nu": 0, "mult": 2}]}', "field 'W': matrix entries must be finite"),
+    ("gkf", '{"V": [[NaN, 0], [0, 1]], "W": [[1, 0], [0, 1]], '
+            '"valuations": [{"nu": 0, "mult": 2}]}', "field 'V': matrix entries must be finite"),
 ]
 
 

@@ -5,10 +5,17 @@ it is checked byte for byte on a fuzzed corpus and on documents large
 enough for the batch float formatter, whose text is also compared with
 ``float.__repr__`` value by value.  ``fix_column_signs`` is checked against
 a per-column loop with the same pivots and flips.
+
+The library lays out ``dumps``' text around a placeholder string standing in
+for each float list; documents that hold that string themselves, float
+tuples, a float list as the whole document and documents too deep to encode
+must still come out (or fail) as ``json.dumps`` does.
 """
 
+import gc
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -180,3 +187,42 @@ def test_pipeline_reads_input_once(tmp_path, ex_5x5, monkeypatch):
     ase, source = cli._pipeline_ase_and_source(args)
     assert len(calls) == 1
     assert source.shape == (5, 5) and ase.n == 5
+
+
+@pytest.mark.parametrize("obj", [
+    "\x00", ["\x00"], {"\x00": 1.0}, {"\x00": [1.0, 2.0]}, {"a": "\x00", "b": [1.0, 2.5]},
+    [[0.5, -1.0], "\x00", [3.0]], ['"\x00', [1.0]], ["\x00\x00", [2.0], {"k": [0.5]}],
+    {"big": [0.1 * k + 0.05 for k in range(2 * MIN_DIGITS)], "mark": "\x00"},
+    [1.0, 2.0], [math.nan, -0.0, 1e300, -math.inf], [0.1 * k + 0.05 for k in range(2 * MIN_DIGITS)],
+    (1.0, 2.0), ((1.0, 2.0), (), (3.0,)), {"t": (0.5,), "u": [(1.0, -2.0), [3.0, 4]]},
+])
+def test_dumps_placeholder_text_float_list_documents_and_tuples(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_dumps_too_deep_fails_as_json_does():
+    deep = [1.0]
+    for _ in range(2 * sys.getrecursionlimit()):
+        deep = [deep]
+    with pytest.raises(Exception) as expected:
+        json.dumps(deep, indent=2)
+    with pytest.raises(Exception) as got:
+        dumps(deep)
+    assert expected.type is RecursionError and got.type is expected.type
+
+
+@pytest.mark.parametrize("size", [2, 2 * MIN_DIGITS])
+def test_dumps_keeps_no_reference_to_the_document(size):
+    """A reference cycle in the walk would hold the float lists until the
+    cyclic collector runs; with it off, their reference counts must be back
+    where they were once ``dumps`` returns."""
+    vec = [0.5 + k for k in range(size)]
+    doc = {"groups": [{"lambda": vec, "vectors": [vec, [2.0], [[vec]]]}]}
+    gc.disable()
+    try:
+        before = sys.getrefcount(vec)
+        dumps(doc)
+        after = sys.getrefcount(vec)
+    finally:
+        gc.enable()
+    assert after == before
