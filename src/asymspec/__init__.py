@@ -26,27 +26,21 @@ from .scaling import (
     auto_scale_with_permutation,
     check_valid,
     extract_H,
-    tight_entries,
 )
 from .ase import (
     Ase,
-    RankProbePoint,
     SchurChain,
     SpectralGroup,
     ase_from_scaled,
     eigen_readout,
-    rank_probe_curve,
-    regularized_inverse_probe,
     schur_chain,
 )
-from .gkf import BlockQr, GkfForm, ase_from_gkf, block_rrqr, build_H, simplified_schur
+from .gkf import BlockQr, GkfForm, ase_from_gkf, block_rrqr, build_H
 from .kernels import (
-    FinitelySmoothError,
     KernelModel,
     MonomialBasis,
     NodeSet,
     distance_matrix,
-    finite_smooth_flat_limit,
     generate_nodes,
     kernel_ase,
     kernel_matrix,
@@ -55,11 +49,9 @@ from .kernels import (
     num_monomials_exact,
     num_monomials_upto,
     regularity_index,
-    smooth_flat_limit,
-    vandermonde,
     wronskian,
 )
-from .degenerate import PartitionedScaledSeries, iterative_ase, schur_reduce
+from .degenerate import iterative_ase
 from .oracle import (
     MatchReport,
     SweepResult,

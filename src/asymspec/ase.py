@@ -1,4 +1,4 @@
-"""The asymptotic spectral equivalent: Schur chains, eigen-readout, rank probes.
+"""The asymptotic spectral equivalent: Schur chains and eigen-readout.
 
 For a diagonally scaled K = Delta (H + o(1)) Delta with blocks b_0..b_p, the
 successive Schur complements S_i of H determine, group by group, the leading
@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .series import SERIES_RANK_TOL, Exponent, MatrixSeries, as_exponent, is_singular
+from .series import SERIES_RANK_TOL, Exponent, as_exponent, is_singular
 from .scaling import ScaledForm
 
 __all__ = [
@@ -32,9 +32,6 @@ __all__ = [
     "ase_from_scaled",
     "SpectralGroup",
     "eigen_readout",
-    "regularized_inverse_probe",
-    "rank_probe_curve",
-    "RankProbePoint",
     "fix_column_signs",
 ]
 
@@ -295,51 +292,4 @@ def eigen_readout(ase: Ase):
                 ambiguous=ambiguous,
             )
         )
-    return out
-
-
-def regularized_inverse_probe(k: MatrixSeries, s, tau: float, eps: float) -> np.ndarray:
-    """Evaluate K (K + tau*eps^s I)^{-1} numerically at eps.
-
-    Its small-eps limit exposes, group by group, the eigenvalues of valuation
-    up to s; the shift must keep K + tau*eps^s I invertible.
-    """
-    s = as_exponent(s)
-    a = k.evaluate(eps)
-    z = float(tau) * float(eps) ** float(s)
-    shifted = a + z * np.eye(a.shape[0])
-    try:
-        return np.linalg.solve(shifted.T, a.T).T
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular shift: K + tau*eps^s I is not invertible") from exc
-
-
-@dataclass
-class RankProbePoint:
-    s: Exponent
-    rank: int
-    stable: bool
-
-
-def rank_probe_curve(k: MatrixSeries, s_grid, tau: float, eps_seq, rank_tol: float):
-    """Estimated limit rank of the regularized-inverse probe per exponent s.
-
-    The limit rank counts eigenvalues with valuation <= s.  Per s, the probe
-    is evaluated along the decreasing eps sequence; the estimate is the rank
-    at the smallest eps, flagged unstable when it disagrees with the rank at
-    the next-larger eps.
-    """
-    eps_seq = [float(e) for e in eps_seq]
-    if any(b >= a for a, b in zip(eps_seq, eps_seq[1:])):
-        raise ValueError("eps sequence must be strictly decreasing")
-    out = []
-    for s in s_grid:
-        s = as_exponent(s)
-        ranks = []
-        for eps in eps_seq:
-            m = regularized_inverse_probe(k, s, tau, eps)
-            sv = np.linalg.svd(m, compute_uv=False)
-            ranks.append(int(np.sum(sv > rank_tol)))
-        stable = len(ranks) >= 2 and ranks[-1] == ranks[-2]
-        out.append(RankProbePoint(s, ranks[-1], stable))
     return out

@@ -11,76 +11,23 @@ one new dimension, so depth n suffices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .series import (
     SERIES_RANK_TOL,
     Exponent,
     MatrixSeries,
-    as_exponent,
-    is_singular,
     series_matrix_inverse,
     valuation_matrix,
 )
 from .scaling import DiagonalScaling, auto_scale_with_permutation, extract_H
 from .ase import Ase, SchurChain, fix_column_signs, schur_chain, _chain_groups, _eigh_cut
 
-__all__ = ["PartitionedScaledSeries", "schur_reduce", "iterative_ase"]
+__all__ = ["iterative_ase"]
 
 #: Rounding noise of a series elimination, relative to the largest
 #: coefficient that entered it; entries at or below it are not series terms.
 NOISE_FACTOR = 1e-13
-
-
-@dataclass(frozen=True)
-class PartitionedScaledSeries:
-    """K = Delta H(eps) Delta with a uniform bottom scaling block.
-
-    The scaling's last block (exponent s, size n - m) must sit strictly above
-    every other exponent, and the top-left block H_11(0) must be invertible.
-    """
-
-    scaling: DiagonalScaling
-    H: MatrixSeries
-
-    def __post_init__(self):
-        if self.scaling.num_blocks < 2:
-            raise ValueError("partition requires at least two scaling blocks")
-        if self.H.shape != (self.scaling.n, self.scaling.n):
-            raise ValueError("H shape does not match the scaling")
-        if not self.H.symmetric:
-            raise ValueError("H must be a symmetric matrix series")
-        m = self.m
-        if is_singular(self.H.coefficient(0)[:m, :m], SERIES_RANK_TOL):
-            raise ValueError("H_11(0) is singular at tolerance")
-
-    @property
-    def s(self) -> Exponent:
-        return self.scaling.nus[-1]
-
-    @property
-    def m(self) -> int:
-        return self.scaling.n - self.scaling.block_sizes[-1]
-
-
-def schur_reduce(part: PartitionedScaledSeries, order) -> MatrixSeries:
-    """Equivalent block-diagonal series with the bottom block Schur-complemented.
-
-    Returns blockdiag(Delta_m H_11 Delta_m,
-                      eps^{2s} (H_22 - H_21 H_11^{-1} H_12)),
-    truncated at ``order``; congruence invariance makes its spectral
-    equivalent identical to that of Delta H Delta.
-    """
-    order = as_exponent(order)
-    m = part.m
-    s = part.s
-    schur = _series_schur(part.H, m, order - 2 * s, SERIES_RANK_TOL)
-    top_exps = part.scaling.exponents()[:m]
-    top_idx = np.arange(m)
-    top = _symmetric(part.H.submatrix(top_idx, top_idx).scale_rows_cols(top_exps, top_exps))
-    return top.block_diag(schur.shift(2 * s)).truncate(order)
 
 
 def _series_schur_block(k: MatrixSeries, scaling: DiagonalScaling, split_block: int,

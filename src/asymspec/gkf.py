@@ -17,7 +17,7 @@ from .series import SERIES_RANK_TOL, is_singular, _eps_power
 from .scaling import DiagonalScaling
 from .ase import Ase, fix_column_signs, schur_chain, _chain_groups
 
-__all__ = ["GkfForm", "BlockQr", "block_rrqr", "build_H", "ase_from_gkf", "simplified_schur"]
+__all__ = ["GkfForm", "BlockQr", "block_rrqr", "build_H", "ase_from_gkf"]
 
 
 @dataclass(frozen=True)
@@ -158,30 +158,3 @@ def ase_from_gkf(form: GkfForm, rank_tol: float = SERIES_RANK_TOL) -> Ase:
     h, sizes = build_H(qr, form.W)
     chain = schur_chain(h, sizes, rank_tol)
     return Ase(form.n, *_chain_groups(chain, form.scaling.nus, qr.q_blocks, rank_tol))
-
-
-def simplified_schur(w: np.ndarray, qr: BlockQr, j: int) -> np.ndarray:
-    """S_j via Schur complements of W: R_jj (W_jj - W_{j,<j} W_{<j,<j}^{-1} W_{<j,j}) R_jj^T.
-
-    Valid when V_{<=j-1} has full column rank, i.e. all R_ii with i < j are
-    square.
-    """
-    w = np.asarray(w, dtype=float)
-    for i in range(j):
-        if qr.ranks[i] != qr.widths[i]:
-            raise ValueError(
-                f"R_{i},{i} is not square (rank {qr.ranks[i]} < width {qr.widths[i]}); "
-                "use the general Schur chain instead"
-            )
-    rjj = qr.r_diag_block(j)
-    c0 = sum(qr.widths[:j])
-    c1 = c0 + qr.widths[j]
-    wjj = w[c0:c1, c0:c1]
-    if j == 0:
-        core = wjj
-    else:
-        wlt = w[:c0, :c0]
-        wjl = w[c0:c1, :c0]
-        core = wjj - wjl @ np.linalg.solve(wlt, wjl.T)
-    s = rjj @ core @ rjj.T
-    return 0.5 * (s + s.T)

@@ -21,9 +21,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .series import Exponent, ScalarSeries, exact_int_dtype
-from .scaling import DiagonalScaling
 from .ase import Ase, fix_column_signs, rank_floor, schur_chain, _chain_groups, _lift
-from .gkf import BlockQr, GkfForm, build_H, _extend_basis
+from .gkf import BlockQr, build_H, _extend_basis
 
 __all__ = [
     "KernelModel",
@@ -34,12 +33,8 @@ __all__ = [
     "num_monomials_upto",
     "num_monomials_exact",
     "monomials_of_degree",
-    "vandermonde",
     "wronskian",
     "distance_matrix",
-    "smooth_flat_limit",
-    "finite_smooth_flat_limit",
-    "FinitelySmoothError",
     "kernel_ase",
     "kernel_matrix",
     "generate_nodes",
@@ -52,11 +47,6 @@ INFINITE = math.inf
 KERNEL_RANK_TOL = 1e-9
 
 KERNEL_NAMES = ("gaussian", "exponential", "matern2", "custom")
-
-
-class FinitelySmoothError(Exception):
-    """The Vandermonde degree scan stops short of full row rank: at degree
-    r-1, at half the psi horizon, or before a degree it cannot certify."""
 
 
 def _psi_coefficient(name: str, k: int) -> float:
@@ -213,25 +203,6 @@ class MonomialBasis:
     @property
     def block_widths(self):
         return tuple(num_monomials_exact(t, self.d) for t in range(self.max_degree + 1))
-
-
-def vandermonde(nodes: NodeSet, s: int) -> np.ndarray:
-    """Multivariate Vandermonde matrix [x_i^alpha] for |alpha| <= s.
-
-    Columns are grouped by degree (widths ``num_monomials_exact(t, d)``) in
-    graded-lex order; the degree-0 block is the all-ones column.  Entry
-    (i, alpha) multiplies the powers x_ic ** alpha_c in coordinate order, each
-    taken with a scalar integer exponent.
-    """
-    if s < 0:
-        raise ValueError("degree must be nonnegative")
-    alpha = np.array(MonomialBasis(nodes.d, s).flat, dtype=np.intp).reshape(-1, nodes.d)
-    pts = nodes.points
-    powers = [np.column_stack([pts[:, c] ** k for k in range(s + 1)]) for c in range(nodes.d)]
-    v = np.take(powers[0], alpha[:, 0], axis=1)
-    for c in range(1, nodes.d):
-        v *= np.take(powers[c], alpha[:, c], axis=1)
-    return v
 
 
 def _wronskian_table(d: int, max_deg: int):
@@ -401,47 +372,17 @@ def _complement_block(kernel: KernelModel, nodes: NodeSet, q: np.ndarray):
     return a, 0.5 * (w + w.T)
 
 
-def smooth_flat_limit(kernel: KernelModel, nodes: NodeSet,
-                      rank_tol: float = KERNEL_RANK_TOL) -> GkfForm:
-    """Flat-limit form for the completely smooth regime.
-
-    Takes the degree q at which the degree scan reaches rank n (q <= r-1, 2q
-    within the psi horizon) and returns (V_{<=q}, Delta with nu_j = j and
-    block widths H_{j,d}, W_{<=q}).  Raises FinitelySmoothError when the scan
-    stops short of rank n.
-    """
-    qr = _degree_scan(kernel, _unit_nodes(nodes)[0], rank_tol)
-    if sum(qr.ranks) < nodes.n:
-        raise FinitelySmoothError(f"the Vandermonde degree scan stops at rank {sum(qr.ranks)} "
-                                  f"< n = {nodes.n}; use finite_smooth_flat_limit")
-    q = len(qr.ranks) - 1
-    widths = MonomialBasis(nodes.d, q).block_widths
-    scaling = DiagonalScaling(tuple((Exponent(t), w) for t, w in enumerate(widths)))
-    return GkfForm(vandermonde(nodes, q), scaling, wronskian(kernel, nodes.d, q))
+def _power(scale: float, alpha) -> float:
+    """s^alpha, or 0.0 where it overflows."""
+    try:
+        return scale ** float(alpha)
+    except OverflowError:
+        return 0.0
 
 
-def finite_smooth_flat_limit(
-    kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RANK_TOL
-) -> GkfForm:
-    """Flat-limit form for a finitely smooth kernel with rank V_{<=r-1} < n.
-
-    V is extended by an orthonormal basis A of the complement of the degree
-    scan's range(V_{<=r-1}); the scaling gains a final block at the
-    fractional exponent r - 1/2 and W a distance-matrix block
-    psi_{2r-1} A^T D^(2r-1) A.
-    """
-    r = kernel.regularity
-    if r == INFINITE:
-        raise ValueError("finitely smooth pipeline requires finite regularity")
-    r = int(r)
-    qr = _degree_scan(kernel, _unit_nodes(nodes)[0], rank_tol)
-    if sum(qr.ranks) == nodes.n:
-        raise ValueError("V_{<=r-1} has full row rank; the smooth pipeline applies")
-    a, w_bot = _complement_block(kernel, nodes, qr.Q)
-    blocks = [(Exponent(t), w) for t, w in enumerate(MonomialBasis(nodes.d, r - 1).block_widths)]
-    blocks.append((Exponent(2 * r - 1, 2), a.shape[1]))
-    w = _blockdiag(wronskian(kernel, nodes.d, r - 1), w_bot)
-    return GkfForm(np.hstack([vandermonde(nodes, r - 1), a]), DiagonalScaling(tuple(blocks)), w)
+def _usable(m: np.ndarray) -> bool:
+    """Whether a rescaled block is finite and not all zero."""
+    return bool(np.isfinite(m).all() and m.any())
 
 
 def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RANK_TOL):
@@ -457,8 +398,12 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
     the certified ones are invisible at working precision.  Terms are in the
     caller's units (the s^alpha unit map scales S_i only), and the expansion
     also stops before a group whose smallest leading value is at or below
-    ``rank_floor`` of its term there.  The readout is one ``SpectralGroup``
-    per ASE group.
+    ``rank_floor`` of its term there.  On nodes far from unit scale it stops
+    before the first group whose s^alpha overflows or underflows to 0, or
+    whose scaled S_i is not finite or all zero; the block at r - 1/2 is left
+    out, truncating at 2r - 1, when its s^(2r-1) or its unit-coordinate
+    block is not finite or is 0.  The readout is one ``SpectralGroup`` per
+    ASE group.
     """
     y, scale = _unit_nodes(nodes)
     qr = _degree_scan(kernel, y, rank_tol)
@@ -467,19 +412,36 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
     bases = list(qr.q_blocks)
     short = sum(qr.ranks) < nodes.n
     finite = short and kernel.regularity - 1 <= kernel.horizon // 2
+    left_out = None  # the valuation of a block at r - 1/2 too far from unit scale
     if finite:
-        a, w_bot = _complement_block(kernel, nodes, qr.Q)
-        nus.append(Exponent(2 * int(kernel.regularity) - 1, 2))
-        w_bot /= scale ** float(2 * nus[-1])
-        h = _blockdiag(h, w_bot)
-        sizes.append(a.shape[1])
-        bases.append(a)
+        nu = Exponent(2 * int(kernel.regularity) - 1, 2)
+        unit = _power(scale, 2 * nu)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            a, w_bot = _complement_block(kernel, nodes, qr.Q)
+            w_bot /= unit
+        if unit != 0.0 and _usable(w_bot):
+            nus.append(nu)
+            h = _blockdiag(h, w_bot)
+            sizes.append(a.shape[1])
+            bases.append(a)
+        else:
+            left_out = 2 * nu
     chain = schur_chain(h, sizes, rank_tol)
     factors, truncated_at = _chain_groups(chain, nus, bases, rank_tol)
     if short and not finite:
         truncated_at = 2 * nus[len(chain.complements) - 1]
-    ase = Ase(nodes.n, [(alpha, q, scale ** float(alpha) * s) for alpha, q, s in factors],
-              truncated_at)
+    elif truncated_at is None:
+        truncated_at = left_out
+    kept = []
+    for alpha, q, s in factors:
+        unit = _power(scale, alpha)
+        with np.errstate(over="ignore"):
+            s = unit * s
+        if unit == 0.0 or not _usable(s):
+            truncated_at = alpha
+            break
+        kept.append((alpha, q, s))
+    ase = Ase(nodes.n, kept, truncated_at)
     readout = ase.readout
     for i, ((alpha, q, s), group) in enumerate(zip(ase.factors, readout)):
         lam = np.abs(group.leading_values)
@@ -559,17 +521,17 @@ def generate_nodes(spec: str, d: int | None = None, seed: int = 0) -> NodeSet:
     if n < 1 or d < 1:
         raise ValueError(f"node spec {spec!r} needs a count and a dimension of at least 1, "
                          f"got {n} points in dimension {d}")
-    rng = np.random.default_rng(seed)
     if kind == "equispaced":
         return NodeSet(np.linspace(0.0, 1.0, n)[:, None])
+    if kind != "uniform" and kind not in _FIXED_DIM:
+        raise ValueError(f"unknown node generator {kind!r}")
+    rng = np.random.default_rng(seed)  # imports numpy.random: random families only
     if kind == "uniform":
         return NodeSet(rng.uniform(0.0, 1.0, size=(n, d)))
     if kind == "circle":
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
         return NodeSet(np.column_stack([np.cos(theta), np.sin(theta)]))
-    if kind == "cubic":
-        x1 = rng.uniform(-1.0, 0.0, size=n)
-        sign = rng.choice([-1.0, 1.0], size=n)
-        x2 = sign * np.sqrt(np.maximum(x1**3 - x1, 0.0))
-        return NodeSet(np.column_stack([x1, x2]))
-    raise ValueError(f"unknown node generator {kind!r}")
+    x1 = rng.uniform(-1.0, 0.0, size=n)  # cubic
+    sign = rng.choice([-1.0, 1.0], size=n)
+    x2 = sign * np.sqrt(np.maximum(x1**3 - x1, 0.0))
+    return NodeSet(np.column_stack([x1, x2]))

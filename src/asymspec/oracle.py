@@ -187,45 +187,17 @@ def eps_star_indices(eps_grid, readout) -> list:
     return out
 
 
-def _orth(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the range of ``a``: the left singular vectors whose
-    singular values exceed max(s) * machine epsilon * max(rows, cols)."""
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(u.shape[0], vh.shape[1])
-    return u[:, : int(np.sum(s > tol))]
-
-
-def _checked(a, name: str) -> np.ndarray:
-    a = np.asarray_chkfinite(a)  # ValueError on inf or NaN
-    if a.ndim != 2:
-        raise ValueError(f"{name}: expected 2D array, got shape {a.shape}")
-    return a
-
-
-def _principal_angles(a, b) -> np.ndarray:
-    """Principal angles between the column spans of ``a`` and ``b``, largest first.
+def _angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Principal angles between the spans of orthonormal columns ``qa`` and ``qb``,
+    largest first.
 
     Knyazev & Argentati (SIAM J. Sci. Comput. 23, 2002): cosines are the
     singular values of Qa^T Qb (Bjorck & Golub); where a cosine is at least
     1/sqrt(2) the angle is small and arccos loses accuracy, so it is read as
     the arcsine of a singular value of the residual of the projection onto
-    the wider basis.  Bases, rank threshold and ordering are those of the
-    reference implementation the tests compare against.
-    """
-    qa = _orth(_checked(a, "a"))
-    b = _checked(b, "b")
-    if b.shape[0] != qa.shape[0]:
-        raise ValueError(
-            f"a and b must have the same number of rows, got {qa.shape[0]} and {b.shape[0]}"
-        )
-    return _angles(qa, _orth(b))
-
-
-def _angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Principal angles between the spans of orthonormal columns ``qa`` and ``qb``.
-
-    The formulas of ``_principal_angles``, without its checks and without
-    orthonormalizing: the caller vouches that both bases are orthonormal.
+    the wider basis.  The caller vouches that both bases are orthonormal;
+    ``_principal_angles`` in the tests' reference module orthonormalizes
+    arbitrary spans first.
     """
     qa_qb = qa.conj().T @ qb
     sigma = np.linalg.svd(qa_qb, compute_uv=False)

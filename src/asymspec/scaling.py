@@ -55,7 +55,6 @@ __all__ = [
     "DiagonalScaling",
     "ScaledForm",
     "check_valid",
-    "tight_entries",
     "extract_H",
     "auto_scale",
     "auto_scale_exponents",
@@ -98,10 +97,6 @@ class DiagonalScaling:
     @property
     def n(self) -> int:
         return sum(m for _, m in self.valuations)
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.valuations)
 
     @property
     def nus(self):
@@ -153,19 +148,6 @@ def check_valid(omega: ValuationMatrix, scaling: DiagonalScaling):
     resid = np.asarray(omega.num, dtype=dtype) * a - (nus[:, None] + nus[None, :])
     valid = not np.any(resid[~omega.inf] < 0)
     return valid, ValuationMatrix._from_arrays(resid, den, omega.inf)
-
-
-def _tight_mask(omega: ValuationMatrix, scaling: DiagonalScaling) -> np.ndarray:
-    valid, residual = check_valid(omega, scaling)
-    if not valid:
-        raise ValueError("scaling is not valid for this valuation matrix")
-    return ~residual.inf & (residual.num == 0)
-
-
-def tight_entries(omega: ValuationMatrix, scaling: DiagonalScaling):
-    """Index pairs where the validity bound holds with (rational) equality."""
-    rows, cols = np.nonzero(_tight_mask(omega, scaling))
-    return set(zip(rows.tolist(), cols.tolist()))
 
 
 def extract_H(k: MatrixSeries, scaling: DiagonalScaling) -> ScaledForm:

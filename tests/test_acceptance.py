@@ -40,11 +40,11 @@ from asymspec import (
     match_ase,
     series_matrix_inverse,
     valuation_matrix,
-    vandermonde,
 )
 from asymspec.cli import main
 from asymspec.oracle import SweepResult
 from asymspec.serialize import dumps, matrix_series_to_json
+from reference import vandermonde
 
 DEFAULT_GRID = np.geomspace(1e-4, 1e-1, 37)[::-1]
 _SUITE_TIMES = {}

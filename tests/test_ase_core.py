@@ -12,11 +12,10 @@ from asymspec import (
     auto_scale,
     eigen_readout,
     extract_H,
-    rank_probe_curve,
-    regularized_inverse_probe,
     schur_chain,
     valuation_matrix,
 )
+from reference import rank_probe_curve, regularized_inverse_probe
 
 
 class TestSchurChain:

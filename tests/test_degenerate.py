@@ -8,15 +8,14 @@ from asymspec import (
     Exponent,
     INFINITY,
     MatrixSeries,
-    PartitionedScaledSeries,
     analyze_series,
     ase_from_scaled,
     auto_scale,
     extract_H,
     iterative_ase,
-    schur_reduce,
     valuation_matrix,
 )
+from reference import PartitionedScaledSeries, schur_reduce
 
 
 def degenerate_partition():

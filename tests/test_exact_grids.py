@@ -20,10 +20,10 @@ from asymspec import (
     auto_scale_exponents,
     check_valid,
     extract_H,
-    tight_entries,
     valuation_matrix,
 )
 from asymspec.scaling import _hungarian
+from reference import tight_entries
 
 
 def hungarian_reference(cost):

@@ -17,8 +17,8 @@ from asymspec import (
     eigen_readout,
     extract_H,
     schur_chain,
-    simplified_schur,
 )
+from reference import simplified_schur
 
 
 def scaling_3x3():

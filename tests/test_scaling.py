@@ -14,9 +14,9 @@ from asymspec import (
     auto_scale_exponents,
     check_valid,
     extract_H,
-    tight_entries,
     valuation_matrix,
 )
+from reference import tight_entries
 
 
 def scaling(*exps):
