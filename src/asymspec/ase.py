@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .series import SERIES_RANK_TOL, Exponent, as_exponent, is_singular
+from .series import SERIES_RANK_TOL, Exponent, as_exponent, is_singular, significant
 from .scaling import ScaledForm
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
 
 SIGN_PIN_TOL = 1e-12  # a column's sign is its first entry above this times its largest magnitude
 TERM_RANK_TOL = 1e-10  # rank floor, and symmetry/orthogonality slack, of an ASE term
-READOUT_ZERO_TOL = 1e-10  # readout drops eigenvalues at or below this times a group's largest
+READOUT_ZERO_TOL = TERM_RANK_TOL  # readout drops |w| at or below this times a group's largest
 READOUT_TIE_TOL = 1e-9  # leading coefficients this close (relative) make a group ambiguous
 
 
@@ -98,25 +98,15 @@ def schur_chain(h: np.ndarray, block_sizes, rank_tol: float = SERIES_RANK_TOL) -
     return SchurChain(complements, stopped)
 
 
-def rank_floor(term: np.ndarray) -> float:
-    """Singular values of an ASE term at or below this do not count toward its rank."""
-    return TERM_RANK_TOL * max(1.0, np.abs(term).max())
+def term_scale(term) -> float:
+    """Scale of an ASE term's rank floor, TERM_RANK_TOL times it: max |entry|, at least 1."""
+    return max(1.0, np.abs(term).max())
 
 
 def _diagonal(s: np.ndarray):
     """The diagonal of S when S is diagonal (its eigenpairs are then known), else None."""
     d = np.diag(s)
     return d if np.array_equal(s, np.diag(d)) else None
-
-
-def _lift(q, s: np.ndarray) -> np.ndarray:
-    """The dense term of a factor pair: sym(Q S Q^T), as (Q d) Q^T when S = diag(d),
-    or S itself when Q is None."""
-    if q is None:
-        return s
-    d = _diagonal(s)
-    term = q @ s @ q.T if d is None else (q * d) @ q.T
-    return 0.5 * (term + term.T)
 
 
 @dataclass
@@ -152,12 +142,16 @@ class Ase:
 
     @cached_property
     def groups(self) -> list:
-        """[(alpha, dense term)], each term sym(Q S Q^T) and read-only."""
+        """[(alpha, dense term)], read-only: S itself when Q is None, else
+        sym(Q S Q^T), formed as (Q d) Q^T when S = diag(d)."""
         out = []
         for alpha, q, s in self.factors:
-            term = _lift(q, s)
-            term.setflags(write=False)
-            out.append((alpha, term))
+            if q is not None:
+                d = _diagonal(s)
+                s = q @ s @ q.T if d is None else (q * d) @ q.T
+                s = 0.5 * (s + s.T)
+                s.setflags(write=False)
+            out.append((alpha, s))
         return out
 
     @property
@@ -174,7 +168,8 @@ class Ase:
         return eigen_readout(self)
 
     def term_rank_sum(self) -> int:
-        return sum(int(np.linalg.matrix_rank(t, rank_floor(t))) for _, t in self.groups)
+        return sum(int(significant(np.linalg.svd(t, compute_uv=False), TERM_RANK_TOL,
+                                   term_scale(t)).sum()) for _, t in self.groups)
 
     def validate(self):
         """Check the structural invariants; raises ValueError on violation."""
@@ -182,7 +177,7 @@ class Ase:
         for alpha, term in self.groups:
             if term.shape != (self.n, self.n):
                 raise ValueError("term shape mismatch")
-            if not np.allclose(term, term.T, atol=rank_floor(term)):
+            if not np.allclose(term, term.T, atol=TERM_RANK_TOL * term_scale(term)):
                 raise ValueError("term is not symmetric")
             if np.abs(term).max() == 0.0:
                 raise ValueError("zero term stored")
@@ -203,12 +198,6 @@ class Ase:
             raise ValueError("complete ASE must have term ranks summing to n")
 
 
-def _eigh_cut(mat: np.ndarray, tol: float):
-    """``eigh`` of a symmetric matrix and the mask of |w| above ``tol`` times max |w|."""
-    w, u = np.linalg.eigh(mat)
-    return w, u, np.abs(w) > tol * np.abs(w).max()
-
-
 def _chain_groups(chain: SchurChain, nus, bases, rank_tol: float):
     """ASE factors (2 nu_i, Q_i, S_i) over a Schur chain, and ``truncated_at``.
 
@@ -222,9 +211,10 @@ def _chain_groups(chain: SchurChain, nus, bases, rank_tol: float):
     truncated_at = None
     if chain.stopped_early:
         truncated_at, q, s = groups[-1]
-        w, u, keep = _eigh_cut(s, rank_tol)
+        w, u = np.linalg.eigh(s)
+        keep = significant(w, rank_tol)
         groups[-1] = (truncated_at, q @ u[:, keep], np.diag(w[keep]))
-    return [g for g in groups if np.abs(g[2]).max(initial=0.0) != 0.0], truncated_at
+    return [g for g in groups if g[2].any()], truncated_at
 
 
 def ase_from_scaled(form: ScaledForm, rank_tol: float = SERIES_RANK_TOL) -> Ase:
@@ -274,7 +264,7 @@ def eigen_readout(ase: Ase):
     for alpha, q, s in ase.factors:
         d = _diagonal(s)
         w, u = (d, np.eye(len(d))) if d is not None else np.linalg.eigh(s)
-        keep = np.flatnonzero(np.abs(w) > READOUT_ZERO_TOL * np.abs(w).max())
+        keep = np.flatnonzero(significant(w, READOUT_ZERO_TOL))
         cols = keep[np.argsort(-w[keep], kind="stable")]  # ties keep the stored order
         w = w[cols]
         if q is None:

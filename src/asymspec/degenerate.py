@@ -18,10 +18,11 @@ from .series import (
     Exponent,
     MatrixSeries,
     series_matrix_inverse,
+    significant,
     valuation_matrix,
 )
 from .scaling import DiagonalScaling, auto_scale_with_permutation, extract_H
-from .ase import Ase, SchurChain, fix_column_signs, schur_chain, _chain_groups, _eigh_cut
+from .ase import Ase, SchurChain, fix_column_signs, schur_chain, _chain_groups
 
 __all__ = ["iterative_ase"]
 
@@ -133,21 +134,22 @@ def iterative_ase(k: MatrixSeries, rank_tol: float = SERIES_RANK_TOL, max_depth=
         except ValueError:
             truncated_at = 2 * nus[stall]
             break
-        # rounding noise from the elimination must not register as genuine
-        # series terms; its size is machine-level relative to the coefficient
-        # scale that entered the Schur complement
-        noise = _coefficient_scale(cur_p) * NOISE_FACTOR
-        trailing = _prune(trailing, noise)
+        # rounding noise from the elimination (and below, the rotation) must
+        # not register as genuine series terms; its size is machine-level
+        # relative to the coefficient scale that entered the Schur complement
+        scale = _coefficient_scale(cur_p)
+        trailing = _prune(trailing, scale)
         if trailing.is_zero:
             truncated_at = trailing.trunc_order
             break
         gamma = trailing.valuation
         lead = trailing.coefficient(gamma)
-        w, q, nonzero = _eigh_cut(lead, rank_tol)
+        w, q = np.linalg.eigh(lead)
+        nonzero = significant(w, rank_tol)
         # nonsingular part first (descending), null directions last
         order = sorted(range(len(w)), key=lambda i: (not nonzero[i], -w[i]))
         q = fix_column_signs(q[:, order])
-        rotated = trailing.congruence(q, noise_floor=noise)
+        rotated = _prune(trailing.congruence(q), scale)
         # the leading coefficient is diagonal by construction; pin it exactly
         lead_diag = np.diag(np.where(nonzero[order], w[order], 0.0))
         # gamma is the trailing block's valuation, so its term stays first
@@ -162,8 +164,7 @@ def _coefficient_scale(m: MatrixSeries) -> float:
     return max((np.abs(c).max() for _, c in m.terms), default=0.0)
 
 
-def _prune(m: MatrixSeries, floor: float) -> MatrixSeries:
-    if floor <= 0.0:
-        return m
-    terms = [(e, np.where(np.abs(c) <= floor, 0.0, c)) for e, c in m.terms]
+def _prune(m: MatrixSeries, scale: float) -> MatrixSeries:
+    """m with the entries at or below ``NOISE_FACTOR * scale`` zeroed."""
+    terms = [(e, np.where(significant(c, NOISE_FACTOR, scale), c, 0.0)) for e, c in m.terms]
     return MatrixSeries(m.shape, terms, m.trunc_order, m.symmetric)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import SERIES_RANK_TOL, is_singular, _eps_power
+from .series import SERIES_RANK_TOL, is_singular, significant, _eps_power
 from .scaling import DiagonalScaling
 from .ase import Ase, fix_column_signs, schur_chain, _chain_groups
 
@@ -127,7 +127,7 @@ def _extend_basis(q_blocks, block: np.ndarray, thresh: float):
         for _ in range(2):
             resid -= q @ (q.T @ resid)
     u, s, vt = np.linalg.svd(resid, full_matrices=False)
-    b = int(np.sum(s > thresh))
+    b = int(significant(s, 1.0, thresh).sum())
     q_new = fix_column_signs(u[:, :b])
     signs = np.where(np.sum(q_new * u[:, :b], axis=0) < 0, -1.0, 1.0)
     return q_new, (signs * s[:b])[:, None] * vt[:b]

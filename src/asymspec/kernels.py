@@ -20,8 +20,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .series import Exponent, ScalarSeries, exact_int_dtype
-from .ase import Ase, fix_column_signs, rank_floor, schur_chain, _chain_groups, _lift
+from .series import Exponent, ScalarSeries, exact_int_dtype, significant
+from .ase import TERM_RANK_TOL, Ase, fix_column_signs, schur_chain, term_scale, _chain_groups
 from .gkf import BlockQr, build_H, _extend_basis
 
 __all__ = [
@@ -265,12 +265,15 @@ def distance_matrix(nodes: NodeSet, q: int) -> np.ndarray:
 
     The squares are summed one coordinate at a time, with no n x n x d
     difference tensor.  Below d = 8 that is the order of numpy's sum over a
-    last axis, so the matrix is bitwise the same as that sum's.
+    last axis, so the matrix is bitwise the same as that sum's.  A square
+    that overflows is +inf, with no warning: callers reject an infinite
+    distance as non-finite, or read psi(inf) = exp(-inf) = 0.
     """
     squared = np.zeros((nodes.n, nodes.n))
-    for coord in nodes.points.T:
-        diff = np.subtract.outer(coord, coord)
-        squared += diff * diff
+    with np.errstate(over="ignore"):
+        for coord in nodes.points.T:
+            diff = np.subtract.outer(coord, coord)
+            squared += diff * diff
     return np.sqrt(squared) ** q
 
 
@@ -398,40 +401,38 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
     the certified ones are invisible at working precision.  Terms are in the
     caller's units (the s^alpha unit map scales S_i only), and the expansion
     also stops before a group whose smallest leading value is at or below
-    ``rank_floor`` of its term there.  On nodes far from unit scale it stops
-    before the first group whose s^alpha overflows or underflows to 0, or
-    whose scaled S_i is not finite or all zero; the block at r - 1/2 is left
-    out, truncating at 2r - 1, when its s^(2r-1) or its unit-coordinate
-    block is not finite or is 0.  The readout is one ``SpectralGroup`` per
-    ASE group.
+    ``TERM_RANK_TOL`` times ``term_scale`` of its values there.  On nodes far
+    from unit scale it stops before the first group whose s^alpha overflows
+    or underflows to 0, or whose scaled S_i is not finite or all zero; the
+    block at r - 1/2 is left out, truncating at 2r - 1, when its s^(2r-1) or
+    its unit-coordinate block is not finite or is 0.  The readout is one
+    ``SpectralGroup`` per ASE group.
     """
     y, scale = _unit_nodes(nodes)
     qr = _degree_scan(kernel, y, rank_tol)
     h, sizes = build_H(qr, wronskian(kernel, nodes.d, len(qr.ranks) - 1))
     nus = [Exponent(t) for t in range(len(qr.ranks))]
     bases = list(qr.q_blocks)
-    short = sum(qr.ranks) < nodes.n
-    finite = short and kernel.regularity - 1 <= kernel.horizon // 2
-    left_out = None  # the valuation of a block at r - 1/2 too far from unit scale
-    if finite:
-        nu = Exponent(2 * int(kernel.regularity) - 1, 2)
-        unit = _power(scale, 2 * nu)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            a, w_bot = _complement_block(kernel, nodes, qr.Q)
-            w_bot /= unit
-        if unit != 0.0 and _usable(w_bot):
-            nus.append(nu)
-            h = _blockdiag(h, w_bot)
-            sizes.append(a.shape[1])
-            bases.append(a)
-        else:
-            left_out = 2 * nu
+    stop = None  # where the expansion ends if the Schur chain does not stall
+    if sum(qr.ranks) < nodes.n:
+        stop = 2 * nus[-1]  # the last certified degree, unless the block at r - 1/2 follows
+        if kernel.regularity - 1 <= kernel.horizon // 2:
+            nu = Exponent(2 * int(kernel.regularity) - 1, 2)
+            unit = _power(scale, 2 * nu)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                a, w_bot = _complement_block(kernel, nodes, qr.Q)
+                w_bot /= unit
+            if unit != 0.0 and _usable(w_bot):
+                nus.append(nu)
+                h = _blockdiag(h, w_bot)
+                sizes.append(a.shape[1])
+                bases.append(a)
+                stop = None
+            else:  # too far from unit scale: the block is left out
+                stop = 2 * nu
     chain = schur_chain(h, sizes, rank_tol)
     factors, truncated_at = _chain_groups(chain, nus, bases, rank_tol)
-    if short and not finite:
-        truncated_at = 2 * nus[len(chain.complements) - 1]
-    elif truncated_at is None:
-        truncated_at = left_out
+    truncated_at = stop if truncated_at is None else truncated_at
     kept = []
     for alpha, q, s in factors:
         unit = _power(scale, alpha)
@@ -443,12 +444,12 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
         kept.append((alpha, q, s))
     ase = Ase(nodes.n, kept, truncated_at)
     readout = ase.readout
-    for i, ((alpha, q, s), group) in enumerate(zip(ase.factors, readout)):
-        lam = np.abs(group.leading_values)
-        # max |t_ij| <= ||t||_2 = max lam, so rank_floor(t) <= rank_floor(lam):
-        # the dense term is formed only where the floor can be reached
-        if lam.min() <= rank_floor(lam) and lam.min() <= rank_floor(_lift(q, s)):
-            head = Ase(nodes.n, ase.factors[:i], alpha)
+    for i, group in enumerate(readout):
+        lam = group.leading_values
+        # kept |lam| exceed READOUT_ZERO_TOL = TERM_RANK_TOL times max |lam|, so this fires
+        # only at max |lam| < 1, min |lam| <= TERM_RANK_TOL: the dense term's floor or below
+        if not significant(lam, TERM_RANK_TOL, term_scale(lam)).all():
+            head = Ase(nodes.n, ase.factors[:i], group.valuation)
             head.readout = readout[:i]  # the readout is group by group
             return head, head.readout
     return ase, readout

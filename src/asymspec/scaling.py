@@ -120,7 +120,6 @@ class ScaledForm:
 
     scaling: DiagonalScaling
     H: np.ndarray
-    block_sizes: tuple
 
     def __post_init__(self):
         h = np.asarray(self.H, dtype=float)
@@ -130,9 +129,10 @@ class ScaledForm:
             h = 0.5 * (h + h.T)
         h.setflags(write=False)
         object.__setattr__(self, "H", h)
-        object.__setattr__(self, "block_sizes", tuple(int(b) for b in self.block_sizes))
-        if self.block_sizes != self.scaling.block_sizes:
-            raise ValueError("block sizes do not match the scaling")
+
+    @property
+    def block_sizes(self) -> tuple:
+        return self.scaling.block_sizes
 
 
 def check_valid(omega: ValuationMatrix, scaling: DiagonalScaling):
@@ -166,7 +166,7 @@ def extract_H(k: MatrixSeries, scaling: DiagonalScaling) -> ScaledForm:
             raise ValueError("scaling is not valid for this valuation matrix")
         hit = nz & (shift == e)
         h[hit] = m[hit]
-    return ScaledForm(scaling, h, scaling.block_sizes)
+    return ScaledForm(scaling, h)
 
 
 # ---------------------------------------------------------------------------

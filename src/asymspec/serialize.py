@@ -134,7 +134,7 @@ def matrix_series_from_json(obj) -> MatrixSeries:
             raise InputError(f"{where}: needs 'exponent' and 'matrix'")
         e = exponent_from_json(t["exponent"], f"{where}.exponent")
         m = _matrix_from_json(t["matrix"], n, f"{where}.matrix")
-        if symmetric and not np.allclose(m, m.T, atol=0.0):
+        if symmetric and not np.array_equal(m, m.T):
             raise InputError(f"{where}.matrix: declared symmetric but is not")
         terms.append((e, m))
     if trunc is None and not any(m.any() for _, m in terms):

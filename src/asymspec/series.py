@@ -177,6 +177,14 @@ def as_exponent(x) -> Exponent:
 SERIES_RANK_TOL = 1e-10
 
 
+def significant(values, tol: float, scale=None) -> np.ndarray:
+    """The mask of |values| above ``tol * scale``, the one cut of every rank and noise
+    decision: a value at or below it counts as zero.  ``scale`` defaults to the
+    largest |value|, so an all-zero array keeps nothing."""
+    mag = np.abs(values)
+    return mag > tol * (mag.max(initial=0.0) if scale is None else scale)
+
+
 def is_singular(mat: np.ndarray, tol: float) -> bool:
     """Singular-value ratio test: sigma_min <= tol * sigma_max, or mat is zero.
 
@@ -185,10 +193,10 @@ def is_singular(mat: np.ndarray, tol: float) -> bool:
     not flagged symmetric) goes through the SVD.
     """
     if np.array_equal(mat, mat.T):
-        sv = np.abs(np.linalg.eigvalsh(mat))
+        sv = np.linalg.eigvalsh(mat)
     else:
         sv = np.linalg.svd(mat, compute_uv=False)
-    return sv.max() == 0.0 or sv.min() <= tol * sv.max()
+    return not significant(sv, tol).all()
 
 
 #: int64 arithmetic stays exact while every intermediate value is below this.
@@ -525,20 +533,14 @@ class MatrixSeries:
         terms = [(e, _frozen(m[idx])) for e, m in self._terms]
         return MatrixSeries._from_terms(self.shape, terms, self._trunc, self.symmetric)
 
-    def congruence(self, q, noise_floor=0.0) -> "MatrixSeries":
-        """Return q.T @ self @ q for a constant matrix q.
+    def congruence(self, q) -> "MatrixSeries":
+        """Return q.T @ self @ q for a constant matrix q, term by term.
 
-        ``noise_floor`` > 0 zeroes entries with absolute value at or below it;
-        this controls the rounding noise injected by the rotation itself so
-        that it cannot masquerade as genuine series terms downstream.
+        The rotation's rounding noise is kept; a caller that must not read it
+        as series terms prunes the result (``degenerate._prune``).
         """
         q = np.asarray(q, dtype=float)
-        terms = []
-        for e, m in self._terms:
-            r = q.T @ m @ q
-            if noise_floor > 0.0:
-                r[np.abs(r) <= noise_floor] = 0.0
-            terms.append((e, r))
+        terms = [(e, q.T @ m @ q) for e, m in self._terms]
         sym = self.symmetric and q.shape[0] == q.shape[1]
         return MatrixSeries((q.shape[1], q.shape[1]), terms, self._trunc, sym)
 

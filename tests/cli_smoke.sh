@@ -71,6 +71,14 @@ for k in 0 1 2 3 4 5 6 7 8 9; do echo "${k}e20" >> big.csv; done
 code=0
 $ASYMSPEC kernel --kernel gaussian --nodes big.csv --output /dev/null || code=$?
 test "$code" -eq 2
+# nodes 1e200 apart: their squared distances overflow to inf with no
+# RuntimeWarning (an error here), and matern2's NaN entries exit 1
+printf '# d=2\n0,0\n1e200,0\n0,1e200\n1e200,1e200\n5e199,3e199\n' > far.csv
+code=0
+PYTHONWARNINGS=error::RuntimeWarning $ASYMSPEC sweep --kernel matern2 --nodes far.csv \
+  --eps-grid 1e-3:1e-1:8 --output /dev/null 2> far.err || code=$?
+test "$code" -eq 1
+grep -q "^error: matrix at eps = 0.1 has non-finite entries" far.err
 # the worked 3x3 generalized kernel form, through both GKF routes
 cat > g.json <<'JSON'
 {"V": [[1, 0, 0], [0, 1, -1], [0, 1, 1]],

@@ -231,6 +231,10 @@ _READER_ERRORS = [
             '"valuations": [{"nu": 0, "mult": 2}]}', "field 'W': matrix entries must be finite"),
     ("gkf", '{"V": [[NaN, 0], [0, 1]], "W": [[1, 0], [0, 1]], '
             '"valuations": [{"nu": 0, "mult": 2}]}', "field 'V': matrix entries must be finite"),
+    # "symmetric": true is checked exactly: a pair within numpy's allclose
+    # rtol would be averaged silently
+    ("auto", _series(terms=[{"exponent": 0, "matrix": [[1, 0.5], [0.500001, 1]]}]),
+     "terms[0].matrix: declared symmetric but is not"),
 ]
 
 
@@ -278,3 +282,23 @@ def test_ase_json_reader_errors_name_the_field(doc, message):
     # no command reads ASE JSON, so its reader is called directly
     with pytest.raises(InputError, match=re.escape(message)):
         ase_from_json(doc)
+
+
+@pytest.mark.parametrize("kernel, command, exit_code", [
+    ("matern2", "sweep", 1), ("matern2", "verify", 1),
+    ("gaussian", "sweep", 0), ("gaussian", "verify", 2),
+    ("exponential", "sweep", 0), ("exponential", "verify", 2),
+])
+def test_far_nodes_overflow_no_warning(tmp_path, capsys, kernel, command, exit_code):
+    # squared distances of about 1e400 overflow to inf: matern2's
+    # (1 + r) exp(-r) is then NaN (exit 1), the others read exp(-inf) = 0
+    path = tmp_path / "far.csv"
+    path.write_text("# d=2\n0,0\n1e200,0\n0,1e200\n1e200,1e200\n5e199,3e199\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--kernel", kernel, "--nodes", str(path),
+                     "--eps-grid", "1e-3:1e-1:8", "--output", "/dev/null"])
+    err = capsys.readouterr().err
+    assert code == exit_code
+    if exit_code == 1:
+        assert err.startswith("error: matrix at eps = 0.1 has non-finite entries")

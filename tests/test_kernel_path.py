@@ -399,3 +399,22 @@ def test_nodes_far_from_unit_scale_truncate(kernel_name, power, count, tmp_path)
         assert alpha == beta and len(lam) == len(ref)
         np.testing.assert_allclose(lam, np.array(ref) * float(f"1e{power}") ** float(alpha),
                                    rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_floor_stop_forms_no_dense_term(seed, monkeypatch):
+    # shrunk nodes put the group at eps^6 below the term rank floor; the stop
+    # reads the group's leading values, never the dense n x n term
+    nodes = NodeSet(1e-2 * _nodes("uniform:20", 2, seed).points)
+    kernel = kernel_model("gaussian")
+    want = kernel_ase(kernel, nodes)[0]
+
+    def forbidden(*args):
+        raise AssertionError("kernel_ase formed a dense term")
+
+    monkeypatch.setattr("asymspec.ase._lift", forbidden, raising=False)
+    monkeypatch.setattr("asymspec.kernels._lift", forbidden, raising=False)
+    monkeypatch.setattr(Ase, "groups", property(forbidden))
+    got = kernel_ase(kernel, nodes)[0]
+    assert len(got.factors) == 3 and got.truncated_at == Exponent(6)
+    assert got.valuations == want.valuations and got.truncated_at == want.truncated_at

@@ -1,6 +1,6 @@
 """Rank decisions after their cheaper forms: ``is_singular`` on eigenvalue
 magnitudes, and the block-extension step orthogonalizing against one stacked
-basis."""
+basis; and the one cut, ``significant``, that every rank decision makes."""
 
 import math
 
@@ -11,7 +11,7 @@ from asymspec import generate_nodes, kernel_model
 from asymspec.ase import fix_column_signs
 from asymspec.gkf import _extend_basis
 from asymspec.kernels import _degree_scan, _unit_nodes
-from asymspec.series import is_singular
+from asymspec.series import is_singular, significant
 
 
 def svd_is_singular(mat, tol):
@@ -80,3 +80,25 @@ def test_stacked_extension_matches_per_block(spec, d):
         assert np.abs(c - c_ref).max(initial=0.0) <= 1e-13
         steps += 1
     assert steps >= 3
+
+
+def test_significant_cut():
+    # powers of two, so tol * scale is exact: a value at the cut is dropped
+    assert significant(np.array([2.0, 0.5]), 0.25).tolist() == [True, False]
+    assert significant(np.array([0.5, 0.25]), 0.5, 1.0).tolist() == [False, False]
+    # the default scale is the largest magnitude (8, not the largest value 1),
+    # and signs are ignored
+    assert significant(np.array([-8.0, 1.0, 0.5, -0.5]), 0.0625).tolist() == [
+        True, True, False, False]
+    assert significant(np.array([-8.0, 1.0, 0.5, -0.5]), 0.0625, 1.0).tolist() == [
+        True, True, True, True]
+    # an all-zero spectrum keeps nothing, so the matrix is singular
+    assert not significant(np.zeros(3), 1e-10).any()
+    assert significant(np.zeros(0), 1e-10).shape == (0,)
+    assert is_singular(np.zeros((2, 2)), 0.0)
+
+
+def test_is_singular_is_the_cut_on_eigenvalue_magnitudes():
+    assert is_singular(np.diag([-1.0, 0.25]), 0.25)  # at the cut
+    assert not is_singular(np.diag([-1.0, 0.5]), 0.25)
+    assert is_singular(np.diag([1.0, -0.25]), 0.25)
