@@ -164,7 +164,8 @@ class Ase:
 
     @cached_property
     def readout(self) -> list:
-        """``eigen_readout(self)``, computed on first use and kept (terms are read-only)."""
+        """``eigen_readout(self)``, computed on first use and kept (terms are read-only);
+        ``kernel_ase`` sets it to the groups it read as it kept them."""
         return eigen_readout(self)
 
     def term_rank_sum(self) -> int:
@@ -252,34 +253,29 @@ class SpectralGroup:
         return self.vectors @ self.vectors.T
 
 
-def eigen_readout(ase: Ase):
-    """Per-group eigenvalues (decreasing) and eigenvectors of the ASE terms.
+def _read_group(alpha, q, s) -> SpectralGroup:
+    """One group's readout off its factor (Q, S): ``eigh(S)``, eigenvalues at or
+    below ``READOUT_ZERO_TOL`` times the largest magnitude dropped, the
+    eigenvectors mapped through Q (orthonormal, so Q U is too) and their signs
+    pinned.  A diagonal S holds its eigenpairs as they are: its values, and
+    Q's columns."""
+    d = _diagonal(s)
+    w, u = (d, np.eye(len(d))) if d is not None else np.linalg.eigh(s)
+    keep = np.flatnonzero(significant(w, READOUT_ZERO_TOL))
+    cols = keep[np.argsort(-w[keep], kind="stable")]  # ties keep the stored order
+    w = w[cols]
+    if q is None:
+        u = u[:, cols]
+    else:  # C order, as Q U is: BLAS products of the vectors depend on layout
+        u = q @ u[:, cols] if d is None else np.ascontiguousarray(q[:, cols])
+    gaps = np.abs(w[:-1] - w[1:])
+    ambiguous = bool(np.any(gaps <= READOUT_TIE_TOL
+                            * np.maximum(np.abs(w[:-1]), np.abs(w[1:]))))
+    return SpectralGroup(valuation=alpha, leading_values=w.tolist(),
+                         vectors=fix_column_signs(u), ambiguous=ambiguous)
 
-    Each group is read off its k x k factor: ``eigh(S)``, eigenvalues at or
-    below ``READOUT_ZERO_TOL`` times the largest magnitude dropped, the eigenvectors
-    mapped through Q (orthonormal, so Q U is too) and their signs pinned.  A
-    diagonal S holds its eigenpairs as they are: its values, and Q's columns.
-    """
-    out = []
-    for alpha, q, s in ase.factors:
-        d = _diagonal(s)
-        w, u = (d, np.eye(len(d))) if d is not None else np.linalg.eigh(s)
-        keep = np.flatnonzero(significant(w, READOUT_ZERO_TOL))
-        cols = keep[np.argsort(-w[keep], kind="stable")]  # ties keep the stored order
-        w = w[cols]
-        if q is None:
-            u = u[:, cols]
-        else:  # C order, as Q U is: BLAS products of the vectors depend on layout
-            u = q @ u[:, cols] if d is None else np.ascontiguousarray(q[:, cols])
-        gaps = np.abs(w[:-1] - w[1:])
-        ambiguous = bool(np.any(gaps <= READOUT_TIE_TOL
-                                * np.maximum(np.abs(w[:-1]), np.abs(w[1:]))))
-        out.append(
-            SpectralGroup(
-                valuation=alpha,
-                leading_values=w.tolist(),
-                vectors=fix_column_signs(u),
-                ambiguous=ambiguous,
-            )
-        )
-    return out
+
+def eigen_readout(ase: Ase):
+    """Per-group eigenvalues (decreasing) and eigenvectors of the ASE terms,
+    each group read off its k x k factor by ``_read_group``."""
+    return [_read_group(alpha, q, s) for alpha, q, s in ase.factors]

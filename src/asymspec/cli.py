@@ -79,6 +79,8 @@ def _load_nodes(args) -> NodeSet:
     if not args.nodes:
         raise InputError("this command needs --nodes")
     if ":" in args.nodes:
+        if args.seed is not None and args.seed < 0:
+            raise InputError(f"--seed must be a nonnegative integer, got {args.seed}")
         return generate_nodes(args.nodes, d=args.dim, seed=args.seed or 0)
     import os
 
@@ -177,18 +179,12 @@ def cmd_kernel(args) -> int:
         lead = ";".join(f"{x:.12g}" for x in group.leading_values)
         table.append(f"{group.valuation},{group.count},{lead}")
     sys.stdout.write("\n".join(table) + "\n")
-    _emit(serialize.dumps(serialize.ase_to_json(ase, readout)), args.output)
+    _emit(serialize.dumps(serialize.ase_to_json(ase)), args.output)
     return EXIT_OK if ase.complete else EXIT_TRUNCATED
 
 
 def cmd_verify(args) -> int:
     ase, source = _pipeline_ase_and_source(args)
-    if args.perturb_lambda is not None:
-        ase = Ase(
-            ase.n,
-            [(alpha, q, args.perturb_lambda * s) for alpha, q, s in ase.factors],
-            ase.truncated_at,
-        )
     grid = _parse_eps_grid(args.eps_grid)
     # eigenvectors only at the eps* points that match_ase reads them at
     stars = eps_star_indices(grid, ase.readout)
@@ -244,15 +240,13 @@ _FLAGS = {  # every flag once; each subcommand takes exactly the flags its handl
     "--nodes": dict(help="node CSV path, or generator spec like 'uniform:10'"),
     "--dim": dict(type=int, help="dimension of 'uniform' nodes (default 2); for any other "
                   "node source it must match the nodes' own dimension"),
-    "--seed": dict(type=int, help="seed of generated nodes (default 0)"),
+    "--seed": dict(type=int, help="nonnegative seed of generated nodes (default 0)"),
     "--mode": dict(choices=("scaled", "gkf", "iterative", "auto"), default="auto"),
     "--rank-tol": dict(type=float),
     "--eps-grid": dict(default="1e-4:1e-1:37"),  # 12 points per decade over [1e-4, 1e-1]
     "--output": dict(help="write the main result here instead of stdout"),
     "--tol-coeff": dict(type=float, default=1e-2),
     "--tol-angle": dict(type=float, default=1e-2),
-    "--perturb-lambda": dict(type=float, help="test hook: scale predicted leading "
-                             "coefficients before checking"),
     "--format": dict(choices=("csv",)),  # sweep writes only CSV; the benchmark's sweeps pass it
     "--track-vector": dict(type=int, metavar="K"),
 }
@@ -264,7 +258,7 @@ _COMMANDS = (  # name, help, handler, flags
     ("kernel", "flat-limit spectral equivalent of a kernel matrix", cmd_kernel,
      (*_KERNEL, "--rank-tol", "--output")),
     ("verify", "pipeline result checked against a numerical eigen-sweep", cmd_verify,
-     (*_SOURCE, "--tol-coeff", "--tol-angle", "--perturb-lambda")),
+     (*_SOURCE, "--tol-coeff", "--tol-angle")),
     ("sweep", "eigenvalue curves over an eps grid as CSV", cmd_sweep,
      (*_SOURCE, "--format", "--track-vector")),
 )

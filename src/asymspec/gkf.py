@@ -69,11 +69,6 @@ class BlockQr:
     def Q(self) -> np.ndarray:
         return np.hstack(self.q_blocks)
 
-    def r_diag_block(self, i: int) -> np.ndarray:
-        r0 = sum(self.ranks[:i])
-        c0 = sum(self.widths[:i])
-        return self.R[r0 : r0 + self.ranks[i], c0 : c0 + self.widths[i]]
-
     def _block_index(self):
         """Block number of each row (as a column) and each column (as a row) of R."""
         return (np.repeat(np.arange(len(self.ranks)), self.ranks)[:, None],

@@ -21,7 +21,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .series import Exponent, ScalarSeries, exact_int_dtype, significant
-from .ase import TERM_RANK_TOL, Ase, fix_column_signs, schur_chain, term_scale, _chain_groups
+from .ase import (TERM_RANK_TOL, Ase, fix_column_signs, schur_chain, term_scale, _chain_groups,
+                  _read_group)
 from .gkf import BlockQr, build_H, _extend_basis
 
 __all__ = [
@@ -199,10 +200,6 @@ class MonomialBasis:
     @property
     def flat(self):
         return [a for grp in self.by_degree for a in grp]
-
-    @property
-    def block_widths(self):
-        return tuple(num_monomials_exact(t, self.d) for t in range(self.max_degree + 1))
 
 
 def _wronskian_table(d: int, max_deg: int):
@@ -405,8 +402,8 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
     from unit scale it stops before the first group whose s^alpha overflows
     or underflows to 0, or whose scaled S_i is not finite or all zero; the
     block at r - 1/2 is left out, truncating at 2r - 1, when its s^(2r-1) or
-    its unit-coordinate block is not finite or is 0.  The readout is one
-    ``SpectralGroup`` per ASE group.
+    its unit-coordinate block is not finite or is 0.  Each group is read out
+    as it is kept: the readout returned is ``ase.readout``.
     """
     y, scale = _unit_nodes(nodes)
     qr = _degree_scan(kernel, y, rank_tol)
@@ -433,25 +430,22 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
     chain = schur_chain(h, sizes, rank_tol)
     factors, truncated_at = _chain_groups(chain, nus, bases, rank_tol)
     truncated_at = stop if truncated_at is None else truncated_at
-    kept = []
+    kept, readout = [], []
     for alpha, q, s in factors:
         unit = _power(scale, alpha)
         with np.errstate(over="ignore"):
             s = unit * s
-        if unit == 0.0 or not _usable(s):
+        group = _read_group(alpha, q, s) if unit != 0.0 and _usable(s) else None
+        # kept |lam| exceed READOUT_ZERO_TOL = TERM_RANK_TOL times max |lam|, so the floor fires
+        # only at max |lam| < 1, min |lam| <= TERM_RANK_TOL: the dense term's floor or below
+        if group is None or not significant(lam := group.leading_values, TERM_RANK_TOL,
+                                            term_scale(lam)).all():
             truncated_at = alpha
             break
         kept.append((alpha, q, s))
+        readout.append(group)
     ase = Ase(nodes.n, kept, truncated_at)
-    readout = ase.readout
-    for i, group in enumerate(readout):
-        lam = group.leading_values
-        # kept |lam| exceed READOUT_ZERO_TOL = TERM_RANK_TOL times max |lam|, so this fires
-        # only at max |lam| < 1, min |lam| <= TERM_RANK_TOL: the dense term's floor or below
-        if not significant(lam, TERM_RANK_TOL, term_scale(lam)).all():
-            head = Ase(nodes.n, ase.factors[:i], group.valuation)
-            head.readout = readout[:i]  # the readout is group by group
-            return head, head.readout
+    ase.readout = readout  # each group read once, as it was kept
     return ase, readout
 
 

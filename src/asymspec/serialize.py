@@ -16,6 +16,7 @@ mostly zeros, each float goes through ``float.__repr__``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from itertools import chain
@@ -181,24 +182,20 @@ def gkf_from_json(obj) -> GkfForm:
         raise InputError("fields 'V'/'W': must be two-dimensional")
     v = _finite_floats(v, "field 'V'", "matrix", "an array of arrays")
     w = _finite_floats(w, "field 'W'", "matrix", "an array of arrays")
+    if w.shape[0] == w.shape[1] and not np.array_equal(w, w.T):
+        raise InputError("field 'W': must be exactly symmetric")
     scaling = scaling_from_json(obj["valuations"], "field 'valuations'")
     return GkfForm(v, scaling, w)
 
 
-def ase_to_json(ase: Ase, readout=None) -> dict:
-    """ASE JSON; ``readout`` defaults to ``ase.readout``."""
+def ase_to_json(ase: Ase) -> dict:
+    """ASE JSON: each group of ``ase.readout``, its values and vectors."""
     if ase.truncated_at is not None and ase.truncated_at.is_infinite:
         raise ValueError("truncated_at is infinite; ASE JSON writes null for a complete ASE")
-    groups = []
-    for g in ase.readout if readout is None else readout:
-        groups.append(
-            {
-                "valuation": exponent_to_json(g.valuation),
-                "lambda": [float(x) for x in g.leading_values],
-                "ambiguous": bool(g.ambiguous),
-                "vectors": g.vectors.T.tolist(),
-            }
-        )
+    groups = [{"valuation": exponent_to_json(g.valuation),
+               "lambda": [float(x) for x in g.leading_values],
+               "ambiguous": bool(g.ambiguous),
+               "vectors": g.vectors.T.tolist()} for g in ase.readout]
     return {
         "n": ase.n,
         "truncated_at": None if ase.truncated_at is None else exponent_to_json(ase.truncated_at),
@@ -236,26 +233,14 @@ def ase_from_json(obj) -> Ase:
 
 
 def match_report_to_json(report) -> dict:
+    """Each ``GroupMatch`` as its fields in order (a non-finite slope as null), then ``passed``."""
     return {
         "passed": bool(report.passed),
         "precision_ceiling": report.precision_ceiling,
         "note": report.note,
-        "groups": [
-            {
-                "valuation": g.valuation,
-                "count": g.count,
-                "verifiable": bool(g.verifiable),
-                "eps_star": g.eps_star,
-                "slopes": [None if not math.isfinite(s) else s for s in g.slopes],
-                "slope_ok": g.slope_ok,
-                "coeff_rel_errors": list(g.coeff_rel_errors),
-                "coeff_ok": g.coeff_ok,
-                "angle": g.angle,
-                "angle_ok": g.angle_ok,
-                "passed": g.passed,
-            }
-            for g in report.groups
-        ],
+        "groups": [{**dataclasses.asdict(g),
+                    "slopes": [s if math.isfinite(s) else None for s in g.slopes],
+                    "passed": g.passed} for g in report.groups],
     }
 
 

@@ -544,22 +544,6 @@ class MatrixSeries:
         sym = self.symmetric and q.shape[0] == q.shape[1]
         return MatrixSeries((q.shape[1], q.shape[1]), terms, self._trunc, sym)
 
-    def block_diag(self, other) -> "MatrixSeries":
-        """Block-diagonal combination of two square series."""
-        if self.shape[0] != self.shape[1] or other.shape[0] != other.shape[1]:
-            raise ValueError("block_diag requires square blocks")
-        na, nb = self.shape[0], other.shape[0]
-        n = na + nb
-        out = {}
-        for e, m in self._terms:
-            tgt = out.setdefault(e, np.zeros((n, n)))
-            tgt[:na, :na] += m
-        for e, m in other._terms:
-            tgt = out.setdefault(e, np.zeros((n, n)))
-            tgt[na:, na:] += m
-        trunc = min(self._trunc, other._trunc)
-        return MatrixSeries((n, n), out, trunc, self.symmetric and other.symmetric)
-
     def evaluate(self, eps: float) -> np.ndarray:
         if eps < 0:
             raise ValueError("eps must be nonnegative")

@@ -32,6 +32,9 @@ JSON
 cat > ginf.json <<'JSON'
 {"V": [[1, 0], [0, 1]], "W": [[Infinity, 0], [0, 1]], "valuations": [{"nu": 0, "mult": 2}]}
 JSON
+cat > gasym.json <<'JSON'
+{"V": [[1, 0], [0, 1]], "W": [[2, 1], [0, 2]], "valuations": [{"nu": 0, "mult": 1}, {"nu": 1, "mult": 1}]}
+JSON
 for mode in auto scaled iterative; do
   $ASYMSPEC analyze --input k.json --mode "$mode"
   # the zero row leaves the expansion truncated at the horizon
@@ -88,17 +91,20 @@ cat > g.json <<'JSON'
 JSON
 $ASYMSPEC analyze --input g.json --mode gkf
 $ASYMSPEC verify --input g.json --mode gkf
-# a usage error, a flag the command does not read, a second source
-# (or a kernel-source flag beside --input), an all-zero series
-# without trunc_order and a GKF with an infinite W entry are
-# malformed input: exit 1, not 2 (a truncated expansion)
+# a usage error, a flag the command does not read (or no longer
+# takes), a second source (or a kernel-source flag beside --input),
+# an all-zero series without trunc_order and a GKF with an infinite
+# or a not exactly symmetric W are malformed input: exit 1, not 2
+# (a truncated expansion)
 for argv in "kernel --kernel nosuch --nodes uniform:5" \
             "analyze --input k.json --seed 0" \
             "sweep --nodes uniform:5 --kernel gaussian --format json" \
+            "verify --input k.json --perturb-lambda 2" \
             "verify --input k.json --nodes uniform:5 --kernel gaussian" \
             "verify --input k.json --seed 5" \
             "analyze --input z0.json" \
-            "analyze --input ginf.json --mode gkf"; do
+            "analyze --input ginf.json --mode gkf" \
+            "analyze --input gasym.json --mode gkf"; do
   code=0
   $ASYMSPEC $argv || code=$?
   test "$code" -eq 1

@@ -12,7 +12,9 @@ states them:
 - the simplified complement S_j = R_jj (W_jj - ...) R_jj^T of a GKF;
 - the smooth and finitely smooth flat-limit GKFs (V, Delta, W) with V the
   multivariate Vandermonde matrix (Barthelme & Usevich, SIMAX 2021);
-- principal angles between spans that are not yet orthonormal.
+- principal angles between spans that are not yet orthonormal;
+- the block-diagonal sum of two series, a block QR's diagonal block R_ii
+  and the monomial count of each degree, which no command reads.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from asymspec.kernels import (
     _complement_block,
     _degree_scan,
     _unit_nodes,
+    num_monomials_exact,
     wronskian,
 )
 from asymspec.oracle import _angles
@@ -116,7 +119,24 @@ def schur_reduce(part: PartitionedScaledSeries, order) -> MatrixSeries:
     top_exps = part.scaling.exponents()[:m]
     top_idx = np.arange(m)
     top = _symmetric(part.H.submatrix(top_idx, top_idx).scale_rows_cols(top_exps, top_exps))
-    return top.block_diag(schur.shift(2 * s)).truncate(order)
+    return block_diag(top, schur.shift(2 * s)).truncate(order)
+
+
+def block_diag(a: MatrixSeries, b: MatrixSeries) -> MatrixSeries:
+    """Block-diagonal combination of two square series."""
+    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
+        raise ValueError("block_diag requires square blocks")
+    na, nb = a.shape[0], b.shape[0]
+    n = na + nb
+    out = {}
+    for e, m in a.terms:
+        tgt = out.setdefault(e, np.zeros((n, n)))
+        tgt[:na, :na] += m
+    for e, m in b.terms:
+        tgt = out.setdefault(e, np.zeros((n, n)))
+        tgt[na:, na:] += m
+    trunc = min(a.trunc_order, b.trunc_order)
+    return MatrixSeries((n, n), out, trunc, a.symmetric and b.symmetric)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +196,13 @@ def rank_probe_curve(k: MatrixSeries, s_grid, tau: float, eps_seq, rank_tol: flo
 # ---------------------------------------------------------------------------
 
 
+def r_diag_block(qr: BlockQr, i: int) -> np.ndarray:
+    """The diagonal block R_ii of a block QR."""
+    r0 = sum(qr.ranks[:i])
+    c0 = sum(qr.widths[:i])
+    return qr.R[r0 : r0 + qr.ranks[i], c0 : c0 + qr.widths[i]]
+
+
 def simplified_schur(w: np.ndarray, qr: BlockQr, j: int) -> np.ndarray:
     """S_j via Schur complements of W: R_jj (W_jj - W_{j,<j} W_{<j,<j}^{-1} W_{<j,j}) R_jj^T.
 
@@ -189,7 +216,7 @@ def simplified_schur(w: np.ndarray, qr: BlockQr, j: int) -> np.ndarray:
                 f"R_{i},{i} is not square (rank {qr.ranks[i]} < width {qr.widths[i]}); "
                 "use the general Schur chain instead"
             )
-    rjj = qr.r_diag_block(j)
+    rjj = r_diag_block(qr, j)
     c0 = sum(qr.widths[:j])
     c1 = c0 + qr.widths[j]
     wjj = w[c0:c1, c0:c1]
@@ -211,6 +238,11 @@ def simplified_schur(w: np.ndarray, qr: BlockQr, j: int) -> np.ndarray:
 class FinitelySmoothError(Exception):
     """The Vandermonde degree scan stops short of full row rank: at degree
     r-1, at half the psi horizon, or before a degree it cannot certify."""
+
+
+def block_widths(d: int, q: int) -> tuple:
+    """The number of monomials of each degree 0..q in d variables."""
+    return tuple(num_monomials_exact(t, d) for t in range(q + 1))
 
 
 def vandermonde(nodes: NodeSet, s: int) -> np.ndarray:
@@ -246,7 +278,7 @@ def smooth_flat_limit(kernel: KernelModel, nodes: NodeSet,
         raise FinitelySmoothError(f"the Vandermonde degree scan stops at rank {sum(qr.ranks)} "
                                   f"< n = {nodes.n}; use finite_smooth_flat_limit")
     q = len(qr.ranks) - 1
-    widths = MonomialBasis(nodes.d, q).block_widths
+    widths = block_widths(nodes.d, q)
     scaling = DiagonalScaling(tuple((Exponent(t), w) for t, w in enumerate(widths)))
     return GkfForm(vandermonde(nodes, q), scaling, wronskian(kernel, nodes.d, q))
 
@@ -269,7 +301,7 @@ def finite_smooth_flat_limit(
     if sum(qr.ranks) == nodes.n:
         raise ValueError("V_{<=r-1} has full row rank; the smooth pipeline applies")
     a, w_bot = _complement_block(kernel, nodes, qr.Q)
-    blocks = [(Exponent(t), w) for t, w in enumerate(MonomialBasis(nodes.d, r - 1).block_widths)]
+    blocks = [(Exponent(t), w) for t, w in enumerate(block_widths(nodes.d, r - 1))]
     blocks.append((Exponent(2 * r - 1, 2), a.shape[1]))
     w = _blockdiag(wronskian(kernel, nodes.d, r - 1), w_bot)
     return GkfForm(np.hstack([vandermonde(nodes, r - 1), a]), DiagonalScaling(tuple(blocks)), w)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from asymspec import cli
+from asymspec.ase import Ase
 from asymspec.cli import main
 from asymspec.serialize import (
     ase_from_json,
@@ -134,8 +135,16 @@ class TestVerifyCommand:
         p.write_text(dumps(matrix_series_to_json(ex_degenerate)))
         assert main(["verify", "--input", str(p), "--mode", "iterative"]) == 0
 
-    def test_perturbed_fails(self, series_files, capsys):
-        code = main(["verify", "--input", series_files["k2"], "--perturb-lambda", "2.0"])
+    def test_perturbed_fails(self, series_files, capsys, monkeypatch):
+        route = cli.analyze_series
+
+        def doubled(*args):  # a wrong prediction: the route's ASE with each S doubled
+            ase = route(*args)
+            return Ase(ase.n, [(alpha, q, 2.0 * s) for alpha, q, s in ase.factors],
+                       ase.truncated_at)
+
+        monkeypatch.setattr(cli, "analyze_series", doubled)
+        code = main(["verify", "--input", series_files["k2"]])
         assert code == 2
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is False
@@ -379,23 +388,25 @@ class TestEigenWork:
                  for g in report["groups"] if g["verifiable"]}
         assert n_eigh == len(stars) >= 1
 
-    def test_one_readout_per_verify(self, monkeypatch, series_files):
+    def test_one_readout_per_verify(self, monkeypatch, series_files, capsys):
         from asymspec import ase as ase_module
+        from asymspec import kernels
 
-        calls = []
+        calls, reads = [], []
         original = ase_module.eigen_readout
         monkeypatch.setattr(ase_module, "eigen_readout", lambda a: calls.append(a) or original(a))
-        kernel = ["verify", "--nodes", "uniform:20", "--kernel", "matern2"]
-        assert main(kernel) == 0
-        assert len(calls) == 1
+        read_group = kernels._read_group
+        monkeypatch.setattr(kernels, "_read_group",
+                            lambda *g: reads.append(g[0]) or read_group(*g))
+        # kernel_ase reads each group once, as it keeps it, and never the whole ASE
+        assert main(["verify", "--nodes", "uniform:20", "--kernel", "matern2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert calls == []
+        assert [float(alpha) for alpha in reads] == [g["valuation"] for g in report["groups"]]
+        assert len(set(reads)) == len(reads) >= 2
         assert main(["verify", "--input", series_files["k5"]]) == 0
-        assert len(calls) == 2
-        # --perturb-lambda reads out the perturbed ASE, since eps* depends on it
-        assert main(["verify", "--input", series_files["k5"], "--perturb-lambda", "2"]) == 2
-        assert len(calls) == 3
-        assert main([*kernel, "--perturb-lambda", "2"]) == 2
-        assert len(calls) == 5
-        assert calls[3] is not calls[4]
+        assert len(calls) == 1
+        assert len(reads) == len(report["groups"])
 
     def test_eps_power_overflow_is_an_input_error(self, tmp_path, capsys):
         # eps^-100 leaves the double range below eps ~ 8.3e-4; the default

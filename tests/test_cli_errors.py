@@ -95,6 +95,14 @@ def test_dim_of_a_node_file_is_checked(tmp_path, capsys):
     assert main(argv + ["--dim", "2"]) in (0, 2)
 
 
+def test_negative_seed_is_named(capsys):
+    # numpy's own message, "expected non-negative integer", named no flag
+    code = main(["kernel", "--kernel", "gaussian", "--nodes", "uniform:5", "--seed", "-1",
+                 "--output", "/dev/null"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --seed must be a nonnegative integer, got -1\n"
+
+
 @pytest.mark.parametrize("flag", ["--rank-tol", "--tol-coeff", "--tol-angle"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-12"])
 def test_tolerance_flags_reject_non_finite_and_negative(capsys, flag, value):
@@ -235,6 +243,12 @@ _READER_ERRORS = [
     # rtol would be averaged silently
     ("auto", _series(terms=[{"exponent": 0, "matrix": [[1, 0.5], [0.500001, 1]]}]),
      "terms[0].matrix: declared symmetric but is not"),
+    # W is checked exactly, as a series is: averaged, the first once gave the
+    # ASE of [[2, 0.5], [0.5, 2]] (exit 0), the second "W is singular"
+    ("gkf", _gkf(W=[[2, 1], [0, 2]], valuations=[{"nu": 0, "mult": 1}, {"nu": 1, "mult": 1}]),
+     "field 'W': must be exactly symmetric"),
+    ("gkf", _gkf(W=[[1, 2], [0, 1]], valuations=[{"nu": 0, "mult": 1}, {"nu": 1, "mult": 1}]),
+     "field 'W': must be exactly symmetric"),
 ]
 
 

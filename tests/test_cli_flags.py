@@ -15,8 +15,7 @@ FLAGS = {
     "analyze": {"--input", "--mode", "--rank-tol", "--output"},
     "kernel": {"--kernel", "--psi", "--nodes", "--dim", "--seed", "--rank-tol", "--output"},
     "verify": {"--input", "--kernel", "--psi", "--nodes", "--dim", "--seed", "--mode",
-               "--rank-tol", "--eps-grid", "--output", "--tol-coeff", "--tol-angle",
-               "--perturb-lambda"},
+               "--rank-tol", "--eps-grid", "--output", "--tol-coeff", "--tol-angle"},
     "sweep": {"--input", "--kernel", "--psi", "--nodes", "--dim", "--seed", "--mode",
               "--rank-tol", "--eps-grid", "--output", "--format", "--track-vector"},
 }
@@ -32,7 +31,7 @@ def accepted_flags():
 def test_each_command_takes_the_flags_it_reads():
     flags = accepted_flags()
     assert flags == FLAGS
-    assert sum(len(f) for f in flags.values()) == 36
+    assert sum(len(f) for f in flags.values()) == 35
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from asymspec import (
     extract_H,
     schur_chain,
 )
-from reference import simplified_schur
+from reference import r_diag_block, simplified_schur
 
 
 def scaling_3x3():
@@ -122,7 +122,7 @@ class TestBuildH:
             d = np.zeros((5, 6))
             r0 = c0 = 0
             for i, wd in enumerate(widths):
-                rb = qr.r_diag_block(i)
+                rb = r_diag_block(qr, i)
                 d[r0 : r0 + rb.shape[0], c0 : c0 + wd] = rb
                 r0 += rb.shape[0]
                 c0 += wd
