@@ -73,6 +73,8 @@ def schur_chain(h: np.ndarray, block_sizes, rank_tol: float = SERIES_RANK_TOL) -
     ratio test at ``rank_tol``.
     """
     h = np.asarray(h, dtype=float)
+    if not np.isfinite(h).all():
+        raise ValueError("H has non-finite entries (overflow or NaN in its inputs)")
     n = h.shape[0]
     sizes = [int(b) for b in block_sizes]
     if sum(sizes) != n:

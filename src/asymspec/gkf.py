@@ -136,8 +136,9 @@ def build_H(qr: BlockQr, w: np.ndarray):
         raise ValueError("W shape does not match the QR widths")
     rows, cols = qr._block_index()
     d = np.where(rows == cols, qr.R, 0.0)
-    h = d @ w @ d.T
-    return 0.5 * (h + h.T), list(qr.ranks)
+    with np.errstate(over="ignore", invalid="ignore"):  # schur_chain rejects a non-finite H
+        h = d @ w @ d.T
+        return 0.5 * (h + h.T), list(qr.ranks)
 
 
 def ase_from_gkf(form: GkfForm, rank_tol: float = SERIES_RANK_TOL) -> Ase:

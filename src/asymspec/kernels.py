@@ -253,7 +253,8 @@ def wronskian(kernel: KernelModel, d: int, max_deg: int) -> np.ndarray:
         kernel.psi_coeff(int(total[beyond[0]]))
     p = num_monomials_upto(max_deg, d)
     w = np.zeros((p, p))
-    w[i, j] = np.asarray(kernel.coeffs)[total] * c.astype(float)
+    with np.errstate(over="ignore"):  # an overflow reaches schur_chain as a non-finite H
+        w[i, j] = np.asarray(kernel.coeffs)[total] * c.astype(float)
     return w
 
 

@@ -180,9 +180,9 @@ def _hungarian(cost):
     Returns (row_of_col, u, v): the matching (1-indexed internally, returned
     0-indexed) and integer dual potentials with ``u[i] + v[j] <= cost[i][j]``
     for all i, j and equality on matched pairs.  Each row is added along a
-    shortest augmenting path (Kuhn's method with potentials).  The scan over
-    the columns is vectorized and takes the first column of least reduced
-    cost, so pivots and duals are those of the plain column-by-column loop.
+    shortest augmenting path (Kuhn's method with potentials).  Each step reads
+    one row's reduced costs in a numpy pass and takes the first free column of
+    least ``minv``, so pivots and duals are those of the column-by-column loop.
     """
     cost = np.asarray(cost)
     n = cost.shape[0]
@@ -196,37 +196,23 @@ def _hungarian(cost):
     match = np.zeros(n + 1, dtype=np.intp)  # match[j] = row assigned to column j
     for i in range(1, n + 1):
         match[0] = i
-        # Potential updates are deferred: ``shift`` is the sum of this row's
-        # deltas so far.  A free column's least reduced cost is key - shift;
-        # a tree column that joined at shift s moves by (final shift - s).
-        shift = 0
-        tree, joined = [0], [0]
-        free = np.ones(n + 1, dtype=bool)
-        free[0] = False
+        j0 = 0
+        minv = np.full(n + 1, used_key, dtype=dtype)  # used_key keeps argmin off used columns
+        used = np.zeros(n + 1, dtype=bool)
         way = np.zeros(n + 1, dtype=np.intp)
-        key = c[i] - u[i] - v
-        key[0] = used_key
-        cur = np.empty_like(key)
-        better = np.empty(n + 1, dtype=bool)
-        while True:
-            j0 = int(key.argmin())
-            shift = key[j0]
-            if match[j0] == 0:
-                break
-            tree.append(j0)
-            joined.append(shift)
-            free[j0] = False
-            key[j0] = used_key
+        while match[j0]:
+            used[j0] = True
+            minv[j0] = used_key
             i0 = match[j0]
-            np.subtract(c[i0], v, out=cur)
-            cur += shift - u[i0]
-            np.less(cur, key, out=better)
-            better &= free
-            np.copyto(key, cur, where=better)
-            np.copyto(way, j0, where=better)
-        moved = shift - np.asarray(joined, dtype=dtype)
-        u[match[tree]] += moved
-        v[tree] -= moved
+            cur = c[i0] - u[i0] - v
+            better = (cur < minv) & ~used
+            minv[better] = cur[better]
+            way[better] = j0
+            j0 = int(minv.argmin())
+            delta = minv[j0]
+            u[match[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
         while j0:
             j1 = way[j0]
             match[j0] = match[j1]

@@ -135,6 +135,9 @@ def matrix_series_from_json(obj) -> MatrixSeries:
             raise InputError(f"{where}: needs 'exponent' and 'matrix'")
         e = exponent_from_json(t["exponent"], f"{where}.exponent")
         m = _matrix_from_json(t["matrix"], n, f"{where}.matrix")
+        if np.abs(m).max() > np.finfo(float).max / 2:  # symmetrizing would overflow
+            raise InputError(f"{where}.matrix: an entry above {np.finfo(float).max / 2:.4g} "
+                             "in magnitude overflows")
         if symmetric and not np.array_equal(m, m.T):
             raise InputError(f"{where}.matrix: declared symmetric but is not")
         terms.append((e, m))

@@ -109,4 +109,11 @@ for argv in "kernel --kernel nosuch --nodes uniform:5" \
   $ASYMSPEC $argv || code=$?
   test "$code" -eq 1
 done
+# a finite psi whose Wronskian overflows exits 1 naming the overflow, with
+# no RuntimeWarning on the way (it once ended in "SVD did not converge")
+code=0
+PYTHONWARNINGS=error::RuntimeWarning $ASYMSPEC kernel --kernel custom \
+  --psi '[1e308, 0, 1e308]' --nodes uniform:4 2> over.err || code=$?
+test "$code" -eq 1
+test "$(cat over.err)" = "error: H has non-finite entries (overflow or NaN in its inputs)"
 $ASYMSPEC --help > /dev/null

@@ -316,3 +316,28 @@ def test_far_nodes_overflow_no_warning(tmp_path, capsys, kernel, command, exit_c
     assert code == exit_code
     if exit_code == 1:
         assert err.startswith("error: matrix at eps = 0.1 has non-finite entries")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # psi's product with V's R blocks overflows in build_H: once an empty ASE, exit 2
+    (["kernel", "--kernel", "custom", "--psi", "[1e308, 1e308]", "--nodes", "uniform:4"],
+     "error: H has non-finite entries (overflow"),
+    # the Wronskian itself overflows: once "SVD did not converge"
+    (["kernel", "--kernel", "custom", "--psi", "[1e308, 0, 1e308]", "--nodes", "uniform:4"],
+     "error: H has non-finite entries (overflow"),
+    # symmetrizing overflowed: once no groups, truncated at eps^2 (exit 2)
+    (["analyze", "--input", "{series}"],
+     "error: terms[0].matrix: an entry above 8.988e+307 in magnitude overflows"),
+])
+def test_finite_inputs_that_overflow_are_named(tmp_path, capsys, argv, message):
+    series = tmp_path / "s.json"
+    series.write_text(json.dumps({"n": 2, "terms": [
+        {"exponent": 0, "matrix": [[1e308, 1e308], [1e308, 1e308]]},
+        {"exponent": 1, "matrix": [[1e308, -1e308], [-1e308, 1e308]]}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([a.format(series=series) for a in argv] + ["--output", "/dev/null"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(message)
+    assert "Traceback" not in err

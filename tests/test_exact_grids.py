@@ -29,8 +29,7 @@ from reference import tight_entries
 def hungarian_reference(cost):
     """Min-cost perfect assignment, one column at a time (Kuhn's method)."""
     n = len(cost)
-    big = max((max(row) for row in cost), default=0) * n + 1
-    inf = big * (n + 2) + 1
+    inf = float("inf")  # above every reduced cost, whatever the costs' sign
     u = [0] * (n + 1)
     v = [0] * (n + 1)
     match = [0] * (n + 1)  # match[j] = row assigned to column j
@@ -108,6 +107,27 @@ def test_hungarian_matches_reference_on_random_grids():
 def test_hungarian_matches_reference_on_all_ties():
     for n in range(1, 61):
         cost = np.zeros((n, n), dtype=np.int64)
+        assert _hungarian(cost) == hungarian_reference(cost.tolist())
+
+
+def test_hungarian_matches_reference_on_gallai_weights():
+    # the nonpositive weights -max(mu_i + mu_j - c_ij, 0) of _bounded_optimum
+    rng = np.random.default_rng(103)
+    for _ in range(200):
+        n = int(rng.integers(1, 13))
+        c = rng.integers(0, 20, (n, n))
+        c = np.minimum(c, c.T)
+        mu = c.min(axis=1)
+        cost = -np.maximum(mu[:, None] + mu[None, :] - c, 0)
+        assert _hungarian(cost) == hungarian_reference(cost.tolist())
+
+
+def test_hungarian_matches_reference_on_object_costs():
+    # entries past int64, which run the solver on Python ints in object arrays
+    rng = np.random.default_rng(104)
+    for _ in range(200):
+        n = int(rng.integers(1, 13))
+        cost = rng.integers(-50, 50, (n, n)).astype(object) * 2**70
         assert _hungarian(cost) == hungarian_reference(cost.tolist())
 
 

