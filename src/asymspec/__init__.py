@@ -12,7 +12,6 @@ from .series import (
     Exponent,
     INFINITY,
     MatrixSeries,
-    ScalarSeries,
     SingularLeadingTermError,
     ValuationMatrix,
     series_matrix_inverse,
@@ -48,7 +47,6 @@ from .kernels import (
     monomials_of_degree,
     num_monomials_exact,
     num_monomials_upto,
-    regularity_index,
     wronskian,
 )
 from .degenerate import iterative_ase

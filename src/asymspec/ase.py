@@ -95,6 +95,8 @@ def schur_chain(h: np.ndarray, block_sizes, rank_tol: float = SERIES_RANK_TOL) -
             break
         cross = trailing[b:, :b]
         trailing = trailing[b:, b:] - cross @ np.linalg.solve(s, cross.T)
+        if not np.isfinite(trailing).all():
+            raise ValueError("Schur complement has non-finite entries (overflow in a Schur step)")
         trailing = 0.5 * (trailing + trailing.T)
         offset += b
     return SchurChain(complements, stopped)

@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
-from .series import Exponent, ScalarSeries, exact_int_dtype, significant
+from .series import Exponent, exact_int_dtype, significant
 from .ase import (TERM_RANK_TOL, Ase, fix_column_signs, schur_chain, term_scale, _chain_groups,
                   _read_group)
 from .gkf import BlockQr, build_H, _extend_basis
@@ -28,7 +28,6 @@ from .gkf import BlockQr, build_H, _extend_basis
 __all__ = [
     "KernelModel",
     "kernel_model",
-    "regularity_index",
     "NodeSet",
     "MonomialBasis",
     "num_monomials_upto",
@@ -74,12 +73,7 @@ class KernelModel:
 
     name: str
     coeffs: tuple  # psi_0..psi_h as floats; h is the horizon
-    regularity: float  # positive integer, or math.inf for completely smooth
-
-    @cached_property
-    def psi(self) -> ScalarSeries:
-        """The psi expansion as a series truncated after the horizon."""
-        return ScalarSeries(dict(enumerate(self.coeffs)), trunc_order=len(self.coeffs))
+    regularity: float  # smallest r with psi_{2r-1} != 0; math.inf if none up to h
 
     def psi_coeff(self, k: int) -> float:
         """k-th Taylor coefficient of psi; the horizon must cover k."""
@@ -104,18 +98,9 @@ def kernel_model(name: str, psi_coefficients=None, horizon: int = 64) -> KernelM
         if psi_coefficients is not None:
             raise ValueError("psi coefficients are only accepted for custom kernels")
         coeffs = [_psi_coefficient(name, k) for k in range(horizon + 1)]
-    # a zero coefficient is stored as +0.0, as the series form stores none
+    # a zero coefficient is stored as +0.0, whatever the sign it was given with
     coeffs = tuple(c if c != 0.0 else 0.0 for c in coeffs)
     return KernelModel(name, coeffs, _first_odd_index(coeffs))
-
-
-def regularity_index(psi: ScalarSeries, horizon: int):
-    """Smallest r with psi_{2r-1} != 0; INFINITE if no odd term up to the horizon.
-
-    An INFINITE answer for a custom kernel only certifies r > horizon/2; the
-    stored horizon travels with the model so callers can tell.
-    """
-    return _first_odd_index([psi.coefficient(k) for k in range(horizon + 1)])
 
 
 def _first_odd_index(coeffs):

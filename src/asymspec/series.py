@@ -26,7 +26,6 @@ __all__ = [
     "Exponent",
     "INFINITY",
     "as_exponent",
-    "ScalarSeries",
     "MatrixSeries",
     "ValuationMatrix",
     "valuation_matrix",
@@ -223,77 +222,6 @@ def exponent_ints(exps):
     return [e._num * (den // e._den) for e in exps], den
 
 
-class ScalarSeries:
-    """A truncated real power series in eps with rational exponents: a view of
-    a 1 x 1 ``MatrixSeries``, whose algebra it runs on, with float coefficients.
-
-    Stored coefficients are never exactly zero; exponents are strictly
-    increasing and strictly below ``trunc_order``.
-    """
-
-    __slots__ = ("_m",)
-
-    def __init__(self, terms=(), trunc_order=None):
-        items = terms.items() if hasattr(terms, "items") else terms
-        self._m = MatrixSeries((1, 1), [(e, [[c]]) for e, c in items], trunc_order)
-
-    @classmethod
-    def _of(cls, m: "MatrixSeries") -> "ScalarSeries":
-        obj = object.__new__(cls)
-        obj._m = m
-        return obj
-
-    @property
-    def terms(self):
-        return tuple((e, float(m[0, 0])) for e, m in self._m.terms)
-
-    @property
-    def trunc_order(self) -> Exponent:
-        return self._m.trunc_order
-
-    @property
-    def is_zero(self) -> bool:
-        return self._m.is_zero
-
-    @property
-    def valuation(self) -> Exponent:
-        return self._m.valuation
-
-    def leading(self):
-        """Return (valuation, leading coefficient); (INFINITY, 0.0) for the zero series."""
-        return self.terms[0] if self._m.terms else (INFINITY, 0.0)
-
-    def coefficient(self, e) -> float:
-        return float(self._m.coefficient(e)[0, 0])
-
-    def __add__(self, other):
-        if not isinstance(other, ScalarSeries):
-            return NotImplemented
-        return ScalarSeries._of(self._m + other._m)
-
-    def __neg__(self):
-        return ScalarSeries._of(-self._m)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return ScalarSeries([(e, c * other) for e, c in self.terms], self.trunc_order)
-        if not isinstance(other, ScalarSeries):
-            return NotImplemented
-        return ScalarSeries._of(self._m @ other._m)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, eps: float) -> float:
-        return float(self._m.evaluate(eps)[0, 0])
-
-    def __repr__(self):
-        body = " + ".join(f"{c:g}*eps^{e}" for e, c in self.terms) or "0"
-        return f"ScalarSeries({body}; o(eps^{self.trunc_order}))"
-
-
 def _eps_power(eps: float, e: Exponent) -> float:
     """eps^e, read off the integer pair (float(e) is num/den, as for a Fraction)."""
     if e.is_infinite:
@@ -417,8 +345,9 @@ class MatrixSeries:
                 return m.copy()
         return np.zeros(self.shape)
 
-    def entry(self, i, j) -> ScalarSeries:
-        return ScalarSeries([(e, m[i, j]) for e, m in self._terms], self._trunc)
+    def entry(self, i, j) -> "MatrixSeries":
+        """The 1 x 1 series of entry (i, j); kept because the benchmark tracer wraps it by name."""
+        return self.submatrix([i], [j])
 
     # -- arithmetic --------------------------------------------------------
 

@@ -116,4 +116,16 @@ PYTHONWARNINGS=error::RuntimeWarning $ASYMSPEC kernel --kernel custom \
   --psi '[1e308, 0, 1e308]' --nodes uniform:4 2> over.err || code=$?
 test "$code" -eq 1
 test "$(cat over.err)" = "error: H has non-finite entries (overflow or NaN in its inputs)"
+# a finite series whose Schur step overflows (the solve against 1e-300
+# warns of nothing) exits 1 naming it: once exit 0 with an empty group
+cat > schur.json <<'JSON'
+{"n": 2, "trunc_order": 4, "terms": [
+ {"exponent": 0, "matrix": [[1e-300, 0], [0, 0]]},
+ {"exponent": 1, "matrix": [[0, 1e300], [1e300, 0]]},
+ {"exponent": 2, "matrix": [[0, 0], [0, 1]]}]}
+JSON
+code=0
+PYTHONWARNINGS=error::RuntimeWarning $ASYMSPEC analyze --input schur.json 2> schur.err || code=$?
+test "$code" -eq 1
+grep -q "non-finite" schur.err
 $ASYMSPEC --help > /dev/null

@@ -328,15 +328,27 @@ def test_far_nodes_overflow_no_warning(tmp_path, capsys, kernel, command, exit_c
     # symmetrizing overflowed: once no groups, truncated at eps^2 (exit 2)
     (["analyze", "--input", "{series}"],
      "error: terms[0].matrix: an entry above 8.988e+307 in magnitude overflows"),
+    # the Schur step's solve against 1e-300 overflows with no warning: once a
+    # complete ASE with an empty group (analyze), "min() arg is an empty sequence"
+    (["analyze", "--input", "{schur}"],
+     "error: Schur complement has non-finite entries (overflow"),
+    (["verify", "--input", "{schur}"],
+     "error: Schur complement has non-finite entries (overflow"),
 ])
 def test_finite_inputs_that_overflow_are_named(tmp_path, capsys, argv, message):
     series = tmp_path / "s.json"
     series.write_text(json.dumps({"n": 2, "terms": [
         {"exponent": 0, "matrix": [[1e308, 1e308], [1e308, 1e308]]},
         {"exponent": 1, "matrix": [[1e308, -1e308], [-1e308, 1e308]]}]}))
+    schur = tmp_path / "schur.json"
+    schur.write_text(json.dumps({"n": 2, "trunc_order": 4, "terms": [
+        {"exponent": 0, "matrix": [[1e-300, 0], [0, 0]]},
+        {"exponent": 1, "matrix": [[0, 1e300], [1e300, 0]]},
+        {"exponent": 2, "matrix": [[0, 0], [0, 1]]}]}))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = main([a.format(series=series) for a in argv] + ["--output", "/dev/null"])
+        code = main([a.format(series=series, schur=schur) for a in argv]
+                    + ["--output", "/dev/null"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(message)

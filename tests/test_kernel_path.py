@@ -35,7 +35,6 @@ from asymspec.kernels import (
     _macaulay_bound,
     _unit_nodes,
     distance_matrix,
-    regularity_index,
 )
 from reference import (FinitelySmoothError, _principal_angles, block_widths,
                        finite_smooth_flat_limit, r_diag_block, smooth_flat_limit, vandermonde)
@@ -286,13 +285,11 @@ def test_gaussian_former_failures_truncate(spec, tmp_path, capsys):
 
 class TestDensePsi:
     def test_coefficients_and_series_agree(self):
-        for name in ("gaussian", "exponential", "matern2"):
+        for name, r in (("gaussian", INFINITE), ("exponential", 1), ("matern2", 2)):
             k = kernel_model(name)
             assert len(k.coeffs) == 65 and k.horizon == 64
-            assert [k.psi_coeff(j) for j in range(65)] == [
-                k.psi.coefficient(j) for j in range(65)
-            ]
-            assert regularity_index(k.psi, k.horizon) == k.regularity
+            assert [k.psi_coeff(j) for j in range(65)] == list(k.coeffs)
+            assert k.regularity == r
 
     def test_horizon_message(self):
         with pytest.raises(ValueError, match=r"^psi horizon 65 too small for degree 66$"):
@@ -302,7 +299,7 @@ class TestDensePsi:
         k = kernel_model("custom", psi_coefficients=[1.0, -0.0, -1.0])
         assert math.copysign(1.0, k.psi_coeff(1)) == 1.0
         assert k.regularity == INFINITE
-        assert k.psi.terms == kernel_model("custom", psi_coefficients=[1, 0, -1]).psi.terms
+        assert k.coeffs == kernel_model("custom", psi_coefficients=[1, 0, -1]).coeffs
 
 
 def test_kernel_matrix_with_precomputed_distances():

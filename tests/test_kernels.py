@@ -16,7 +16,6 @@ from asymspec import (
     monomials_of_degree,
     num_monomials_exact,
     num_monomials_upto,
-    regularity_index,
     wronskian,
 )
 from asymspec.ase import eigen_readout
@@ -46,7 +45,7 @@ class TestKernelModels:
 
     def test_custom_kernel_finite(self):
         k = kernel_model("custom", psi_coefficients=[1.0, 0.0, -0.5, 0.1])
-        assert regularity_index(k.psi, k.horizon) == 2
+        assert k.regularity == 2
 
 
 class TestNodesAndMonomials:
@@ -350,7 +349,7 @@ class TestKernelMatrix:
 
     def test_custom_matches_gaussian_within_horizon(self):
         g = kernel_model("gaussian")
-        coeffs = [g.psi.coefficient(k) for k in range(20)]
+        coeffs = list(g.coeffs[:20])
         custom = kernel_model("custom", psi_coefficients=coeffs)
         nodes = generate_nodes("uniform:4", seed=6)
         eps = 0.05

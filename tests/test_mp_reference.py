@@ -56,6 +56,10 @@ def _mp_eigenpairs(name, points, eps):
     ("matern2", "equispaced:8", 1, 1, 1e-5),
     ("exponential", "uniform:6", 2, 1, 1e-5),
     ("matern2", "uniform:10", 2, 1, 1e-5),
+    ("gaussian", "equispaced:20", 1, 2, 1e-8),
+    ("gaussian", "uniform:20", 2, 2, 1e-8),
+    ("exponential", "uniform:20", 2, 1, 1e-5),
+    ("matern2", "equispaced:20", 1, 1, 1e-5),
 ])
 def test_groups_match_the_mp_reference(name, spec, d, step, bound):
     nodes = generate_nodes(spec, d=d, seed=0)

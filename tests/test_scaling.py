@@ -9,6 +9,7 @@ from asymspec import (
     DiagonalScaling,
     Exponent,
     INFINITY,
+    MatrixSeries,
     ValuationMatrix,
     auto_scale,
     auto_scale_exponents,
@@ -115,10 +116,8 @@ class TestExtractH:
             for j in range(5):
                 entry = ex_5x5.entry(i, j)
                 shift = exps[i] + exps[j]
-                resid = entry - (
-                    entry.__class__({shift: form.H[i, j]}, trunc_order=entry.trunc_order)
-                )
-                assert resid.valuation > shift
+                lead = MatrixSeries(1, {shift: [[form.H[i, j]]]}, entry.trunc_order)
+                assert (entry - lead).valuation > shift
 
 
 class TestAutoScale:
