@@ -83,8 +83,10 @@ class TestScalarSeries:
         assert p.trunc_order == Exponent(3)
 
     def test_leading_term_of_sparse_series(self):
-        # 2e^3 + 3e^5 + e^7 has leading term 2e^3; the zero series has none
+        # 2e^3 + 3e^5 + e^7 has leading term 2e^3
         assert leading(scalar({3: 2.0, 5: 3.0, 7: 1.0})) == (Exponent(3), 2.0)
+
+    def test_leading_zero_and_fractional(self):
         assert leading(scalar()) == (INFINITY, 0.0)
         p = scalar({Exponent(3, 2): 1.0, 2: -1.0})
         assert leading(p) == (Exponent(3, 2), 1.0)
