@@ -23,7 +23,8 @@ import numpy as np
 
 from .ase import Ase
 from .gkf import ase_from_gkf
-from .kernels import KERNEL_RANK_TOL, NodeSet, generate_nodes, kernel_ase, kernel_model
+from .kernels import (KERNEL_RANK_TOL, NodeSet, distance_matrix, generate_nodes, kernel_ase,
+                      kernel_matrix, kernel_model)
 from .oracle import eigen_sweep, eps_star_indices, match_ase
 from .pipeline import analyze_series
 from .series import SERIES_RANK_TOL
@@ -84,6 +85,8 @@ def _load_nodes(args) -> NodeSet:
         return generate_nodes(args.nodes, d=args.dim, seed=args.seed or 0)
     import os
 
+    if args.seed is not None:
+        raise InputError(f"--seed applies to generated nodes, not to the node file {args.nodes}")
     if not os.path.exists(args.nodes):
         raise InputError(f"node file {args.nodes} does not exist")
     nodes = serialize.read_nodes_csv(args.nodes)
@@ -131,51 +134,47 @@ def _rank_tol(args, default: float) -> float:
     return args.rank_tol if args.rank_tol is not None else default
 
 
-def _series_ase_and_source(args, predict=True):
-    """The ASE of --input (None unless ``predict``) and its form: a GKF evaluator or a series."""
+def _series_source(args):
+    """(predict, matrix_at) of --input: a thunk that builds the ASE, and eps -> K(eps)."""
     if not args.input:
         raise InputError("this command needs --input")
     obj = _load_json(args.input)
     tol = _rank_tol(args, SERIES_RANK_TOL)
     if args.mode == "gkf":
         form = serialize.gkf_from_json(obj)
-        return ase_from_gkf(form, tol) if predict else None, form.evaluate
+        return lambda: ase_from_gkf(form, tol), form.evaluate
     series = serialize.matrix_series_from_json(obj)
     if not series.symmetric:
         raise InputError("field 'symmetric': analysis requires a symmetric series")
-    return analyze_series(series, args.mode, tol) if predict else None, series
+    return lambda: analyze_series(series, args.mode, tol), series.evaluate
 
 
-def _pipeline_ase_and_source(args, predict=True):
-    """The (prediction, sweep source) pair for verify/sweep; a kernel ASE
-    carries the readout ``kernel_ase`` computed.  Without ``predict`` only
-    the source is built, and the prediction is None."""
-    if args.input:
+def _source(args):
+    """(predict, matrix_at) of --input, or of --kernel on --nodes; the kernel
+    matrix function computes the distances once, on its first call."""
+    if getattr(args, "input", None):
         other = next((f"--{name}" for name in ("kernel", "psi", "nodes", "dim", "seed")
                       if getattr(args, name) is not None), None)
         if other:
             raise InputError(f"--input and {other} name two sources; give one")
-        return _series_ase_and_source(args, predict)
+        return _series_source(args)
     kernel = _load_kernel(args)
     nodes = _load_nodes(args)
-    if not predict:
-        return None, (kernel, nodes)
-    ase, _ = kernel_ase(kernel, nodes, _rank_tol(args, KERNEL_RANK_TOL))
-    return ase, (kernel, nodes)
+    dist = functools.cache(lambda: distance_matrix(nodes, 1))
+    return (lambda: kernel_ase(kernel, nodes, _rank_tol(args, KERNEL_RANK_TOL)),
+            lambda eps: kernel_matrix(kernel, nodes, eps, dist()))
 
 
 def cmd_analyze(args) -> int:
-    ase, _ = _series_ase_and_source(args)
+    ase = _series_source(args)[0]()
     _emit(serialize.dumps(serialize.ase_to_json(ase)), args.output)
     return EXIT_OK if ase.complete else EXIT_TRUNCATED
 
 
 def cmd_kernel(args) -> int:
-    kernel = _load_kernel(args)
-    nodes = _load_nodes(args)
-    ase, readout = kernel_ase(kernel, nodes, _rank_tol(args, KERNEL_RANK_TOL))
+    ase = _source(args)[0]()
     table = ["valuation,count,lambda_leading"]
-    for group in readout:
+    for group in ase.readout:
         lead = ";".join(f"{x:.12g}" for x in group.leading_values)
         table.append(f"{group.valuation},{group.count},{lead}")
     sys.stdout.write("\n".join(table) + "\n")
@@ -184,25 +183,27 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ase, source = _pipeline_ase_and_source(args)
+    predict, matrix_at = _source(args)
+    ase = predict()
     grid = _parse_eps_grid(args.eps_grid)
     # eigenvectors only at the eps* points that match_ase reads them at
     stars = eps_star_indices(grid, ase.readout)
-    sweep = eigen_sweep(source, grid, vectors_at=[i for i in stars if i is not None])
+    sweep = eigen_sweep(matrix_at, grid, vectors_at=[i for i in stars if i is not None])
     report = match_ase(ase, sweep, args.tol_coeff, args.tol_angle)
     _emit(serialize.dumps(serialize.match_report_to_json(report)), args.output)
     return EXIT_OK if report.passed else EXIT_TRUNCATED
 
 
 def cmd_sweep(args) -> int:
+    predict, matrix_at = _source(args)
     # the pipeline runs only to predict the tracked vector
     track = args.track_vector is not None
-    ase, source = _pipeline_ase_and_source(args, predict=track)
+    ase = predict() if track else None
     grid = _parse_eps_grid(args.eps_grid)
     predicted = _predicted_vector(ase, args.track_vector) if track else None
     # with a tracked vector, only its column is kept at each grid point
-    sweep = (eigen_sweep(source, grid, columns=[args.track_vector - 1]) if track
-             else eigen_sweep(source, grid, vectors_at=()))
+    sweep = (eigen_sweep(matrix_at, grid, columns=[args.track_vector - 1]) if track
+             else eigen_sweep(matrix_at, grid, vectors_at=()))
     lines = serialize.sweep_csv_lines(sweep, args.track_vector, predicted)
     _emit("\n".join(lines), args.output)
     return EXIT_OK

@@ -371,8 +371,8 @@ def _usable(m: np.ndarray) -> bool:
     return bool(np.isfinite(m).all() and m.any())
 
 
-def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RANK_TOL):
-    """ASE of the kernel matrix on a node set, plus its eigen-readout.
+def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RANK_TOL) -> Ase:
+    """ASE of the kernel matrix on a node set, with its eigen-readout in ``ase.readout``.
 
     One route: the degree scan of the unit nodes feeds ``build_H`` and the
     Schur chain.  When the scan of a finitely smooth kernel stops short of
@@ -389,7 +389,7 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
     or underflows to 0, or whose scaled S_i is not finite or all zero; the
     block at r - 1/2 is left out, truncating at 2r - 1, when its s^(2r-1) or
     its unit-coordinate block is not finite or is 0.  Each group is read out
-    as it is kept: the readout returned is ``ase.readout``.
+    once, as it is kept.
     """
     y, scale = _unit_nodes(nodes)
     qr = _degree_scan(kernel, y, rank_tol)
@@ -431,8 +431,8 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
         kept.append((alpha, q, s))
         readout.append(group)
     ase = Ase(nodes.n, kept, truncated_at)
-    ase.readout = readout  # each group read once, as it was kept
-    return ase, readout
+    ase.readout = readout
+    return ase
 
 
 def kernel_matrix(kernel: KernelModel, nodes: NodeSet, eps: float, dist=None) -> np.ndarray:

@@ -22,9 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import MatrixSeries
 from .ase import Ase
-from .kernels import KernelModel, distance_matrix, kernel_matrix
 
 __all__ = [
     "SweepResult",
@@ -87,18 +85,6 @@ class SweepResult:
         return float(np.abs(self.eigenvalues[0]).max())
 
 
-def _matrix_function(source):
-    if isinstance(source, MatrixSeries):
-        return source.evaluate
-    if isinstance(source, tuple) and len(source) == 2 and isinstance(source[0], KernelModel):
-        kernel, nodes = source
-        dist = distance_matrix(nodes, 1)
-        return lambda eps: kernel_matrix(kernel, nodes, eps, dist)
-    if callable(source):
-        return source
-    raise TypeError("source must be a MatrixSeries, (kernel, nodes) or a callable")
-
-
 CHECK_TOL = 1e-10  # decomposition error allowed per entry, relative to max(1, max|a|)
 
 
@@ -115,8 +101,8 @@ def _values_error(a: np.ndarray, w: np.ndarray, scale: float) -> float:
     return max(abs(np.linalg.norm(ws) - np.linalg.norm(b)), abs(ws.sum() - np.trace(b)))
 
 
-def eigen_sweep(source, eps_grid, vectors_at=None, columns=None) -> SweepResult:
-    """Symmetric eigenvalues per grid point, eigenvectors at ``vectors_at``.
+def eigen_sweep(matrix_at, eps_grid, vectors_at=None, columns=None) -> SweepResult:
+    """Eigenvalues of the symmetric ``matrix_at(eps)`` per grid point.
 
     ``vectors_at`` holds the grid indices whose eigenvectors are wanted;
     None means every point.  The other points run a values-only solver.
@@ -127,7 +113,6 @@ def eigen_sweep(source, eps_grid, vectors_at=None, columns=None) -> SweepResult:
     desk scale for well-separated groups (sign-crossing curves inside a group
     may swap; group-level comparisons are unaffected).
     """
-    fn = _matrix_function(source)
     eps_grid = np.asarray([float(e) for e in eps_grid])
     m = len(eps_grid)
     if m < 4:
@@ -143,7 +128,7 @@ def eigen_sweep(source, eps_grid, vectors_at=None, columns=None) -> SweepResult:
     vecs = {}
     for i, eps in enumerate(eps_grid):
         with np.errstate(over="ignore", invalid="ignore"):
-            a = fn(float(eps))
+            a = matrix_at(float(eps))
         if not np.isfinite(a).all():
             raise np.linalg.LinAlgError(
                 f"matrix at eps = {eps:.6g} has non-finite entries (overflow or NaN)")

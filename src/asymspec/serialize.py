@@ -105,7 +105,7 @@ def matrix_series_to_json(k: MatrixSeries) -> dict:
         "trunc_order": exponent_to_json(k.trunc_order),
         "terms": [
             {"exponent": exponent_to_json(e), "matrix": m.tolist()} for e, m in k.terms
-        ],
+        ] or [{"exponent": 0, "matrix": np.zeros(k.shape).tolist()}],  # a matrix fixes n
     }
 
 
@@ -126,6 +126,8 @@ def matrix_series_from_json(obj) -> MatrixSeries:
     terms_raw = obj.get("terms")
     if not isinstance(terms_raw, list):
         raise InputError("field 'terms': must be a list")
+    if not terms_raw:
+        raise InputError("field 'terms': needs at least one term, whose matrix fixes n")
     terms = []
     for idx, t in enumerate(terms_raw):
         where = f"terms[{idx}]"

@@ -29,6 +29,9 @@ JSON
 cat > z0.json <<'JSON'
 {"n": 2, "symmetric": true, "terms": [{"exponent": 0, "matrix": [[0, 0], [0, 0]]}]}
 JSON
+cat > nt.json <<'JSON'
+{"n": 2, "trunc_order": 2, "terms": []}
+JSON
 cat > ginf.json <<'JSON'
 {"V": [[1, 0], [0, 1]], "W": [[Infinity, 0], [0, 1]], "valuations": [{"nu": 0, "mult": 2}]}
 JSON
@@ -93,16 +96,19 @@ $ASYMSPEC analyze --input g.json --mode gkf
 $ASYMSPEC verify --input g.json --mode gkf
 # a usage error, a flag the command does not read (or no longer
 # takes), a second source (or a kernel-source flag beside --input),
-# an all-zero series without trunc_order and a GKF with an infinite
-# or a not exactly symmetric W are malformed input: exit 1, not 2
-# (a truncated expansion)
+# a seed beside a node file, an all-zero series without trunc_order,
+# a series with no term to fix n and a GKF with an infinite or a not
+# exactly symmetric W are malformed input: exit 1, not 2 (a truncated
+# expansion)
 for argv in "kernel --kernel nosuch --nodes uniform:5" \
             "analyze --input k.json --seed 0" \
             "sweep --nodes uniform:5 --kernel gaussian --format json" \
             "verify --input k.json --perturb-lambda 2" \
             "verify --input k.json --nodes uniform:5 --kernel gaussian" \
             "verify --input k.json --seed 5" \
+            "kernel --kernel gaussian --nodes big.csv --seed 1" \
             "analyze --input z0.json" \
+            "analyze --input nt.json" \
             "analyze --input ginf.json --mode gkf" \
             "analyze --input gasym.json --mode gkf"; do
   code=0

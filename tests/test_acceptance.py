@@ -36,6 +36,7 @@ from asymspec import (
     generate_nodes,
     iterative_ase,
     kernel_ase,
+    kernel_matrix,
     kernel_model,
     match_ase,
     series_matrix_inverse,
@@ -101,7 +102,7 @@ def test_criterion_2_5x5_example(ex_5x5):
         )
         # two-digit reference values for the leading block-1 eigenvector
         np.testing.assert_allclose(groups[1].vectors[1:3, 0], [0.38, 0.92], atol=5e-3)
-        report = match_ase(ase, eigen_sweep(ex_5x5, DEFAULT_GRID), 1e-2, 1e-2)
+        report = match_ase(ase, eigen_sweep(ex_5x5.evaluate, DEFAULT_GRID), 1e-2, 1e-2)
         assert report.passed
         assert all(g.verifiable for g in report.groups)
 
@@ -183,7 +184,7 @@ def test_criterion_5_degenerate_example(ex_degenerate):
             expect = np.zeros((3, 3))
             expect[k, k] = 1.0
             np.testing.assert_allclose(term, expect, atol=1e-12)
-        report = match_ase(ase, eigen_sweep(ex_degenerate, DEFAULT_GRID), 1e-2, 1e-2)
+        report = match_ase(ase, eigen_sweep(ex_degenerate.evaluate, DEFAULT_GRID), 1e-2, 1e-2)
         assert report.passed
 
 
@@ -230,14 +231,16 @@ def test_criterion_7_unisolvent_square():
     with criterion(7, "10 seeded nodes in the unit square: group sizes (1,2,3,4)"):
         g = kernel_model("gaussian")
         nodes = generate_nodes("uniform:10", seed=0)
-        ase, report = kernel_ase(g, nodes)
+        ase = kernel_ase(g, nodes)
+        report = ase.readout
         assert [(float(r.valuation), r.count) for r in report] == [
             (0, 1),
             (2, 2),
             (4, 3),
             (6, 4),
         ]
-        result = match_ase(ase, eigen_sweep((g, nodes), DEFAULT_GRID), 1e-2, 1e-2)
+        sweep = eigen_sweep(lambda eps: kernel_matrix(g, nodes, eps), DEFAULT_GRID)
+        result = match_ase(ase, sweep, 1e-2, 1e-2)
         assert result.passed
 
 
@@ -245,13 +248,13 @@ def test_criterion_8_non_unisolvent_sets():
     with criterion(8, "cubic-curve nodes shrink groups to size <= 3; circle ranks 2j+1"):
         g = kernel_model("gaussian")
         cubic = generate_nodes("cubic:10", seed=0)
-        _, report = kernel_ase(g, cubic)
+        report = kernel_ase(g, cubic).readout
         counts = [r.count for r in report]
         vals = [float(r.valuation) for r in report]
         assert counts[:4] == [1, 2, 3, 3]
         assert all(c <= 3 for v, c in zip(vals, counts) if v >= 8)
         circle = generate_nodes("circle:10", seed=0)
-        _, creport = kernel_ase(g, circle)
+        creport = kernel_ase(g, circle).readout
         ccounts = [r.count for r in creport]
         assert ccounts[:3] == [1, 2, 2]
         for j in range(6):
@@ -263,18 +266,20 @@ def test_criterion_9_finitely_smooth_kernels():
     with criterion(9, "exponential r=1 gives groups (1, n-1); matern r=2 gives (1, 2, 3)"):
         e = kernel_model("exponential")
         nodes = generate_nodes("uniform:6", d=2, seed=1)
-        ase_e, report_e = kernel_ase(e, nodes)
+        ase_e = kernel_ase(e, nodes)
+        report_e = ase_e.readout
         assert [(float(r.valuation), r.count) for r in report_e] == [(0, 1), (1, 5)]
-        sweep_e = eigen_sweep((e, nodes), DEFAULT_GRID)
+        sweep_e = eigen_sweep(lambda eps: kernel_matrix(e, nodes, eps), DEFAULT_GRID)
         slopes = [f.slope for f in estimate_valuations(sweep_e)]
         for s, expect in zip(slopes, [0, 1, 1, 1, 1, 1]):
             assert abs(s - expect) < 0.05
         assert match_ase(ase_e, sweep_e, 1e-2, 1e-2).passed
 
         m2 = kernel_model("matern2")
-        ase_m, report_m = kernel_ase(m2, nodes)
+        ase_m = kernel_ase(m2, nodes)
+        report_m = ase_m.readout
         assert [(float(r.valuation), r.count) for r in report_m] == [(0, 1), (2, 2), (3, 3)]
-        sweep_m = eigen_sweep((m2, nodes), DEFAULT_GRID)
+        sweep_m = eigen_sweep(lambda eps: kernel_matrix(m2, nodes, eps), DEFAULT_GRID)
         assert match_ase(ase_m, sweep_m, 1e-2, 1e-2).passed
 
 

@@ -86,7 +86,7 @@ class TestAnalyze:
         from asymspec import eigen_sweep, match_ase
 
         ase = ase_from_json(json.loads(out_path.read_text()))
-        sweep = eigen_sweep(ex_5x5, np.geomspace(1e-4, 1e-1, 37)[::-1])
+        sweep = eigen_sweep(ex_5x5.evaluate, np.geomspace(1e-4, 1e-1, 37)[::-1])
         assert match_ase(ase, sweep, 1e-2, 1e-2).passed
 
     def test_byte_identical_reruns(self, series_files, tmp_path):
@@ -429,15 +429,16 @@ class TestSweepSource:
     """``sweep`` runs the pipeline only to predict a tracked vector."""
 
     def test_kernel_sweep_matches_eigen_sweep(self, tmp_path, capsys):
-        from asymspec import eigen_sweep, kernel_model
+        from asymspec import eigen_sweep, kernel_matrix, kernel_model
         from asymspec.serialize import sweep_csv_lines
 
         argv = ["sweep", "--kernel", "matern2", "--nodes", "cubic:100", "--seed", "3",
                 "--eps-grid", "1e-2:1e-1:8", "--format", "csv"]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        source = (kernel_model("matern2"), generate_nodes("cubic:100", seed=3))
-        sweep = eigen_sweep(source, cli._parse_eps_grid("1e-2:1e-1:8"), vectors_at=())
+        kernel, nodes = kernel_model("matern2"), generate_nodes("cubic:100", seed=3)
+        sweep = eigen_sweep(lambda eps: kernel_matrix(kernel, nodes, eps),
+                            cli._parse_eps_grid("1e-2:1e-1:8"), vectors_at=())
         assert out == "\n".join(sweep_csv_lines(sweep)) + "\n"
 
     @pytest.mark.parametrize("argv", [

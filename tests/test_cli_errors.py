@@ -103,6 +103,18 @@ def test_negative_seed_is_named(capsys):
     assert capsys.readouterr().err == "error: --seed must be a nonnegative integer, got -1\n"
 
 
+@pytest.mark.parametrize("command", ["kernel", "verify", "sweep"])
+def test_seed_with_a_node_file_is_rejected(tmp_path, capsys, command):
+    # the seed draws generated nodes only: beside a node file it once did nothing
+    path = tmp_path / "nodes.csv"
+    path.write_text("0,0\n1,0\n0,1\n")
+    code = main([command, "--kernel", "gaussian", "--nodes", str(path), "--seed", "5",
+                 "--output", "/dev/null"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: --seed applies to generated nodes, not to the node file {path}\n")
+
+
 @pytest.mark.parametrize("flag", ["--rank-tol", "--tol-coeff", "--tol-angle"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-12"])
 def test_tolerance_flags_reject_non_finite_and_negative(capsys, flag, value):
@@ -249,6 +261,12 @@ _READER_ERRORS = [
      "field 'W': must be exactly symmetric"),
     ("gkf", _gkf(W=[[1, 2], [0, 1]], valuations=[{"nu": 0, "mult": 1}, {"nu": 1, "mult": 1}]),
      "field 'W': must be exactly symmetric"),
+    # no term states n with a matrix: n = 10^9 once died in np.eye(n) with an
+    # uncaught MemoryError (the request fails at once), n = 2 exited 2
+    ("auto", {"n": 10**9, "trunc_order": 1, "terms": []},
+     "field 'terms': needs at least one term, whose matrix fixes n"),
+    ("auto", {"n": 2, "trunc_order": 1, "terms": []},
+     "field 'terms': needs at least one term, whose matrix fixes n"),
 ]
 
 

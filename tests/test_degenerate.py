@@ -181,7 +181,7 @@ class TestIterativeAse:
             ase.validate()
             if ase.complete:
                 completed += 1
-                assert match_ase(ase, eigen_sweep(k, grid), 5e-2, 5e-2).passed
+                assert match_ase(ase, eigen_sweep(k.evaluate, grid), 5e-2, 5e-2).passed
         assert completed >= 30
 
     def test_horizon_exhaustion_reported(self):

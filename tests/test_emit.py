@@ -184,9 +184,10 @@ def test_pipeline_reads_input_once(tmp_path, ex_5x5, monkeypatch):
     original = cli._load_json
     monkeypatch.setattr(cli, "_load_json", lambda p: calls.append(p) or original(p))
     args = cli.build_parser().parse_args(["verify", "--input", str(path)])
-    ase, source = cli._pipeline_ase_and_source(args)
+    predict, matrix_at = cli._source(args)
+    ase = predict()
     assert len(calls) == 1
-    assert source.shape == (5, 5) and ase.n == 5
+    assert matrix_at(0.1).shape == (5, 5) and ase.n == 5
 
 
 @pytest.mark.parametrize("obj", [

@@ -219,7 +219,7 @@ def test_kernel_ase_is_invariant_under_affine_maps(kernel_name, spec, d):
     # absolute rank floor in the new units
     kernel = KERNELS[kernel_name]
     nodes = _nodes(spec, d, seed=2)
-    runs = [(a, kernel_ase(kernel, NodeSet(a * nodes.points + b))[0])
+    runs = [(a, kernel_ase(kernel, NodeSet(a * nodes.points + b)))
             for a, b in ((1.0, 0.0), (1e-2, 1e3), (1.0, 1e3), (1e2, 1e3))]
     a_full, full = max(runs, key=lambda run: len(run[1].groups))
     for a, ase in runs:
@@ -250,7 +250,7 @@ def test_finitely_smooth_route_after_a_stall():
     assert _scan(custom, nodes).ranks == (1, 1)
     form = finite_smooth_flat_limit(custom, nodes)
     assert form.widths[-1] == 2
-    ase, _ = kernel_ase(custom, nodes)
+    ase = kernel_ase(custom, nodes)
     assert ase.valuations == [Exponent(0), Exponent(2)]
     assert ase.truncated_at == Exponent(5)
     with pytest.raises(ValueError, match="W is singular"):
@@ -314,7 +314,8 @@ def test_kernel_matrix_with_precomputed_distances():
 
 def test_kernel_ase_readout_is_the_ase_readout():
     nodes = _nodes("uniform:12", 2, seed=5)
-    ase, readout = kernel_ase(kernel_model("matern2"), nodes)
+    ase = kernel_ase(kernel_model("matern2"), nodes)
+    readout = ase.readout
     again = eigen_readout(ase)
     assert [g.leading_values for g in readout] == [g.leading_values for g in again]
     assert readout is ase.readout
@@ -348,7 +349,7 @@ def test_kernel_ase_agrees_with_the_gkf_route(kernel_name, spec, d, seed):
     kernel = kernel_model(kernel_name)
     nodes = NodeSet(np.linspace(0.0, 1.0, 5)) if spec is None else _nodes(spec, d, seed)
     build = smooth_flat_limit if kernel.regularity == INFINITE else finite_smooth_flat_limit
-    runs = [kernel_ase(kernel, nodes)[0], ase_from_gkf(build(kernel, nodes))]
+    runs = [kernel_ase(kernel, nodes), ase_from_gkf(build(kernel, nodes))]
     shorter, longer = sorted(runs, key=lambda ase: len(ase.factors))
     assert _groups(shorter) == _groups(longer)[: len(shorter.factors)]
     for got, want in zip(shorter.readout, longer.readout):
@@ -358,7 +359,7 @@ def test_kernel_ase_agrees_with_the_gkf_route(kernel_name, spec, d, seed):
 
 def test_gkf_route_stops_where_the_scan_completes():
     gaussian, nodes = kernel_model("gaussian"), _nodes("equispaced:8", None, 0)
-    assert kernel_ase(gaussian, nodes)[0].complete
+    assert kernel_ase(gaussian, nodes).complete
     assert ase_from_gkf(smooth_flat_limit(gaussian, nodes)).truncated_at == Exponent(14)
 
 
@@ -386,7 +387,7 @@ def test_nodes_far_from_unit_scale_truncate(kernel_name, power, count, tmp_path)
     doc = json.loads(out.read_text())
     got = [(Fraction(g["valuation"]["num"], g["valuation"]["den"]), g["lambda"])
            for g in doc["groups"]]
-    base = kernel_ase(kernel_model(kernel_name), NodeSet(np.arange(float(count))))[0]
+    base = kernel_ase(kernel_model(kernel_name), NodeSet(np.arange(float(count))))
     want = [(alpha, g.leading_values) for alpha, g in zip(base.valuations, base.readout)]
     assert 0 < len(got) < len(want)
     trunc = doc["truncated_at"]
@@ -403,12 +404,12 @@ def test_floor_stop_forms_no_dense_term(seed, monkeypatch):
     # reads the group's leading values, never the dense n x n term
     nodes = NodeSet(1e-2 * _nodes("uniform:20", 2, seed).points)
     kernel = kernel_model("gaussian")
-    want = kernel_ase(kernel, nodes)[0]
+    want = kernel_ase(kernel, nodes)
 
     def forbidden(*args):
         raise AssertionError("kernel_ase formed a dense term")
 
     monkeypatch.setattr(Ase, "groups", property(forbidden))
-    got = kernel_ase(kernel, nodes)[0]
+    got = kernel_ase(kernel, nodes)
     assert len(got.factors) == 3 and got.truncated_at == Exponent(6)
     assert got.valuations == want.valuations and got.truncated_at == want.truncated_at

@@ -211,7 +211,8 @@ class TestFlatLimitForms:
 
     def test_single_node(self):
         g = kernel_model("gaussian")
-        ase, report = kernel_ase(g, NodeSet(np.array([0.3])))
+        ase = kernel_ase(g, NodeSet(np.array([0.3])))
+        report = ase.readout
         assert len(report) == 1
         assert report[0].leading_values == [1.0]
 
@@ -242,7 +243,8 @@ class TestFlatLimitForms:
         # eigenvalue-slope oracle: a slope-3 group of size 3
         from asymspec import eigen_sweep, estimate_valuations
 
-        sweep = eigen_sweep((m2, nodes), np.geomspace(1e-4, 1e-1, 25)[::-1])
+        sweep = eigen_sweep(lambda eps: kernel_matrix(m2, nodes, eps),
+                            np.geomspace(1e-4, 1e-1, 25)[::-1])
         slopes = [f.slope for f in estimate_valuations(sweep)]
         for got, expect in zip(slopes, (0, 2, 3, 3, 3)):
             assert abs(got - expect) < 0.1
@@ -252,7 +254,7 @@ class TestFlatLimitForms:
         e = kernel_model("exponential")
         nodes = generate_nodes("uniform:6", d=2, seed=5)
         form = finite_smooth_flat_limit(e, nodes)
-        ase, _ = kernel_ase(e, nodes)
+        ase = kernel_ase(e, nodes)
         a = form.V[:, 1:]
         proj = a @ a.T
         d = distance_matrix(nodes, 1)
@@ -271,7 +273,8 @@ class TestFlatLimitForms:
 class TestKernelAse:
     def test_unisolvent_group_sizes(self):
         g = kernel_model("gaussian")
-        ase, report = kernel_ase(g, generate_nodes("uniform:10", seed=0))
+        ase = kernel_ase(g, generate_nodes("uniform:10", seed=0))
+        report = ase.readout
         assert [(float(r.valuation), r.count) for r in report] == [
             (0, 1),
             (2, 2),
@@ -283,7 +286,8 @@ class TestKernelAse:
     def test_circle_group_sizes(self):
         g = kernel_model("gaussian")
         nodes = generate_nodes("circle:10", seed=0)
-        ase, report = kernel_ase(g, nodes)
+        ase = kernel_ase(g, nodes)
+        report = ase.readout
         counts = [r.count for r in report]
         assert counts[:3] == [1, 2, 2]
         # rank V_{<=j} = min(2j+1, n) on the circle
@@ -293,7 +297,8 @@ class TestKernelAse:
 
     def test_cubic_curve_group_sizes(self):
         g = kernel_model("gaussian")
-        ase, report = kernel_ase(g, generate_nodes("cubic:10", seed=0))
+        ase = kernel_ase(g, generate_nodes("cubic:10", seed=0))
+        report = ase.readout
         counts = [r.count for r in report]
         assert counts[:4] == [1, 2, 3, 3]
         assert all(c <= 3 for c in counts[3:])

@@ -63,7 +63,8 @@ def _mp_eigenpairs(name, points, eps):
 ])
 def test_groups_match_the_mp_reference(name, spec, d, step, bound):
     nodes = generate_nodes(spec, d=d, seed=0)
-    ase, readout = kernel_ase(kernel_model(name), nodes)
+    ase = kernel_ase(kernel_model(name), nodes)
+    readout = ase.readout
     assert len(readout) >= 2
     top = max(float(g.valuation) for g in readout)
     with mp.workdps(50 + int(np.ceil(3 * top))):

@@ -13,6 +13,7 @@ from asymspec import (
     estimate_valuations,
     generate_nodes,
     kernel_ase,
+    kernel_matrix,
     kernel_model,
     match_ase,
 )
@@ -29,28 +30,29 @@ def default_grid(lo=1e-4, hi=1e-1, pts=37):
 class TestEigenSweep:
     def test_2x2_curves(self, ex_2x2):
         grid = np.geomspace(1e-4, 1e-1, 16)[::-1]
-        sweep = eigen_sweep(ex_2x2, grid)
+        sweep = eigen_sweep(ex_2x2.evaluate, grid)
         assert np.allclose(sweep.eigenvalues[:, 0], 1.0, atol=0.02)
         ratio = sweep.eigenvalues[-1, 1] / grid[-1] ** 2
         assert ratio == pytest.approx(1.0, rel=1e-3)
 
     def test_identity_constant(self):
-        sweep = eigen_sweep(MatrixSeries.identity(3, trunc_order=1), default_grid(pts=6))
+        sweep = eigen_sweep(MatrixSeries.identity(3, trunc_order=1).evaluate, default_grid(pts=6))
         assert np.all(sweep.eigenvalues == 1.0)
 
     def test_equispaced_slopes_increase(self):
         g = kernel_model("gaussian")
         nodes = generate_nodes("equispaced:20")
-        sweep = eigen_sweep((g, nodes), np.geomspace(1e-2, 1e-1, 24)[::-1])
+        sweep = eigen_sweep(lambda eps: kernel_matrix(g, nodes, eps),
+                            np.geomspace(1e-2, 1e-1, 24)[::-1])
         fits = estimate_valuations(sweep)
         slopes = [f.slope for f in fits[:4]]
         assert all(b - a > 1.5 for a, b in zip(slopes, slopes[1:]))
 
     def test_grid_validation(self, ex_2x2):
         with pytest.raises(ValueError):
-            eigen_sweep(ex_2x2, [1e-1, 1e-2, 1e-3])  # too few
+            eigen_sweep(ex_2x2.evaluate, [1e-1, 1e-2, 1e-3])  # too few
         with pytest.raises(ValueError):
-            eigen_sweep(ex_2x2, [1e-3, 1e-2, 1e-1, 1.0])  # increasing
+            eigen_sweep(ex_2x2.evaluate, [1e-3, 1e-2, 1e-1, 1.0])  # increasing
 
 
 class TestValuesOnlySweep:
@@ -64,7 +66,8 @@ class TestValuesOnlySweep:
         return calls
 
     def test_values_only_makes_no_eigh_call(self, monkeypatch):
-        source = (kernel_model("matern2"), generate_nodes("uniform:50", seed=0))
+        kernel, nodes = kernel_model("matern2"), generate_nodes("uniform:50", seed=0)
+        source = lambda eps: kernel_matrix(kernel, nodes, eps)
         grid = np.geomspace(1e-2, 1e-1, 24)[::-1]
         full = eigen_sweep(source, grid)
         calls = self._count_eigh(monkeypatch)
@@ -77,24 +80,25 @@ class TestValuesOnlySweep:
         assert len(calls) == 2
 
     def test_full_sweep_keys_every_point(self, ex_5x5):
-        sweep = eigen_sweep(ex_5x5, default_grid(pts=6))
+        sweep = eigen_sweep(ex_5x5.evaluate, default_grid(pts=6))
         assert sorted(sweep.eigenvectors) == list(range(6))
         assert all(u.shape == (5, 5) for u in sweep.eigenvectors.values())
 
     @pytest.mark.parametrize("vectors_at", [[6], [-1]])
     def test_vectors_at_outside_the_grid(self, ex_5x5, vectors_at):
         with pytest.raises(ValueError, match="vectors_at"):
-            eigen_sweep(ex_5x5, default_grid(pts=6), vectors_at=vectors_at)
+            eigen_sweep(ex_5x5.evaluate, default_grid(pts=6), vectors_at=vectors_at)
 
     @pytest.mark.parametrize("case", ["ex_5x5", "ex_degenerate", "matern2"])
     def test_partial_sweep_matches_full(self, request, case):
         if case == "matern2":
             kernel, nodes = kernel_model("matern2"), generate_nodes("uniform:50", seed=0)
-            ase, _ = kernel_ase(kernel, nodes)
-            source = (kernel, nodes)
+            ase = kernel_ase(kernel, nodes)
+            source = lambda eps: kernel_matrix(kernel, nodes, eps)
         else:
-            source = request.getfixturevalue(case)
-            ase = analyze_series(source, "auto")
+            series = request.getfixturevalue(case)
+            ase = analyze_series(series, "auto")
+            source = series.evaluate
         grid = default_grid()
         stars = eps_star_indices(grid, ase.readout)
         partial = eigen_sweep(source, grid, [i for i in stars if i is not None])
@@ -111,7 +115,7 @@ class TestValuesOnlySweep:
 
     def test_missing_vectors_at_eps_star(self, ex_3x3):
         ase = analyze_series(ex_3x3, "auto")
-        sweep = eigen_sweep(ex_3x3, default_grid(), vectors_at=())
+        sweep = eigen_sweep(ex_3x3.evaluate, default_grid(), vectors_at=())
         with pytest.raises(ValueError, match="no eigenvectors at eps"):
             match_ase(ase, sweep, 1e-2, 1e-2)
 
@@ -119,7 +123,7 @@ class TestValuesOnlySweep:
         ase = analyze_series(ex_3x3, "auto")
         grid = default_grid()
         stars = eps_star_indices(grid, ase.readout)
-        report = match_ase(ase, eigen_sweep(ex_3x3, grid), 1e-2, 1e-2)
+        report = match_ase(ase, eigen_sweep(ex_3x3.evaluate, grid), 1e-2, 1e-2)
         assert [grid[i] for i in stars] == [g.eps_star for g in report.groups]
         # a group that never clears the ceiling has no eps*
         unseen = Ase(2, [(Exponent(0), np.diag([1.0, 0.0])), (Exponent(10), np.diag([0.0, 1.0]))])
@@ -135,7 +139,7 @@ class TestValuesOnlySweep:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", off)
         with pytest.raises(np.linalg.LinAlgError, match="norm and trace"):
-            eigen_sweep(ex_5x5, default_grid(pts=6), vectors_at=())
+            eigen_sweep(ex_5x5.evaluate, default_grid(pts=6), vectors_at=())
 
     @pytest.mark.parametrize("vectors_at", [None, ()])
     def test_nan_entry_fails(self, vectors_at):
@@ -158,7 +162,7 @@ class TestValuesOnlySweep:
 
 class TestEstimateValuations:
     def test_5x5_slopes(self, ex_5x5):
-        sweep = eigen_sweep(ex_5x5, default_grid())
+        sweep = eigen_sweep(ex_5x5.evaluate, default_grid())
         fits = estimate_valuations(sweep)
         expect = [0, 2, 2, 4, 4]
         for f, e in zip(fits, expect):
@@ -169,13 +173,13 @@ class TestEstimateValuations:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((4, 4))
         k = MatrixSeries.from_constant(a @ a.T + np.eye(4), trunc_order=1, symmetric=True)
-        fits = estimate_valuations(eigen_sweep(k, default_grid(pts=8)))
+        fits = estimate_valuations(eigen_sweep(k.evaluate, default_grid(pts=8)))
         assert all(abs(f.slope) < 0.01 for f in fits)
 
     def test_exponential_kernel_slopes(self):
         e = kernel_model("exponential")
         nodes = generate_nodes("uniform:5", d=1, seed=3)
-        sweep = eigen_sweep((e, nodes), default_grid())
+        sweep = eigen_sweep(lambda eps: kernel_matrix(e, nodes, eps), default_grid())
         fits = estimate_valuations(sweep)
         expect = [0, 1, 1, 1, 1]
         for f, ex in zip(fits, expect):
@@ -184,7 +188,7 @@ class TestEstimateValuations:
     def test_below_floor_flagged(self, ex_5x5):
         # an eps^4 eigenvalue leaves too few points above the floor on a
         # narrow grid near the ceiling
-        sweep = eigen_sweep(ex_5x5, np.geomspace(1e-5, 2e-5, 6)[::-1])
+        sweep = eigen_sweep(ex_5x5.evaluate, np.geomspace(1e-5, 2e-5, 6)[::-1])
         fits = estimate_valuations(sweep)
         assert not fits[-1].reliable
         assert fits[-1].n_points < 4
@@ -193,7 +197,7 @@ class TestEstimateValuations:
 class TestMatchAse:
     def test_3x3_passes(self, ex_3x3):
         ase = analyze_series(ex_3x3, "auto")
-        sweep = eigen_sweep(ex_3x3, default_grid())
+        sweep = eigen_sweep(ex_3x3.evaluate, default_grid())
         report = match_ase(ase, sweep, tol_coeff=1e-2, tol_angle=1e-2)
         assert report.passed
         assert all(g.verifiable for g in report.groups)
@@ -201,7 +205,7 @@ class TestMatchAse:
     def test_corrupted_coefficients_fail(self, ex_3x3):
         ase = analyze_series(ex_3x3, "auto")
         doubled = Ase(ase.n, [(a, 2.0 * t) for a, t in ase.groups], ase.truncated_at)
-        sweep = eigen_sweep(ex_3x3, default_grid())
+        sweep = eigen_sweep(ex_3x3.evaluate, default_grid())
         report = match_ase(doubled, sweep, tol_coeff=1e-2, tol_angle=1e-2)
         assert not report.passed
         # slopes are untouched by coefficient scaling
@@ -211,7 +215,7 @@ class TestMatchAse:
     def test_tracked_vector_angle_shrinks(self):
         g = kernel_model("gaussian")
         nodes = generate_nodes("equispaced:20")
-        ase, _ = kernel_ase(g, nodes)
+        ase = kernel_ase(g, nodes)
         from asymspec.cli import _predicted_vector
 
         pred = _predicted_vector(ase, 3)
@@ -230,7 +234,7 @@ class TestMatchAse:
         term1 = np.diag([0.0, 1.0])
         ase = Ase(2, [(Exponent(0), term0), (Exponent(10), term1)])
         k = MatrixSeries(2, {0: term0, 10: term1}, trunc_order=11, symmetric=True)
-        sweep = eigen_sweep(k, default_grid(1e-4, 1e-2, 25))
+        sweep = eigen_sweep(k.evaluate, default_grid(1e-4, 1e-2, 25))
         report = match_ase(ase, sweep, 1e-2, 1e-2)
         rec = report.groups[1]
         assert not rec.verifiable
@@ -426,16 +430,19 @@ class TestArrayValuationFit:
     @pytest.mark.parametrize("case", ["ex_2x2", "ex_example1", "ex_scaling_3x3",
                                       "ex_scaling_2x2", "ex_5x5", "ex_3x3", "ex_degenerate"])
     def test_conftest_series(self, request, case):
-        self._assert_matches_loop(eigen_sweep(request.getfixturevalue(case), default_grid()))
+        series = request.getfixturevalue(case)
+        self._assert_matches_loop(eigen_sweep(series.evaluate, default_grid()))
 
     def test_gaussian_equispaced(self):
-        source = (kernel_model("gaussian"), generate_nodes("equispaced:20"))
+        kernel, nodes = kernel_model("gaussian"), generate_nodes("equispaced:20")
+        source = lambda eps: kernel_matrix(kernel, nodes, eps)
         fits = self._assert_matches_loop(eigen_sweep(source, np.geomspace(1e-2, 1e-1, 24)[::-1]))
         # deep curves sink below the floor and are flagged, not fitted
         assert any(np.isnan(f.slope) for f in fits)
 
     def test_exponential_uniform(self):
-        source = (kernel_model("exponential"), generate_nodes("uniform:5", d=1, seed=3))
+        kernel, nodes = kernel_model("exponential"), generate_nodes("uniform:5", d=1, seed=3)
+        source = lambda eps: kernel_matrix(kernel, nodes, eps)
         self._assert_matches_loop(eigen_sweep(source, default_grid()))
 
     def test_curve_dips_under_the_floor(self):
@@ -459,7 +466,8 @@ class TestArrayValuationFit:
     def test_too_few_usable_points(self, ex_5x5):
         from asymspec.oracle import SweepResult
 
-        fits = self._assert_matches_loop(eigen_sweep(ex_5x5, np.geomspace(1e-5, 2e-5, 6)[::-1]))
+        grid = np.geomspace(1e-5, 2e-5, 6)[::-1]
+        fits = self._assert_matches_loop(eigen_sweep(ex_5x5.evaluate, grid))
         assert fits[-1].n_points < 4 and not fits[-1].reliable
         grid = default_grid(pts=6)
         lam = np.column_stack([np.ones(6), [1.0, 1e-20, 1e-20, 0.5, 1e-20, 0.25], np.zeros(6)])
@@ -493,11 +501,12 @@ class TestMatchAseCalls:
     def test_no_polyfit_no_svd_vectors(self, request, monkeypatch, case):
         if case == "matern2":
             kernel, nodes = kernel_model("matern2"), generate_nodes("uniform:50", seed=0)
-            ase, _ = kernel_ase(kernel, nodes)
-            source = (kernel, nodes)
+            ase = kernel_ase(kernel, nodes)
+            source = lambda eps: kernel_matrix(kernel, nodes, eps)
         else:
-            source = request.getfixturevalue(case)
-            ase = analyze_series(source, "auto")
+            series = request.getfixturevalue(case)
+            ase = analyze_series(series, "auto")
+            source = series.evaluate
         sweep = eigen_sweep(source, default_grid())
         ase.readout  # noqa: B018 - the readout is computed before counting
         calls = []
@@ -519,7 +528,8 @@ class TestSweepColumns:
     """``columns`` keeps only the named curves' eigenvectors."""
 
     def test_kept_column_equals_full_sweep(self):
-        source = (kernel_model("matern2"), generate_nodes("uniform:40", seed=1))
+        kernel, nodes = kernel_model("matern2"), generate_nodes("uniform:40", seed=1)
+        source = lambda eps: kernel_matrix(kernel, nodes, eps)
         grid = default_grid(pts=12)
         full = eigen_sweep(source, grid)
         kept = eigen_sweep(source, grid, columns=[2])
@@ -533,18 +543,19 @@ class TestSweepColumns:
     def test_sweep_csv_identical(self):
         from asymspec.serialize import sweep_csv_lines
 
-        source = (kernel_model("gaussian"), generate_nodes("equispaced:20"))
+        kernel, nodes = kernel_model("gaussian"), generate_nodes("equispaced:20")
+        source = lambda eps: kernel_matrix(kernel, nodes, eps)
         grid = default_grid(1e-2, 1e-1, 10)
         full = sweep_csv_lines(eigen_sweep(source, grid), 3, np.ones(20))
         kept = sweep_csv_lines(eigen_sweep(source, grid, columns=[2]), 3, np.ones(20))
         assert kept == full
 
     def test_curve_not_kept(self, ex_5x5):
-        sweep = eigen_sweep(ex_5x5, default_grid(pts=6), columns=[1])
+        sweep = eigen_sweep(ex_5x5.evaluate, default_grid(pts=6), columns=[1])
         with pytest.raises(ValueError, match=r"keeps eigenvectors of curves \[1\] only"):
             sweep.vectors(0, [0, 1])
 
     @pytest.mark.parametrize("columns", [[5], [-1]])
     def test_columns_outside_the_matrix(self, ex_5x5, columns):
         with pytest.raises(ValueError, match="columns"):
-            eigen_sweep(ex_5x5, default_grid(pts=6), columns=columns)
+            eigen_sweep(ex_5x5.evaluate, default_grid(pts=6), columns=columns)

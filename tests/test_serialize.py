@@ -66,7 +66,7 @@ class TestAseJson:
         from asymspec import generate_nodes, kernel_ase, kernel_model
         from asymspec.serialize import dumps
 
-        ases = [kernel_ase(kernel_model(name), generate_nodes(spec, seed=0))[0]
+        ases = [kernel_ase(kernel_model(name), generate_nodes(spec, seed=0))
                 for name, spec in (("gaussian", "uniform:50"), ("exponential", "uniform:200"),
                                    ("matern2", "equispaced:200"), ("matern2", "circle:100"))]
         for fixture in ("ex_5x5", "ex_degenerate"):

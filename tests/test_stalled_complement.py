@@ -114,7 +114,7 @@ def test_finitely_smooth_route_stalled_at_the_bottom_block(monkeypatch):
     # bottom block is singular, so the ASE is truncated at eps^5
     custom = kernel_model("custom", psi_coefficients=[1.0, 0.0, -1.0, 0.0, 0.5, 0.2])
     nodes = NodeSet(np.array([-1.0 - 1e-10, -1.0, 1.0, 1.0 + 1e-10]))
-    want, got, stalls = _both(monkeypatch, lambda: kernel_ase(custom, nodes)[0])
+    want, got, stalls = _both(monkeypatch, lambda: kernel_ase(custom, nodes))
     # the stalled group at eps^5 lies under the rank floor, so it is not kept
     assert stalls and got.truncated_at == 5 and got.valuations == [0, 2]
     _assert_same_ase(want, got, stalls)
@@ -129,7 +129,7 @@ def test_finitely_smooth_route_stalled_at_the_bottom_block(monkeypatch):
 ])
 def test_stalled_kernel_chains(monkeypatch, name, spec, d, seed):
     nodes = generate_nodes(spec, d=d, seed=seed)
-    want, got, stalls = _both(monkeypatch, lambda: kernel_ase(kernel_model(name), nodes)[0])
+    want, got, stalls = _both(monkeypatch, lambda: kernel_ase(kernel_model(name), nodes))
     _assert_stalled_factor(got, stalls)
     _assert_same_ase(want, got, stalls)
 
@@ -137,7 +137,7 @@ def test_stalled_kernel_chains(monkeypatch, name, spec, d, seed):
 def test_complete_chain_is_untouched(monkeypatch):
     # matern2 on 50 equispaced points completes its chain: the same factors, bit for bit
     nodes = generate_nodes("equispaced:50", d=1, seed=0)
-    want, got, stalls = _both(monkeypatch, lambda: kernel_ase(kernel_model("matern2"), nodes)[0])
+    want, got, stalls = _both(monkeypatch, lambda: kernel_ase(kernel_model("matern2"), nodes))
     assert not stalls
     assert len(got.factors) == len(want.factors)
     for (a1, q1, s1), (a2, q2, s2) in zip(want.factors, got.factors):
