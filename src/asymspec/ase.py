@@ -18,11 +18,12 @@ when something reads ``Ase.groups``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .series import SERIES_RANK_TOL, Exponent, as_exponent, is_singular, significant
+from .series import SERIES_RANK_TOL, as_exponent, is_singular, significant
 from .scaling import ScaledForm
 
 __all__ = [
@@ -128,8 +129,8 @@ class Ase:
     """
 
     n: int
-    factors: list = field(default_factory=list)  # [(Exponent, ndarray or None, ndarray)]
-    truncated_at: Exponent | None = None
+    factors: list = field(default_factory=list)  # [(Fraction, ndarray or None, ndarray)]
+    truncated_at: Fraction | None = None
 
     def __post_init__(self):
         factors = []
@@ -242,7 +243,7 @@ class SpectralGroup:
     always well defined; it is computed on first use.
     """
 
-    valuation: Exponent
+    valuation: Fraction
     leading_values: list
     vectors: np.ndarray
     ambiguous: bool

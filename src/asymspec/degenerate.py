@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .series import (
+    INFINITY,
     SERIES_RANK_TOL,
-    Exponent,
     MatrixSeries,
     series_matrix_inverse,
     significant,
@@ -52,7 +52,7 @@ def _series_schur_block(k: MatrixSeries, scaling: DiagonalScaling, split_block: 
 
 def _series_schur(h: MatrixSeries, m: int, order, cond_tol: float) -> MatrixSeries:
     """H_22 - H_21 H_11^{-1} H_12 for H split after row m, truncated at ``order``."""
-    if not order > Exponent(0):
+    if not order > 0:
         raise ValueError("truncation horizon exhausted before the Schur block is resolved")
     top = np.arange(m)
     bot = np.arange(m, h.shape[0])
@@ -127,7 +127,7 @@ def iterative_ase(k: MatrixSeries, rank_tol: float = SERIES_RANK_TOL, max_depth=
         groups += new
         if last:
             break
-        if current.trunc_order.is_infinite:
+        if current.trunc_order == INFINITY:
             raise ValueError("iterative extraction needs a finite truncation horizon")
         try:
             trailing = _series_schur_block(cur_p, scaling, stall, rank_tol)

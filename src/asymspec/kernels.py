@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
 
-from .series import Exponent, exact_int_dtype, significant
+from .series import exact_int_dtype, significant
 from .ase import (TERM_RANK_TOL, Ase, fix_column_signs, schur_chain, term_scale, _chain_groups,
                   _read_group)
 from .gkf import BlockQr, build_H, _extend_basis
@@ -358,14 +359,6 @@ def _complement_block(kernel: KernelModel, nodes: NodeSet, q: np.ndarray):
     return a, 0.5 * (w + w.T)
 
 
-def _power(scale: float, alpha) -> float:
-    """s^alpha, or 0.0 where it overflows."""
-    try:
-        return scale ** float(alpha)
-    except OverflowError:
-        return 0.0
-
-
 def _usable(m: np.ndarray) -> bool:
     """Whether a rescaled block is finite and not all zero."""
     return bool(np.isfinite(m).all() and m.any())
@@ -385,27 +378,26 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
     caller's units (the s^alpha unit map scales S_i only), and the expansion
     also stops before a group whose smallest leading value is at or below
     ``TERM_RANK_TOL`` times ``term_scale`` of its values there.  On nodes far
-    from unit scale it stops before the first group whose s^alpha overflows
-    or underflows to 0, or whose scaled S_i is not finite or all zero; the
-    block at r - 1/2 is left out, truncating at 2r - 1, when its s^(2r-1) or
-    its unit-coordinate block is not finite or is 0.  Each group is read out
-    once, as it is kept.
+    from unit scale it stops before the first group whose scaled S_i is not
+    finite or all zero (s^alpha overflows to inf and underflows to 0, so this
+    test covers both); the block at r - 1/2 is left out, truncating at 2r - 1,
+    when its unit-coordinate block divided by s^(2r-1) is not finite or all
+    zero.  Each group is read out once, as it is kept.
     """
     y, scale = _unit_nodes(nodes)
     qr = _degree_scan(kernel, y, rank_tol)
     h, sizes = build_H(qr, wronskian(kernel, nodes.d, len(qr.ranks) - 1))
-    nus = [Exponent(t) for t in range(len(qr.ranks))]
+    nus = [Fraction(t) for t in range(len(qr.ranks))]
     bases = list(qr.q_blocks)
     stop = None  # where the expansion ends if the Schur chain does not stall
     if sum(qr.ranks) < nodes.n:
         stop = 2 * nus[-1]  # the last certified degree, unless the block at r - 1/2 follows
         if kernel.regularity - 1 <= kernel.horizon // 2:
-            nu = Exponent(2 * int(kernel.regularity) - 1, 2)
-            unit = _power(scale, 2 * nu)
+            nu = Fraction(2 * int(kernel.regularity) - 1, 2)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 a, w_bot = _complement_block(kernel, nodes, qr.Q)
-                w_bot /= unit
-            if unit != 0.0 and _usable(w_bot):
+                w_bot /= np.float64(scale) ** float(2 * nu)
+            if _usable(w_bot):
                 nus.append(nu)
                 h = _blockdiag(h, w_bot)
                 sizes.append(a.shape[1])
@@ -418,10 +410,9 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
     truncated_at = stop if truncated_at is None else truncated_at
     kept, readout = [], []
     for alpha, q, s in factors:
-        unit = _power(scale, alpha)
-        with np.errstate(over="ignore"):
-            s = unit * s
-        group = _read_group(alpha, q, s) if unit != 0.0 and _usable(s) else None
+        with np.errstate(over="ignore", invalid="ignore"):  # s^alpha may be inf or 0
+            s = np.float64(scale) ** float(alpha) * s
+        group = _read_group(alpha, q, s) if _usable(s) else None
         # kept |lam| exceed READOUT_ZERO_TOL = TERM_RANK_TOL times max |lam|, so the floor fires
         # only at max |lam| < 1, min |lam| <= TERM_RANK_TOL: the dense term's floor or below
         if group is None or not significant(lam := group.leading_values, TERM_RANK_TOL,

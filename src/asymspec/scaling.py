@@ -37,12 +37,13 @@ this certificate fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
 from .series import (
-    Exponent,
+    INFINITY,
     MatrixSeries,
     ValuationMatrix,
     as_exponent,
@@ -72,7 +73,7 @@ class DiagonalScaling:
         vals = tuple((as_exponent(nu), int(mult)) for nu, mult in self.valuations)
         object.__setattr__(self, "valuations", vals)
         for nu, mult in vals:
-            if nu.is_infinite:
+            if nu == INFINITY:
                 raise ValueError("scaling exponents must be finite")
             if mult < 1:
                 raise ValueError("multiplicities must be >= 1")
@@ -259,7 +260,7 @@ def auto_scale_exponents(omega: ValuationMatrix):
             twice = _bounded_optimum(omega, lb_num)
         if min(twice) < 2 * lb_num or not _feasible(omega, twice):
             raise RuntimeError("internal error: scaling exponents are infeasible")
-    return [Exponent(t, 2 * omega.den) for t in twice]
+    return [Fraction(t, 2 * omega.den) for t in twice]
 
 
 def _feasible(omega, twice):

@@ -19,11 +19,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
-from .series import Exponent, MatrixSeries
+from .series import INFINITY, MatrixSeries
 from .scaling import DiagonalScaling
 from .ase import Ase, fix_column_signs
 from .gkf import GkfForm
@@ -51,17 +52,17 @@ class InputError(ValueError):
     """Malformed input file; the message names the offending field."""
 
 
-def exponent_to_json(e: Exponent):
-    if e.is_infinite:
+def exponent_to_json(e: Fraction):
+    if e == INFINITY:
         return None
-    return {"num": e.num, "den": e.den}
+    return {"num": e.numerator, "den": e.denominator}
 
 
-def exponent_from_json(obj, where: str) -> Exponent:
+def exponent_from_json(obj, where: str) -> Fraction:
     if isinstance(obj, bool):
         raise InputError(f"{where}: expected an exponent, got a boolean")
     if isinstance(obj, int):
-        return Exponent(obj)
+        return Fraction(obj)
     if isinstance(obj, dict):
         try:
             num = obj["num"]
@@ -69,7 +70,7 @@ def exponent_from_json(obj, where: str) -> Exponent:
         except KeyError as exc:
             raise InputError(f"{where}: exponent object needs 'num'") from exc
         message = f"{where}: exponent num/den must be integers with den >= 1"
-        return Exponent(_int_at_least(num, -math.inf, message), _int_at_least(den, 1, message))
+        return Fraction(_int_at_least(num, -math.inf, message), _int_at_least(den, 1, message))
     raise InputError(f"{where}: expected an integer or {{'num','den'}} object")
 
 
@@ -195,7 +196,7 @@ def gkf_from_json(obj) -> GkfForm:
 
 def ase_to_json(ase: Ase) -> dict:
     """ASE JSON: each group of ``ase.readout``, its values and vectors."""
-    if ase.truncated_at is not None and ase.truncated_at.is_infinite:
+    if ase.truncated_at == INFINITY:
         raise ValueError("truncated_at is infinite; ASE JSON writes null for a complete ASE")
     groups = [{"valuation": exponent_to_json(g.valuation),
                "lambda": [float(x) for x in g.leading_values],

@@ -1,10 +1,10 @@
 """Truncated power series in a small parameter eps with exact rational exponents.
 
-Exponents are stored as reduced pairs of integers ``num / den`` (plus a
-distinguished +infinity, the pair (1, 0), for the valuation of the zero
-series) so that ties between exponents -- which drive all scaling and
-tightness decisions downstream -- are decided exactly, by cross-multiplication,
-and no ``Fraction`` is built unless asked for.  Grids of exponents
+Every exponent is a ``fractions.Fraction`` (``Exponent`` is another name for
+it), and ``INFINITY`` is ``math.inf``, the valuation of the zero series, so
+ties between exponents -- which drive all scaling and tightness decisions
+downstream -- are decided exactly.  ``as_exponent`` is the gate every
+constructor takes its exponents through.  Grids of exponents
 (``ValuationMatrix``) are integer numerator arrays over one common
 denominator, so grid-wide comparisons are exact integer array operations.
 Coefficients are double-precision reals.
@@ -18,7 +18,7 @@ conservatively.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 import numpy as np
 
@@ -38,135 +38,20 @@ class SingularLeadingTermError(ValueError):
     """Raised when a series inverse is requested but the eps^0 coefficient is singular."""
 
 
-class Exponent:
-    """An exact rational exponent of eps, or +infinity (the valuation of 0).
+#: The exponent type, under the name callers build ``Exponent(num, den)`` with.
+Exponent = Fraction
 
-    Stored as a reduced integer pair ``num / den`` with ``den > 0``; +infinity
-    is the pair (1, 0), so cross-multiplication orders it above every finite
-    exponent.  Immutable, hashable and totally ordered; supports addition,
-    subtraction and multiplication by integers, with the usual +infinity
-    conventions.
-    """
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, num=0, den=1):
-        if isinstance(num, Exponent):
-            if not num._den:
-                raise ValueError("cannot rebuild the infinite exponent; use INFINITY")
-            num = num.fraction
-        if type(num) is not int or type(den) is not int or den <= 0:
-            f = Fraction(num, den)  # other rationals, or the errors Fraction raises
-            num, den = f.numerator, f.denominator
-        g = gcd(num, den)
-        self._num, self._den = num // g, den // g
-
-    @classmethod
-    def _ratio(cls, num: int, den: int) -> "Exponent":
-        """num / den for ints with den > 0 (den == 0 only for INFINITY)."""
-        g = gcd(num, den)
-        obj = object.__new__(cls)
-        obj._num, obj._den = num // g, den // g
-        return obj
-
-    @property
-    def is_infinite(self) -> bool:
-        return not self._den
-
-    @property
-    def num(self) -> int:
-        if not self._den:
-            raise ValueError("infinite exponent has no numerator")
-        return self._num
-
-    @property
-    def den(self) -> int:
-        if not self._den:
-            raise ValueError("infinite exponent has no denominator")
-        return self._den
-
-    @property
-    def fraction(self) -> Fraction:
-        if not self._den:
-            raise ValueError("infinite exponent has no rational value")
-        return Fraction(self._num, self._den)
-
-    def __add__(self, other):
-        other = as_exponent(other)
-        a, b = self._den, other._den
-        if not (a and b):
-            return INFINITY
-        if a == b:
-            return Exponent._ratio(self._num + other._num, a)
-        return Exponent._ratio(self._num * b + other._num * a, a * b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = as_exponent(other)
-        if not other._den:
-            raise ValueError("cannot subtract an infinite exponent")
-        return self + Exponent._ratio(-other._num, other._den)
-
-    def __mul__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if not self._den:
-            return INFINITY
-        return Exponent._ratio(self._num * k, self._den)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        if not self._den:
-            raise ValueError("cannot negate the infinite exponent")
-        return Exponent._ratio(-self._num, self._den)
-
-    def __eq__(self, other):
-        if not isinstance(other, (Exponent, int, Fraction)):
-            return NotImplemented
-        other = as_exponent(other)
-        return self._num == other._num and self._den == other._den
-
-    def __lt__(self, other):
-        other = as_exponent(other)
-        return self._num * other._den < other._num * self._den
-
-    def __le__(self, other):
-        other = as_exponent(other)
-        return self._num * other._den <= other._num * self._den
-
-    def __gt__(self, other):
-        other = as_exponent(other)
-        return self._num * other._den > other._num * self._den
-
-    def __ge__(self, other):
-        other = as_exponent(other)
-        return self._num * other._den >= other._num * self._den
-
-    def __hash__(self):
-        return hash((self._num, self._den))
-
-    def __float__(self):
-        return self._num / self._den if self._den else float("inf")
-
-    def __str__(self):
-        return str(self.fraction) if self._den else "inf"
-
-    def __repr__(self):
-        return f"Exponent({self})"
+#: The valuation of the zero series; it orders above every Fraction and absorbs addition.
+INFINITY = inf
 
 
-#: The valuation of the zero series.
-INFINITY = Exponent._ratio(1, 0)
-
-
-def as_exponent(x) -> Exponent:
-    """Coerce an int, Fraction or Exponent into an Exponent."""
-    if isinstance(x, Exponent):
+def as_exponent(x) -> Fraction:
+    """The one input gate of every exponent: an int becomes a Fraction, a Fraction
+    or INFINITY passes through, and anything else (floats, numpy integers) is a TypeError."""
+    if isinstance(x, Fraction) or (type(x) is float and x == INFINITY):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Exponent(x)
+    if isinstance(x, int):
+        return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exponent")
 
 
@@ -218,18 +103,20 @@ def max_abs(a) -> int:
 def exponent_ints(exps):
     """(numerators, common denominator) of finite exponents, as Python ints."""
     exps = [as_exponent(e) for e in exps]
-    den = lcm(*(e.den for e in exps))
-    return [e._num * (den // e._den) for e in exps], den
+    if float in map(type, exps):  # INFINITY is the one float as_exponent passes
+        raise ValueError("infinite exponent has no denominator")
+    den = lcm(*(e.denominator for e in exps))
+    return [e.numerator * (den // e.denominator) for e in exps], den
 
 
-def _eps_power(eps: float, e: Exponent) -> float:
-    """eps^e, read off the integer pair (float(e) is num/den, as for a Fraction)."""
-    if e.is_infinite:
+def _eps_power(eps: float, e: Fraction) -> float:
+    """eps^e (float(e) is num/den, correctly rounded)."""
+    if e == INFINITY:
         return 0.0
-    if e._num == 0:
+    if e == 0:
         return 1.0
     if eps == 0.0:
-        if e._num < 0:
+        if e < 0:
             raise ValueError("negative exponent at eps=0")
         return 0.0
     try:
@@ -242,7 +129,7 @@ def _normalize_matrix_terms(terms, shape, symmetric):
     items = []
     for e, mat in terms.items() if hasattr(terms, "items") else terms:
         e = as_exponent(e)
-        if e.is_infinite:
+        if e == INFINITY:
             raise ValueError("term exponents must be finite")
         mat = np.asarray(mat, dtype=float)
         if mat.shape != shape:
@@ -305,7 +192,7 @@ class MatrixSeries:
     @classmethod
     def from_constant(cls, mat, trunc_order=INFINITY, symmetric=False) -> "MatrixSeries":
         mat = np.asarray(mat, dtype=float)
-        return cls(mat.shape, [(Exponent(0), mat)], trunc_order, symmetric)
+        return cls(mat.shape, [(Fraction(0), mat)], trunc_order, symmetric)
 
     @classmethod
     def identity(cls, n, trunc_order=INFINITY) -> "MatrixSeries":
@@ -324,7 +211,7 @@ class MatrixSeries:
         return self._terms
 
     @property
-    def trunc_order(self) -> Exponent:
+    def trunc_order(self) -> Fraction:
         return self._trunc
 
     @property
@@ -332,10 +219,10 @@ class MatrixSeries:
         return not self._terms
 
     @property
-    def valuation(self) -> Exponent:
+    def valuation(self) -> Fraction:
         return self._terms[0][0] if self._terms else INFINITY
 
-    def _effective_valuation(self) -> Exponent:
+    def _effective_valuation(self) -> Fraction:
         return self.valuation if self._terms else self._trunc
 
     def coefficient(self, e) -> np.ndarray:
@@ -387,15 +274,15 @@ class MatrixSeries:
         for a, (_, m1) in zip(nums, self._terms):
             for b, (_, m2) in zip(nums[len(self._terms):], other._terms):
                 k = a + b
-                if k * trunc._den < trunc._num * den:
+                if trunc == INFINITY or k * trunc.denominator < trunc.numerator * den:
                     acc[k] = acc[k] + m1 @ m2 if k in acc else m1 @ m2
-        terms = [(Exponent._ratio(k, den), _frozen(acc[k])) for k in sorted(acc) if acc[k].any()]
+        terms = [(Fraction(k, den), _frozen(acc[k])) for k in sorted(acc) if acc[k].any()]
         return MatrixSeries._from_terms((self.shape[0], other.shape[1]), terms, trunc, False)
 
     def shift(self, delta) -> "MatrixSeries":
         """Multiply by eps**delta."""
         delta = as_exponent(delta)
-        if delta.is_infinite and self._terms:
+        if delta == INFINITY and self._terms:
             raise ValueError("term exponents must be finite")
         terms = [(e + delta, m) for e, m in self._terms]
         return MatrixSeries._from_terms(self.shape, terms, self._trunc + delta, self.symmetric)
@@ -417,7 +304,7 @@ class MatrixSeries:
         nums, den = exponent_ints([*left, *right, *(e for e, _ in self._terms)])
         lnums, rnums = nums[:nl], nums[nl:nl + nr]
         sym = self.symmetric and lnums == rnums
-        low = Exponent._ratio(min(lnums) + min(rnums), den)
+        low = Fraction(min(lnums) + min(rnums), den)
         if min(lnums) == max(lnums) and min(rnums) == max(rnums):  # uniform: a shift
             terms = [(e + low, m) for e, m in self._terms]
             return MatrixSeries._from_terms(self.shape, terms, self._trunc + low, sym)
@@ -442,7 +329,7 @@ class MatrixSeries:
                 np.concatenate(vals)[order])
             cuts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
             for a, b in zip(cuts, cuts[1:]):
-                e = Exponent._ratio(int(keys[a]), den)
+                e = Fraction(int(keys[a]), den)
                 if not e < trunc:
                     break
                 mat = np.zeros(self.shape)
@@ -502,12 +389,9 @@ class MatrixSeries:
 
 
 def _int_pair(x):
-    """(num, den) of an int, Fraction or Exponent, without building an Exponent."""
-    if isinstance(x, Exponent):
-        return x._num, x._den
-    if isinstance(x, (int, Fraction)):
-        return x.numerator, x.denominator
-    raise TypeError(f"cannot interpret {x!r} as an exponent")
+    """(num, den) of an exponent; (1, 0) for INFINITY."""
+    x = as_exponent(x)
+    return (1, 0) if x == INFINITY else (x.numerator, x.denominator)
 
 
 class ValuationMatrix:
@@ -516,8 +400,8 @@ class ValuationMatrix:
     The grid is stored exactly as integer numerators ``num`` over one common
     denominator ``den`` (the smallest one), with a boolean mask ``inf`` for
     the +infinity entries, whose numerators are 0.  ``num`` is int64 when its
-    entries fit comfortably and a Python-int object array otherwise.
-    ``Exponent`` objects are built only on access.
+    entries fit comfortably and a Python-int object array otherwise.  An
+    entry reads back as a ``Fraction``, or as ``INFINITY``, built only on access.
     """
 
     __slots__ = ("num", "den", "inf")
@@ -527,7 +411,7 @@ class ValuationMatrix:
         width = len(rows[0]) if rows else 0
         if any(len(row) != width for row in rows):
             raise ValueError("ragged valuation grid")
-        # non-int entries as integer pairs, INFINITY as (1, 0): no Exponent per entry
+        # non-int entries as integer pairs, INFINITY as (1, 0): no Fraction per entry
         flat = [x for row in rows for x in row]
         odd = {} if set(map(type, flat)) <= {int} else {
             i: _int_pair(x) for i, x in enumerate(flat) if type(x) is not int}
@@ -561,7 +445,7 @@ class ValuationMatrix:
     def entries(self):
         den = self.den
         return tuple(
-            tuple(INFINITY if f else Exponent(x, den) for x, f in zip(nrow, frow))
+            tuple(INFINITY if f else Fraction(x, den) for x, f in zip(nrow, frow))
             for nrow, frow in zip(self.num.tolist(), self.inf.tolist())
         )
 
@@ -571,7 +455,7 @@ class ValuationMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return INFINITY if self.inf[i, j] else Exponent(int(self.num[i, j]), self.den)
+        return INFINITY if self.inf[i, j] else Fraction(int(self.num[i, j]), self.den)
 
     @property
     def is_symmetric(self) -> bool:
@@ -615,7 +499,7 @@ def series_matrix_inverse(h: MatrixSeries, order,
     if h.shape[0] != h.shape[1]:
         raise ValueError("matrix series must be square")
     trunc = min(as_exponent(order), h.trunc_order)
-    if not h.is_zero and h.valuation < Exponent(0):
+    if not h.is_zero and h.valuation < 0:
         raise ValueError("series with negative exponents cannot be inverted here")
     h0 = h.coefficient(0)
     if h.shape[0] and is_singular(h0, cond_tol):
@@ -631,5 +515,5 @@ def series_matrix_inverse(h: MatrixSeries, order,
     for t in sorted(keys)[1:]:
         parts = [a @ y[t - k] for k, (_, a) in zip(steps, rest) if t - k in y]
         y[t] = -(y[0] @ sum(parts[1:], parts[0]))
-    terms = [(Exponent._ratio(t, den), _frozen(m)) for t, m in sorted(y.items()) if m.any()]
+    terms = [(Fraction(t, den), _frozen(m)) for t, m in sorted(y.items()) if m.any()]
     return MatrixSeries._from_terms(h.shape, terms, trunc, False)

@@ -363,19 +363,19 @@ def test_criterion_10c_hungarian_scaling():
                 for i in range(n):
                     tight = False
                     for j in range(n):
-                        if om[i, j].is_infinite:
+                        if om[i, j] == INFINITY:
                             continue
                         assert nu[i] + nu[j] <= om[i, j]
                         tight = tight or nu[i] + nu[j] == om[i, j]
                     assert tight, "a scaling exponent could still be raised"
                 # dominates a greedy feasible nonnegative competitor
-                total = sum(e.fraction for e in nu)
+                total = sum(nu)
                 other = [Fraction(0)] * n
                 for i in rng.permutation(n):
                     caps = [
-                        om[i, j].fraction / 2 if j == i else om[i, j].fraction - other[j]
+                        om[i, j] / 2 if j == i else om[i, j] - other[j]
                         for j in range(n)
-                        if not om[i, j].is_infinite
+                        if om[i, j] != INFINITY
                     ]
                     other[i] = max(Fraction(0), min(caps))
                 assert total >= sum(other)

@@ -161,7 +161,7 @@ class TestProbes:
     def test_rank_counting(self, ex_2x2, ex_5x5):
         eps_seq = [10.0**-k for k in range(2, 7)]
         pts = rank_probe_curve(ex_2x2, [0, 1, 2], 1.0, eps_seq, 1e-3)
-        assert [(int(p.s.num), p.rank) for p in pts] == [(0, 1), (1, 1), (2, 2)]
+        assert [(int(p.s.numerator), p.rank) for p in pts] == [(0, 1), (1, 1), (2, 2)]
         assert all(p.stable for p in pts)
         pts5 = rank_probe_curve(ex_5x5, [0, 2, 4], 1.0, eps_seq, 1e-3)
         assert [p.rank for p in pts5] == [1, 3, 5]

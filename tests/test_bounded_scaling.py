@@ -66,19 +66,19 @@ def simplex_max(c, a, b):
 def bounded_reference(omega):
     """The bounded program's optimum: shift to x = nu - lb >= 0, then simplex."""
     n = omega.shape[0]
-    lb = min(Fraction(0), *(omega[i, j].fraction for i in range(n) for j in range(n)
-                            if not omega[i, j].is_infinite))
+    lb = min(Fraction(0), *(omega[i, j] for i in range(n) for j in range(n)
+                            if omega[i, j] != INFINITY))
     rows = []
     rhs = []
     for i in range(n):
         for j in range(i, n):
-            if omega[i, j].is_infinite:
+            if omega[i, j] == INFINITY:
                 continue
             coeff = [0] * n
             coeff[i] += 1
             coeff[j] += 1
             rows.append(coeff)
-            rhs.append(omega[i, j].fraction - 2 * lb)
+            rhs.append(omega[i, j] - 2 * lb)
     x = simplex_max([1] * n, rows, rhs)
     return [xi + lb for xi in x], lb
 
@@ -98,7 +98,7 @@ def fallbacks(monkeypatch):
 
 
 def _assert_matches_reference(omega, exps):
-    nu = [e.fraction for e in exps]
+    nu = list(exps)
     ref, lb = bounded_reference(omega)
     n = omega.shape[0]
     assert sum(nu) == sum(ref)
@@ -106,8 +106,8 @@ def _assert_matches_reference(omega, exps):
     den = omega.den
     assert all((2 * den * f).denominator == 1 for f in nu)
     for i in range(n):
-        slack = [omega[i, j].fraction - nu[i] - nu[j]
-                 for j in range(n) if not omega[i, j].is_infinite]
+        slack = [omega[i, j] - nu[i] - nu[j]
+                 for j in range(n) if omega[i, j] != INFINITY]
         assert min(slack) == 0  # valid, and row i is tight
 
 

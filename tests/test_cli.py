@@ -1,6 +1,8 @@
 """CLI flows: exit codes, JSON/CSV contracts and reproducibility."""
 
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -456,3 +458,23 @@ class TestSweepSource:
         assert main(["sweep", *argv, "--eps-grid", "1e-2:1e-1:8"]) == 0
         with pytest.raises(AssertionError, match="does not read"):
             main(["sweep", *argv, "--eps-grid", "1e-2:1e-1:8", "--track-vector", "1"])
+
+
+def test_cli_smoke_script(tmp_path):
+    """tests/cli_smoke.sh, every command once with its exit code, on this source tree."""
+    sh = shutil.which("sh")
+    if sh is None:
+        pytest.skip("tests/cli_smoke.sh needs sh")
+    root = Path(__file__).resolve().parents[1]
+    # the script calls `python -c` too: this interpreter, first on PATH
+    shim = tmp_path / "bin"
+    shim.mkdir()
+    (shim / "python").write_text(f'#!/bin/sh\nexec "{sys.executable}" "$@"\n')
+    (shim / "python").chmod(0o755)
+    env = dict(os.environ, ASYMSPEC=f"{sys.executable} -m asymspec.cli", TMPDIR=str(tmp_path),
+               PATH=os.pathsep.join([str(shim), os.environ.get("PATH", "")]),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sh, str(root / "tests" / "cli_smoke.sh")], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-4000:]

@@ -71,7 +71,7 @@ def test_groups_match_the_mp_reference(name, spec, d, step, bound):
         pairs = [_mp_eigenpairs(name, nodes.points, eps) for eps in EPS]
         start = 0
         for group in readout:
-            alpha = mp.mpf(group.valuation.num) / group.valuation.den
+            alpha = mp.mpf(group.valuation.numerator) / group.valuation.denominator
             idx = range(start, start + group.count)
             start += group.count
             scaled = [sorted((w[i] / mp.mpf(eps) ** alpha for i in idx), reverse=True)

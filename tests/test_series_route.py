@@ -125,3 +125,41 @@ def test_cli_zero_row_series_truncates(tmp_path, capsys, mode):
     ase = analyze_series(k, mode)
     for group in ase.readout:
         np.testing.assert_allclose(group.leading_values, [1.0], rtol=1e-12)
+
+
+def _fractional_series():
+    """n = 3 at half-integer exponents: the coupled series Schur step runs on it."""
+    e3 = np.diag([0.0, 0.0, 1.0])
+    terms = {Exponent(0): np.diag([1.0, 0.0, 0.0]),
+             Exponent(1, 2): [[1, 1, 1], [1, 0, 0], [1, 0, 0]],
+             Exponent(3, 2): [[0, 0, 0], [0, 2, 1], [0, 1, 1]],
+             Exponent(5, 2): e3}
+    return MatrixSeries(3, terms, trunc_order=Exponent(7, 2), symmetric=True)
+
+
+@pytest.mark.parametrize("mode, code", [("auto", 0), ("iterative", 0), ("scaled", 2)])
+def test_cli_fractional_series_through_the_schur_step(tmp_path, capsys, monkeypatch, mode, code):
+    # the series Schur step forms series products and runs the inverse's recurrence,
+    # on exponent keys over the common denominator 2
+    steps = []
+    schur = degenerate._series_schur
+    monkeypatch.setattr(degenerate, "_series_schur", lambda *a: steps.append(a) or schur(*a))
+    path = tmp_path / "k.json"
+    path.write_text(dumps(matrix_series_to_json(_fractional_series())))
+    assert main(["analyze", "--input", str(path), "--mode", mode]) == code
+    out = json.loads(capsys.readouterr().out)
+    if code:
+        assert not steps and out["truncated_at"] == {"num": 1, "den": 1}
+        return
+    assert len(steps) == 1 and out["truncated_at"] is None
+    assert [g["valuation"] for g in out["groups"]] == [
+        {"num": 0, "den": 1}, {"num": 1, "den": 1}, {"num": 3, "den": 2}]
+    lam = [g["lambda"] for g in out["groups"]]
+    assert lam == [pytest.approx([1.0]), pytest.approx([-2.0]), pytest.approx([0.5])]
+
+
+def test_cli_fractional_series_verifies(tmp_path, capsys):
+    path = tmp_path / "k.json"
+    path.write_text(dumps(matrix_series_to_json(_fractional_series())))
+    assert main(["verify", "--input", str(path), "--eps-grid", "1e-8:1e-5:37"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
