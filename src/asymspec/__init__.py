@@ -19,7 +19,6 @@ from .series import (
 )
 from .scaling import (
     DiagonalScaling,
-    ScaledForm,
     auto_scale,
     auto_scale_exponents,
     auto_scale_with_permutation,
@@ -28,16 +27,14 @@ from .scaling import (
 )
 from .ase import (
     Ase,
-    SchurChain,
     SpectralGroup,
     ase_from_scaled,
     eigen_readout,
     schur_chain,
 )
-from .gkf import BlockQr, GkfForm, ase_from_gkf, block_rrqr, build_H
+from .gkf import GkfForm, ase_from_gkf, block_rrqr, build_H
 from .kernels import (
     KernelModel,
-    MonomialBasis,
     NodeSet,
     distance_matrix,
     generate_nodes,
@@ -45,6 +42,7 @@ from .kernels import (
     kernel_matrix,
     kernel_model,
     monomials_of_degree,
+    monomials_upto,
     num_monomials_exact,
     num_monomials_upto,
     wronskian,

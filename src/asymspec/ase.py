@@ -24,10 +24,9 @@ from functools import cached_property
 import numpy as np
 
 from .series import SERIES_RANK_TOL, as_exponent, is_singular, significant
-from .scaling import ScaledForm
+from .scaling import DiagonalScaling, extract_H
 
 __all__ = [
-    "SchurChain",
     "schur_chain",
     "Ase",
     "ase_from_scaled",
@@ -58,20 +57,12 @@ def fix_column_signs(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-@dataclass
-class SchurChain:
-    """Successive Schur complements S_0..S_j of a blocked symmetric matrix."""
-
-    complements: list
-    stopped_early: bool
-
-
-def schur_chain(h: np.ndarray, block_sizes, rank_tol: float = SERIES_RANK_TOL) -> SchurChain:
+def schur_chain(h: np.ndarray, block_sizes, rank_tol: float = SERIES_RANK_TOL):
     """Compute S_i = H_ii - H_{i,<i} H_{<i,<i}^{-1} H_{<i,i} block by block.
 
-    The chain stops (with the offending complement kept and flagged) as soon
-    as the current leading submatrix H_{<=i,<=i} fails the singular-value
-    ratio test at ``rank_tol``.
+    Returns (complements, stopped): the chain stops, with the offending
+    complement kept and ``stopped`` set, as soon as the current leading
+    submatrix H_{<=i,<=i} fails the singular-value ratio test at ``rank_tol``.
     """
     h = np.asarray(h, dtype=float)
     if not np.isfinite(h).all():
@@ -100,7 +91,7 @@ def schur_chain(h: np.ndarray, block_sizes, rank_tol: float = SERIES_RANK_TOL) -
             raise ValueError("Schur complement has non-finite entries (overflow in a Schur step)")
         trailing = 0.5 * (trailing + trailing.T)
         offset += b
-    return SchurChain(complements, stopped)
+    return complements, stopped
 
 
 def term_scale(term) -> float:
@@ -204,8 +195,8 @@ class Ase:
             raise ValueError("complete ASE must have term ranks summing to n")
 
 
-def _chain_groups(chain: SchurChain, nus, bases, rank_tol: float):
-    """ASE factors (2 nu_i, Q_i, S_i) over a Schur chain, and ``truncated_at``.
+def _chain_groups(chain, nus, bases, rank_tol: float):
+    """ASE factors (2 nu_i, Q_i, S_i) over a ``schur_chain`` result, and ``truncated_at``.
 
     Q_i is the basis of block i (columns in the original coordinates) and
     S_i its complement; no n x n product is formed.  The last complement of
@@ -213,9 +204,10 @@ def _chain_groups(chain: SchurChain, nus, bases, rank_tol: float):
     its eigenpairs above ``rank_tol``, the factor (Q_i U, diag(w)) of one
     ``eigh``.  Complements that are (or cut to) zero contribute no group.
     """
-    groups = [(2 * nu, q, s) for nu, q, s in zip(nus, bases, chain.complements)]
+    complements, stopped = chain
+    groups = [(2 * nu, q, s) for nu, q, s in zip(nus, bases, complements)]
     truncated_at = None
-    if chain.stopped_early:
+    if stopped:
         truncated_at, q, s = groups[-1]
         w, u = np.linalg.eigh(s)
         keep = significant(w, rank_tol)
@@ -223,14 +215,16 @@ def _chain_groups(chain: SchurChain, nus, bases, rank_tol: float):
     return [g for g in groups if g[2].any()], truncated_at
 
 
-def ase_from_scaled(form: ScaledForm, rank_tol: float = SERIES_RANK_TOL) -> Ase:
-    """Apply the blocked Schur-complement construction to a scaled form."""
-    chain = schur_chain(form.H, form.block_sizes, rank_tol)
-    n = form.scaling.n
-    offsets = np.cumsum((0,) + form.block_sizes)
-    eye = np.eye(n)  # S_i sits in its own coordinate block
-    bases = [eye[:, offsets[i] : offsets[i + 1]] for i in range(len(form.block_sizes))]
-    return Ase(n, *_chain_groups(chain, form.scaling.nus, bases, rank_tol))
+def ase_from_scaled(k, scaling: DiagonalScaling, rank_tol: float = SERIES_RANK_TOL) -> Ase:
+    """The blocked Schur-complement construction of a symmetric K = Delta (H + o(1)) Delta."""
+    if not k.symmetric:
+        raise ValueError("matrix series must be symmetric")
+    sizes = scaling.block_sizes
+    chain = schur_chain(extract_H(k, scaling), sizes, rank_tol)
+    offsets = np.cumsum((0,) + sizes)
+    eye = np.eye(scaling.n)  # S_i sits in its own coordinate block
+    bases = [eye[:, offsets[i] : offsets[i + 1]] for i in range(len(sizes))]
+    return Ase(scaling.n, *_chain_groups(chain, scaling.nus, bases, rank_tol))
 
 
 @dataclass

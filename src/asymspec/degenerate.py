@@ -22,7 +22,7 @@ from .series import (
     valuation_matrix,
 )
 from .scaling import DiagonalScaling, auto_scale_with_permutation, extract_H
-from .ase import Ase, SchurChain, fix_column_signs, schur_chain, _chain_groups
+from .ase import Ase, fix_column_signs, schur_chain, _chain_groups
 
 __all__ = ["iterative_ase"]
 
@@ -114,16 +114,16 @@ def iterative_ase(k: MatrixSeries, rank_tol: float = SERIES_RANK_TOL, max_depth=
         perm, scaling = auto_scale_with_permutation(omega)
         cur_p = current.permuted(perm)
         basis_p = basis[:, perm]
-        form = extract_H(cur_p, scaling)
-        chain = schur_chain(form.H, form.block_sizes, rank_tol)
-        offsets = np.cumsum((0,) + form.block_sizes)
+        sizes = scaling.block_sizes
+        complements, stopped = schur_chain(extract_H(cur_p, scaling), sizes, rank_tol)
+        offsets = np.cumsum((0,) + sizes)
         nus = scaling.nus
-        last = not chain.stopped_early or depth == max_depth
-        stall = len(chain.complements) - 1
+        last = not stopped or depth == max_depth
+        stall = len(complements) - 1
         if not last:
-            chain = SchurChain(chain.complements[:stall], stopped_early=False)
-        bases = [basis_p[:, offsets[i] : offsets[i + 1]] for i in range(len(chain.complements))]
-        new, truncated_at = _chain_groups(chain, nus, bases, rank_tol)
+            complements, stopped = complements[:stall], False
+        bases = [basis_p[:, offsets[i] : offsets[i + 1]] for i in range(len(complements))]
+        new, truncated_at = _chain_groups((complements, stopped), nus, bases, rank_tol)
         groups += new
         if last:
             break

@@ -17,7 +17,7 @@ from .series import SERIES_RANK_TOL, is_singular, significant, _eps_power
 from .scaling import DiagonalScaling
 from .ase import Ase, fix_column_signs, schur_chain, _chain_groups
 
-__all__ = ["GkfForm", "BlockQr", "block_rrqr", "build_H", "ase_from_gkf"]
+__all__ = ["GkfForm", "block_rrqr", "build_H", "ase_from_gkf"]
 
 
 @dataclass(frozen=True)
@@ -56,32 +56,14 @@ class GkfForm:
         return (self.V * d) @ self.W @ (self.V * d).T
 
 
-@dataclass
-class BlockQr:
-    """Block QR of V: orthonormal Q_i blocks and block upper-triangular R."""
-
-    q_blocks: list
-    R: np.ndarray
-    ranks: tuple
-    widths: tuple
-
-    @property
-    def Q(self) -> np.ndarray:
-        return np.hstack(self.q_blocks)
-
-    def _block_index(self):
-        """Block number of each row (as a column) and each column (as a row) of R."""
-        return (np.repeat(np.arange(len(self.ranks)), self.ranks)[:, None],
-                np.repeat(np.arange(len(self.widths)), self.widths)[None, :])
-
-
-def block_rrqr(v: np.ndarray, widths, rank_tol: float = SERIES_RANK_TOL) -> BlockQr:
+def block_rrqr(v: np.ndarray, widths, rank_tol: float = SERIES_RANK_TOL):
     """Left-to-right block QR with a rank-revealing (SVD) step per block.
 
     Each block of V is one ``_extend_basis`` step against
     ``rank_tol * sigma_max(V)``.  Requires every block to contribute at least
-    one new dimension and rank(V) = n overall, so that Q is square.  R is
-    Q^T V with the structurally lower blocks zeroed exactly.
+    one new dimension and rank(V) = n overall, so that Q is square.  Returns
+    (q_blocks, r_blocks): the n x b_i blocks Q_i and the b_i x w_i diagonal
+    blocks R_ii = Q_i^T V_i, each sliced from the one product Q^T V.
     """
     v = np.asarray(v, dtype=float)
     n = v.shape[0]
@@ -97,12 +79,12 @@ def block_rrqr(v: np.ndarray, widths, rank_tol: float = SERIES_RANK_TOL) -> Bloc
             raise ValueError(f"column block {i} introduces no new dimensions at tolerance")
         q_blocks.append(q_new)
         col += w
-    qr = BlockQr(q_blocks, np.hstack(q_blocks).T @ v, tuple(q.shape[1] for q in q_blocks), widths)
-    if sum(qr.ranks) != n:
-        raise ValueError(f"rank(V) = {sum(qr.ranks)} < n = {n} at tolerance")
-    rows, cols = qr._block_index()
-    qr.R[rows > cols] = 0.0
-    return qr
+    r = np.hstack(q_blocks).T @ v
+    if r.shape[0] != n:
+        raise ValueError(f"rank(V) = {r.shape[0]} < n = {n} at tolerance")
+    rows = np.cumsum([0] + [q.shape[1] for q in q_blocks])
+    cols = np.cumsum((0,) + widths)
+    return q_blocks, [r[rows[i] : rows[i + 1], cols[i] : cols[i + 1]] for i in range(len(widths))]
 
 
 def _extend_basis(q_blocks, block: np.ndarray, thresh: float):
@@ -128,17 +110,24 @@ def _extend_basis(q_blocks, block: np.ndarray, thresh: float):
     return q_new, (signs * s[:b])[:, None] * vt[:b]
 
 
-def build_H(qr: BlockQr, w: np.ndarray):
-    """H = blockdiag(R_ii) W blockdiag(R_ii)^T with row blocks of sizes b_i."""
+def _blockdiag(*blocks) -> np.ndarray:
+    out = np.zeros(tuple(np.sum([b.shape for b in blocks], axis=0)))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def build_H(r_blocks, w: np.ndarray) -> np.ndarray:
+    """H = blockdiag(R_ii) W blockdiag(R_ii)^T, with row blocks of sizes b_i."""
     w = np.asarray(w, dtype=float)
-    m = sum(qr.widths)
-    if w.shape != (m, m):
+    d = _blockdiag(*r_blocks)
+    if w.shape != (d.shape[1],) * 2:
         raise ValueError("W shape does not match the QR widths")
-    rows, cols = qr._block_index()
-    d = np.where(rows == cols, qr.R, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # schur_chain rejects a non-finite H
         h = d @ w @ d.T
-        return 0.5 * (h + h.T), list(qr.ranks)
+        return 0.5 * (h + h.T)
 
 
 def ase_from_gkf(form: GkfForm, rank_tol: float = SERIES_RANK_TOL) -> Ase:
@@ -150,7 +139,6 @@ def ase_from_gkf(form: GkfForm, rank_tol: float = SERIES_RANK_TOL) -> Ase:
     if is_singular(form.W, rank_tol):
         raise ValueError("W is singular at tolerance; the generalized kernel "
                          "form does not determine the full ASE")
-    qr = block_rrqr(form.V, form.widths, rank_tol)
-    h, sizes = build_H(qr, form.W)
-    chain = schur_chain(h, sizes, rank_tol)
-    return Ase(form.n, *_chain_groups(chain, form.scaling.nus, qr.q_blocks, rank_tol))
+    q_blocks, r_blocks = block_rrqr(form.V, form.widths, rank_tol)
+    chain = schur_chain(build_H(r_blocks, form.W), [q.shape[1] for q in q_blocks], rank_tol)
+    return Ase(form.n, *_chain_groups(chain, form.scaling.nus, q_blocks, rank_tol))

@@ -24,13 +24,13 @@ import numpy as np
 from .series import exact_int_dtype, significant
 from .ase import (TERM_RANK_TOL, Ase, fix_column_signs, schur_chain, term_scale, _chain_groups,
                   _read_group)
-from .gkf import BlockQr, build_H, _extend_basis
+from .gkf import build_H, _blockdiag, _extend_basis
 
 __all__ = [
     "KernelModel",
     "kernel_model",
     "NodeSet",
-    "MonomialBasis",
+    "monomials_upto",
     "num_monomials_upto",
     "num_monomials_exact",
     "monomials_of_degree",
@@ -172,20 +172,9 @@ def monomials_of_degree(d: int, t: int):
     return out
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
-    """All multi-indices up to max_degree, grouped by degree, in a fixed order."""
-
-    d: int
-    max_degree: int
-
-    @property
-    def by_degree(self):
-        return [monomials_of_degree(self.d, t) for t in range(self.max_degree + 1)]
-
-    @property
-    def flat(self):
-        return [a for grp in self.by_degree for a in grp]
+def monomials_upto(d: int, q: int):
+    """Multi-indices of degree <= q, degree by degree, each degree graded-lex."""
+    return [a for t in range(q + 1) for a in monomials_of_degree(d, t)]
 
 
 def _wronskian_table(d: int, max_deg: int):
@@ -200,7 +189,7 @@ def _wronskian_table(d: int, max_deg: int):
     float pass bounds the table, and the integer pass runs in int64 where
     ``exact_int_dtype`` allows, in Python ints otherwise.
     """
-    alpha = np.array(MonomialBasis(d, max_deg).flat, dtype=np.int64).reshape(-1, d)
+    alpha = np.array(monomials_upto(d, max_deg), dtype=np.int64).reshape(-1, d)
     i, j = np.nonzero(((alpha[:, None, :] + alpha[None, :, :]) % 2 == 0).all(axis=2))
     m = (alpha[i] + alpha[j]) // 2
     factors = [(np.cumsum(m, axis=1), m), (2 * m, alpha[i])]  # (n, k) of each C(n, k)
@@ -306,7 +295,7 @@ def _macaulay_bound(a: int, t: int) -> int:
     return out
 
 
-def _degree_scan(kernel: KernelModel, y: np.ndarray, rank_tol: float) -> BlockQr:
+def _degree_scan(kernel: KernelModel, y: np.ndarray, rank_tol: float):
     """Graded Arnoldi basis of the Vandermonde matrix of unit nodes y.
 
     Degree by degree, the block y_k Q_{t-1} (k = 1..d) is one
@@ -317,8 +306,8 @@ def _degree_scan(kernel: KernelModel, y: np.ndarray, rank_tol: float) -> BlockQr
     degree r-1 or at half the psi horizon (W_{<=q} needs psi_{2q}), and
     before a degree that adds nothing or more than ``_macaulay_bound``
     allows: such rank contradicts the rank decisions below it (nodes that
-    lie on a curve only up to rounding show it at deep degrees).  R holds
-    only the diagonal blocks R_tt, which is all ``build_H`` reads.
+    lie on a curve only up to rounding show it at deep degrees).  Returns
+    the lists (Q_t) and (R_tt): the diagonal blocks are all ``build_H`` reads.
     """
     n, d = y.shape
     max_deg = min(kernel.horizon // 2, kernel.regularity - 1)  # an int: r is int or inf
@@ -337,17 +326,7 @@ def _degree_scan(kernel: KernelModel, y: np.ndarray, rank_tol: float) -> BlockQr
         q_blocks.append(q_new)
         if sum(q.shape[1] for q in q_blocks) == n:
             break
-    ranks = tuple(q.shape[1] for q in q_blocks)
-    return BlockQr(q_blocks, _blockdiag(*r_blocks), ranks, tuple(r.shape[1] for r in r_blocks))
-
-
-def _blockdiag(*blocks) -> np.ndarray:
-    out = np.zeros(tuple(np.sum([b.shape for b in blocks], axis=0)))
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
-    return out
+    return q_blocks, r_blocks
 
 
 def _complement_block(kernel: KernelModel, nodes: NodeSet, q: np.ndarray):
@@ -385,17 +364,17 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
     zero.  Each group is read out once, as it is kept.
     """
     y, scale = _unit_nodes(nodes)
-    qr = _degree_scan(kernel, y, rank_tol)
-    h, sizes = build_H(qr, wronskian(kernel, nodes.d, len(qr.ranks) - 1))
-    nus = [Fraction(t) for t in range(len(qr.ranks))]
-    bases = list(qr.q_blocks)
+    bases, r_blocks = _degree_scan(kernel, y, rank_tol)
+    h = build_H(r_blocks, wronskian(kernel, nodes.d, len(bases) - 1))
+    nus = [Fraction(t) for t in range(len(bases))]
+    sizes = [q.shape[1] for q in bases]
     stop = None  # where the expansion ends if the Schur chain does not stall
-    if sum(qr.ranks) < nodes.n:
+    if sum(sizes) < nodes.n:
         stop = 2 * nus[-1]  # the last certified degree, unless the block at r - 1/2 follows
         if kernel.regularity - 1 <= kernel.horizon // 2:
             nu = Fraction(2 * int(kernel.regularity) - 1, 2)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                a, w_bot = _complement_block(kernel, nodes, qr.Q)
+                a, w_bot = _complement_block(kernel, nodes, np.hstack(bases))
                 w_bot /= np.float64(scale) ** float(2 * nu)
             if _usable(w_bot):
                 nus.append(nu)

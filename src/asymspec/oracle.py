@@ -276,7 +276,7 @@ class GroupMatch:
 @dataclass
 class MatchReport:
     groups: list
-    precision_ceiling: float  # largest valuation a unit coefficient could show
+    precision_ceiling: float | None  # largest valuation a unit coefficient could show
     passed: bool
     note: str = ""
 
@@ -296,7 +296,8 @@ def match_ase(ase: Ase, sweep: SweepResult, tol_coeff: float, tol_angle: float) 
     groups = ase.readout
     fits = estimate_valuations(sweep)
     eps_min = float(sweep.eps_grid[-1])
-    ceiling = np.log(CEILING_ABS) / np.log(eps_min)
+    # from eps = 1 up, eps^alpha grows with alpha: no valuation is too large to show
+    ceiling = float(np.log(CEILING_ABS) / np.log(eps_min)) if eps_min < 1 else None
     records = []
     start = 0
     for g, at in zip(groups, eps_star_indices(sweep.eps_grid, groups)):
@@ -338,7 +339,7 @@ def match_ase(ase: Ase, sweep: SweepResult, tol_coeff: float, tol_angle: float) 
         )
     return MatchReport(
         groups=records,
-        precision_ceiling=float(ceiling),
+        precision_ceiling=ceiling,
         passed=all(r.passed for r in records),
         note=note,
     )

@@ -54,7 +54,6 @@ from .series import (
 
 __all__ = [
     "DiagonalScaling",
-    "ScaledForm",
     "check_valid",
     "extract_H",
     "auto_scale",
@@ -115,27 +114,6 @@ class DiagonalScaling:
         return out
 
 
-@dataclass(frozen=True)
-class ScaledForm:
-    """The data of K = Delta (H + o(1)) Delta: the scaling and the dense H."""
-
-    scaling: DiagonalScaling
-    H: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.H, dtype=float)
-        if h.shape[0] != h.shape[1] or h.shape[0] != self.scaling.n:
-            raise ValueError("H shape does not match the scaling")
-        if not np.array_equal(h, h.T):
-            h = 0.5 * (h + h.T)
-        h.setflags(write=False)
-        object.__setattr__(self, "H", h)
-
-    @property
-    def block_sizes(self) -> tuple:
-        return self.scaling.block_sizes
-
-
 def check_valid(omega: ValuationMatrix, scaling: DiagonalScaling):
     """Residuals ``Omega_ij - (nu_i + nu_j)``; the scaling is valid iff all are >= 0."""
     n = omega.shape[0]
@@ -151,9 +129,10 @@ def check_valid(omega: ValuationMatrix, scaling: DiagonalScaling):
     return valid, ValuationMatrix._from_arrays(resid, den, omega.inf)
 
 
-def extract_H(k: MatrixSeries, scaling: DiagonalScaling) -> ScaledForm:
-    """Leading coefficients of K at the scaling's tight entries, 0 elsewhere:
-    its eps^(nu_i + nu_j) terms, read after checking that none lies below."""
+def extract_H(k: MatrixSeries, scaling: DiagonalScaling) -> np.ndarray:
+    """H of K = Delta (H + o(1)) Delta, read-only: the leading coefficients of K
+    at the scaling's tight entries, 0 elsewhere, i.e. its eps^(nu_i + nu_j)
+    terms, read after checking that none lies below."""
     n = scaling.n
     if k.shape != (n, n):
         raise ValueError("size mismatch between valuation matrix and scaling")
@@ -167,7 +146,8 @@ def extract_H(k: MatrixSeries, scaling: DiagonalScaling) -> ScaledForm:
             raise ValueError("scaling is not valid for this valuation matrix")
         hit = nz & (shift == e)
         h[hit] = m[hit]
-    return ScaledForm(scaling, h)
+    h.setflags(write=False)
+    return h
 
 
 # ---------------------------------------------------------------------------

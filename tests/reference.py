@@ -13,8 +13,8 @@ states them:
 - the smooth and finitely smooth flat-limit GKFs (V, Delta, W) with V the
   multivariate Vandermonde matrix (Barthelme & Usevich, SIMAX 2021);
 - principal angles between spans that are not yet orthonormal;
-- the block-diagonal sum of two series, a block QR's diagonal block R_ii
-  and the monomial count of each degree, which no command reads.
+- the block-diagonal sum of two series and the monomial count of each
+  degree, which no command reads.
 """
 
 from __future__ import annotations
@@ -24,17 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from asymspec.degenerate import _series_schur, _symmetric
-from asymspec.gkf import BlockQr, GkfForm
+from asymspec.gkf import GkfForm, _blockdiag
 from asymspec.kernels import (
     INFINITE,
     KERNEL_RANK_TOL,
     KernelModel,
-    MonomialBasis,
     NodeSet,
-    _blockdiag,
     _complement_block,
     _degree_scan,
     _unit_nodes,
+    monomials_upto,
     num_monomials_exact,
     wronskian,
 )
@@ -196,29 +195,23 @@ def rank_probe_curve(k: MatrixSeries, s_grid, tau: float, eps_seq, rank_tol: flo
 # ---------------------------------------------------------------------------
 
 
-def r_diag_block(qr: BlockQr, i: int) -> np.ndarray:
-    """The diagonal block R_ii of a block QR."""
-    r0 = sum(qr.ranks[:i])
-    c0 = sum(qr.widths[:i])
-    return qr.R[r0 : r0 + qr.ranks[i], c0 : c0 + qr.widths[i]]
-
-
-def simplified_schur(w: np.ndarray, qr: BlockQr, j: int) -> np.ndarray:
+def simplified_schur(w: np.ndarray, r_blocks, j: int) -> np.ndarray:
     """S_j via Schur complements of W: R_jj (W_jj - W_{j,<j} W_{<j,<j}^{-1} W_{<j,j}) R_jj^T.
 
-    Valid when V_{<=j-1} has full column rank, i.e. all R_ii with i < j are
-    square.
+    ``r_blocks`` are the diagonal blocks R_ii of a block QR.  Valid when
+    V_{<=j-1} has full column rank, i.e. all R_ii with i < j are square.
     """
     w = np.asarray(w, dtype=float)
     for i in range(j):
-        if qr.ranks[i] != qr.widths[i]:
+        rank, width = r_blocks[i].shape
+        if rank != width:
             raise ValueError(
-                f"R_{i},{i} is not square (rank {qr.ranks[i]} < width {qr.widths[i]}); "
+                f"R_{i},{i} is not square (rank {rank} < width {width}); "
                 "use the general Schur chain instead"
             )
-    rjj = r_diag_block(qr, j)
-    c0 = sum(qr.widths[:j])
-    c1 = c0 + qr.widths[j]
+    rjj = r_blocks[j]
+    c0 = sum(r.shape[1] for r in r_blocks[:j])
+    c1 = c0 + rjj.shape[1]
     wjj = w[c0:c1, c0:c1]
     if j == 0:
         core = wjj
@@ -255,7 +248,7 @@ def vandermonde(nodes: NodeSet, s: int) -> np.ndarray:
     """
     if s < 0:
         raise ValueError("degree must be nonnegative")
-    alpha = np.array(MonomialBasis(nodes.d, s).flat, dtype=np.intp).reshape(-1, nodes.d)
+    alpha = np.array(monomials_upto(nodes.d, s), dtype=np.intp).reshape(-1, nodes.d)
     pts = nodes.points
     powers = [np.column_stack([pts[:, c] ** k for k in range(s + 1)]) for c in range(nodes.d)]
     v = np.take(powers[0], alpha[:, 0], axis=1)
@@ -273,11 +266,12 @@ def smooth_flat_limit(kernel: KernelModel, nodes: NodeSet,
     block widths H_{j,d}, W_{<=q}).  Raises FinitelySmoothError when the scan
     stops short of rank n.
     """
-    qr = _degree_scan(kernel, _unit_nodes(nodes)[0], rank_tol)
-    if sum(qr.ranks) < nodes.n:
-        raise FinitelySmoothError(f"the Vandermonde degree scan stops at rank {sum(qr.ranks)} "
+    q_blocks, _ = _degree_scan(kernel, _unit_nodes(nodes)[0], rank_tol)
+    rank = sum(b.shape[1] for b in q_blocks)
+    if rank < nodes.n:
+        raise FinitelySmoothError(f"the Vandermonde degree scan stops at rank {rank} "
                                   f"< n = {nodes.n}; use finite_smooth_flat_limit")
-    q = len(qr.ranks) - 1
+    q = len(q_blocks) - 1
     widths = block_widths(nodes.d, q)
     scaling = DiagonalScaling(tuple((Exponent(t), w) for t, w in enumerate(widths)))
     return GkfForm(vandermonde(nodes, q), scaling, wronskian(kernel, nodes.d, q))
@@ -297,10 +291,10 @@ def finite_smooth_flat_limit(
     if r == INFINITE:
         raise ValueError("finitely smooth pipeline requires finite regularity")
     r = int(r)
-    qr = _degree_scan(kernel, _unit_nodes(nodes)[0], rank_tol)
-    if sum(qr.ranks) == nodes.n:
+    q = np.hstack(_degree_scan(kernel, _unit_nodes(nodes)[0], rank_tol)[0])
+    if q.shape[1] == nodes.n:
         raise ValueError("V_{<=r-1} has full row rank; the smooth pipeline applies")
-    a, w_bot = _complement_block(kernel, nodes, qr.Q)
+    a, w_bot = _complement_block(kernel, nodes, q)
     blocks = [(Exponent(t), w) for t, w in enumerate(block_widths(nodes.d, r - 1))]
     blocks.append((Exponent(2 * r - 1, 2), a.shape[1]))
     w = _blockdiag(wronskian(kernel, nodes.d, r - 1), w_bot)

@@ -32,7 +32,6 @@ from asymspec import (
     eigen_readout,
     eigen_sweep,
     estimate_valuations,
-    extract_H,
     generate_nodes,
     iterative_ase,
     kernel_ase,
@@ -310,7 +309,7 @@ def test_criterion_10a_ase_invariants():
             rng = np.random.default_rng(100)
             for _ in range(200):
                 k, sc, h = _random_scaled_instance(rng, allow_singular=True)
-                ase = ase_from_scaled(extract_H(k, sc))
+                ase = ase_from_scaled(k, sc)
                 ase.validate()
                 if np.linalg.matrix_rank(h, 1e-10) == h.shape[0]:
                     assert ase.complete

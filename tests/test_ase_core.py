@@ -11,19 +11,18 @@ from asymspec import (
     ase_from_scaled,
     auto_scale,
     eigen_readout,
-    extract_H,
     schur_chain,
     valuation_matrix,
 )
 from reference import rank_probe_curve, regularized_inverse_probe
 
 
-class TestSchurChain:
+class TestSchurComplements:
     def test_worked_2x2(self):
-        ch = schur_chain(np.array([[1.0, 1.0], [1.0, 2.0]]), (1, 1))
-        assert not ch.stopped_early
-        np.testing.assert_allclose(ch.complements[0], [[1.0]])
-        np.testing.assert_allclose(ch.complements[1], [[1.0]])
+        complements, stopped = schur_chain(np.array([[1.0, 1.0], [1.0, 2.0]]), (1, 1))
+        assert not stopped
+        np.testing.assert_allclose(complements[0], [[1.0]])
+        np.testing.assert_allclose(complements[1], [[1.0]])
 
     def test_worked_5x5(self):
         h = np.array(
@@ -35,31 +34,29 @@ class TestSchurChain:
                 [0, 0, 0, 0.5, 1.0],
             ]
         )
-        ch = schur_chain(h, (1, 2, 2))
-        assert not ch.stopped_early
-        np.testing.assert_allclose(ch.complements[0], [[1.0]])
-        np.testing.assert_allclose(ch.complements[1], [[0, 0.5], [0.5, 1]], atol=1e-15)
-        np.testing.assert_allclose(ch.complements[2], [[0.125, 0.5], [0.5, 1]], atol=1e-14)
+        complements, stopped = schur_chain(h, (1, 2, 2))
+        assert not stopped
+        np.testing.assert_allclose(complements[0], [[1.0]])
+        np.testing.assert_allclose(complements[1], [[0, 0.5], [0.5, 1]], atol=1e-15)
+        np.testing.assert_allclose(complements[2], [[0.125, 0.5], [0.5, 1]], atol=1e-14)
 
     def test_worked_3x3_stops(self):
         h = np.array([[1.0, 1, 1], [1, 0, 0], [1, 0, 0]])
-        ch = schur_chain(h, (1, 2))
-        assert ch.stopped_early
-        np.testing.assert_allclose(ch.complements[1], [[-1, -1], [-1, -1]])
+        complements, stopped = schur_chain(h, (1, 2))
+        assert stopped
+        np.testing.assert_allclose(complements[1], [[-1, -1], [-1, -1]])
 
 
 class TestAseFromScaled:
     def test_2x2(self, ex_2x2):
-        ase = ase_from_scaled(extract_H(ex_2x2, auto_scale(valuation_matrix(ex_2x2))))
+        ase = ase_from_scaled(ex_2x2, auto_scale(valuation_matrix(ex_2x2)))
         assert ase.complete
         assert ase.valuations == [Exponent(0), Exponent(2)]
         np.testing.assert_array_equal(ase.groups[0][1], [[1, 0], [0, 0]])
         np.testing.assert_array_equal(ase.groups[1][1], [[0, 0], [0, 1]])
 
     def test_example1_diag_pattern(self, ex_example1):
-        ase = ase_from_scaled(
-            extract_H(ex_example1, auto_scale(valuation_matrix(ex_example1)))
-        )
+        ase = ase_from_scaled(ex_example1, auto_scale(valuation_matrix(ex_example1)))
         assert ase.complete
         assert ase.valuations == [Exponent(0), Exponent(1), Exponent(2)]
         for k, (_, term) in enumerate(ase.groups):
@@ -68,7 +65,7 @@ class TestAseFromScaled:
             np.testing.assert_allclose(term, expect, atol=1e-14)
 
     def test_3x3_truncates(self, ex_3x3):
-        ase = ase_from_scaled(extract_H(ex_3x3, auto_scale(valuation_matrix(ex_3x3))))
+        ase = ase_from_scaled(ex_3x3, auto_scale(valuation_matrix(ex_3x3)))
         assert ase.truncated_at == Exponent(2)
         assert ase.valuations == [Exponent(0), Exponent(2)]
         np.testing.assert_allclose(
@@ -77,9 +74,15 @@ class TestAseFromScaled:
         ase.validate()
 
     def test_invariants_validate(self, ex_5x5):
-        ase = ase_from_scaled(extract_H(ex_5x5, auto_scale(valuation_matrix(ex_5x5))))
+        ase = ase_from_scaled(ex_5x5, auto_scale(valuation_matrix(ex_5x5)))
         ase.validate()
         assert ase.term_rank_sum() == 5
+
+    def test_unflagged_series_rejected(self, ex_2x2):
+        # H is read as it stands, so the series must carry the symmetric flag
+        k = MatrixSeries(ex_2x2.shape, ex_2x2.terms, ex_2x2.trunc_order)
+        with pytest.raises(ValueError, match="must be symmetric"):
+            ase_from_scaled(k, auto_scale(valuation_matrix(ex_2x2)))
 
     def test_permutation_equivariance(self, ex_5x5):
         # simultaneous permutation of K maps every term by the same permutation
@@ -125,7 +128,7 @@ class TestEigenReadout:
         assert np.trace(p) == pytest.approx(2.0)
 
     def test_5x5_values_and_vector(self, ex_5x5):
-        ase = ase_from_scaled(extract_H(ex_5x5, auto_scale(valuation_matrix(ex_5x5))))
+        ase = ase_from_scaled(ex_5x5, auto_scale(valuation_matrix(ex_5x5)))
         groups = eigen_readout(ase)
         assert groups[0].leading_values == pytest.approx([1.0])
         s2 = np.sqrt(2.0)
@@ -186,7 +189,7 @@ class TestProbes:
         # probe at s = 2 nu_1 approaches U_0 U_0^T + K1 (K1 + tau I)^{-1}
         tau = 1.0
         eps = 1e-5
-        ase = ase_from_scaled(extract_H(ex_5x5, auto_scale(valuation_matrix(ex_5x5))))
+        ase = ase_from_scaled(ex_5x5, auto_scale(valuation_matrix(ex_5x5)))
         groups = eigen_readout(ase)
         m = regularized_inverse_probe(ex_5x5, 2, tau, eps)
         k1 = ase.groups[1][1]
@@ -205,7 +208,7 @@ class TestProbes:
                 nu.tolist(), nu.tolist()
             )
             sc = DiagonalScaling.from_exponents([Exponent(int(v)) for v in nu])
-            ase = ase_from_scaled(extract_H(k, sc))
+            ase = ase_from_scaled(k, sc)
             assert ase.complete
             eps = 1e-4
             lam = np.linalg.eigvalsh(k.evaluate(eps))
@@ -221,7 +224,7 @@ class TestProbes:
 
 class TestProjectorOnDemand:
     def test_computed_on_first_use(self, ex_5x5):
-        ase = ase_from_scaled(extract_H(ex_5x5, auto_scale(valuation_matrix(ex_5x5))))
+        ase = ase_from_scaled(ex_5x5, auto_scale(valuation_matrix(ex_5x5)))
         group = eigen_readout(ase)[1]
         assert "projector" not in vars(group)  # the readout forms no n x n product
         np.testing.assert_array_equal(group.projector, group.vectors @ group.vectors.T)
@@ -310,7 +313,7 @@ class TestFactoredReadout:
         assert_readout_matches_dense(ase, readout)
 
     def test_stopped_chain_with_cleaned_complement(self, ex_3x3):
-        ase = ase_from_scaled(extract_H(ex_3x3, auto_scale(valuation_matrix(ex_3x3))))
+        ase = ase_from_scaled(ex_3x3, auto_scale(valuation_matrix(ex_3x3)))
         assert not ase.complete
         alpha, q, s = ase.factors[-1]
         assert alpha == ase.truncated_at

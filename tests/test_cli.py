@@ -169,6 +169,21 @@ class TestVerifyCommand:
         assert tols == [0.5, 1e-2]
         assert cli.build_parser() is cli.build_parser()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("grid", ["1:4:5", "2:8:5"])
+    def test_grid_from_eps_one_up_has_no_ceiling(self, capsys, grid):
+        # from eps = 1 up no valuation is too large to show: the ceiling is
+        # null, not -Infinity (not JSON) after a division by log(1) = 0, nor
+        # the negative log(1e-12) / log(2) = -39.9
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        code = main(["verify", "--kernel", "gaussian", "--nodes", "equispaced:5",
+                     "--eps-grid", grid])
+        assert code == 2  # far from the flat limit the predictions do not match
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["precision_ceiling"] is None
+
 
 class TestSweepCommand:
     def test_curve_csv_shape(self, tmp_path):

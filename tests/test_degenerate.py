@@ -11,7 +11,6 @@ from asymspec import (
     analyze_series,
     ase_from_scaled,
     auto_scale,
-    extract_H,
     iterative_ase,
     valuation_matrix,
 )
@@ -113,7 +112,7 @@ class TestIterativeAse:
 
     def test_no_recursion_on_complete_input(self, ex_2x2, ex_example1, ex_5x5):
         for k in (ex_2x2, ex_example1, ex_5x5):
-            direct = ase_from_scaled(extract_H(k, auto_scale(valuation_matrix(k))))
+            direct = ase_from_scaled(k, auto_scale(valuation_matrix(k)))
             assert direct.complete
             via_iter = iterative_ase(k)
             assert via_iter.complete

@@ -15,30 +15,41 @@ from asymspec import (
     block_rrqr,
     build_H,
     eigen_readout,
-    extract_H,
     schur_chain,
 )
-from reference import r_diag_block, simplified_schur
+from reference import simplified_schur
 
 
 def scaling_3x3():
     return DiagonalScaling(((Exponent(0), 1), (Exponent(1), 1), (Exponent(3, 2), 1)))
 
 
+def assert_block_qr(v, widths, q_blocks, r_blocks, atol):
+    """Q R = V with R block upper triangular, through the returned blocks: each
+    V_i lies in span(Q_0..Q_i), and R_ii = Q_i^T V_i."""
+    cols = np.cumsum((0,) + tuple(widths))
+    for i, r_ii in enumerate(r_blocks):
+        v_i = v[:, cols[i] : cols[i + 1]]
+        q = np.hstack(q_blocks[: i + 1])
+        np.testing.assert_allclose(q @ (q.T @ v_i), v_i, atol=atol)
+        np.testing.assert_allclose(r_ii, q_blocks[i].T @ v_i, atol=atol)
+
+
 class TestBlockRrqr:
     def test_worked_3x3_factors(self, ex_3x3_gkf):
         v, _ = ex_3x3_gkf
-        qr = block_rrqr(v, (1, 1, 1))
-        assert qr.ranks == (1, 1, 1)
+        q_blocks, r_blocks = block_rrqr(v, (1, 1, 1))
+        assert tuple(q.shape[1] for q in q_blocks) == (1, 1, 1)
         s2 = 1 / np.sqrt(2)
-        np.testing.assert_allclose(np.abs(qr.Q), [[1, 0, 0], [0, s2, s2], [0, s2, s2]], atol=1e-14)
-        np.testing.assert_allclose(np.abs(np.diag(qr.R)), [1, np.sqrt(2), np.sqrt(2)])
-        np.testing.assert_allclose(qr.Q @ qr.R, v, atol=1e-14)
+        np.testing.assert_allclose(np.abs(np.hstack(q_blocks)), [[1, 0, 0], [0, s2, s2], [0, s2, s2]],
+                                   atol=1e-14)
+        np.testing.assert_allclose(np.abs([r[0, 0] for r in r_blocks]), [1, np.sqrt(2), np.sqrt(2)])
+        assert_block_qr(v, (1, 1, 1), q_blocks, r_blocks, atol=1e-14)
 
     def test_identity(self):
-        qr = block_rrqr(np.eye(4), (1, 1, 1, 1))
-        np.testing.assert_array_equal(qr.Q, np.eye(4))
-        np.testing.assert_array_equal(qr.R, np.eye(4))
+        q_blocks, r_blocks = block_rrqr(np.eye(4), (1, 1, 1, 1))
+        np.testing.assert_array_equal(np.hstack(q_blocks), np.eye(4))
+        np.testing.assert_array_equal(r_blocks, np.ones((4, 1, 1)))
 
     def test_random_wide_blocks_against_rank_oracle(self):
         # 6x10 with widths (1,2,3,4); new-direction counts (1,2,2,1) are built
@@ -55,18 +66,20 @@ class TestBlockRrqr:
                 used += inc
                 blocks.append(basis[:, :used] @ rng.standard_normal((used, w)))
             v = np.hstack(blocks)
-            qr = block_rrqr(v, widths, rank_tol=1e-10)
-            np.testing.assert_allclose(qr.Q.T @ qr.Q, np.eye(6), atol=1e-12)
-            np.testing.assert_allclose(qr.Q @ qr.R, v, atol=1e-10)
+            q_blocks, r_blocks = block_rrqr(v, widths, rank_tol=1e-10)
+            q = np.hstack(q_blocks)
+            np.testing.assert_allclose(q.T @ q, np.eye(6), atol=1e-12)
+            assert_block_qr(v, widths, q_blocks, r_blocks, atol=1e-10)
+            ranks = tuple(b.shape[1] for b in q_blocks)
             # independent oracle: rank increments from singular values of V_{<=i}
             prev = 0
             col = 0
             for i, w in enumerate(widths):
                 col += w
                 rank = np.linalg.matrix_rank(v[:, :col], 1e-10)
-                assert qr.ranks[i] == rank - prev
+                assert ranks[i] == rank - prev
                 prev = rank
-            assert qr.ranks == increments
+            assert ranks == increments
 
     def test_zero_increment_block_rejected(self):
         v = np.array([[1.0, 1.0], [1.0, 1.0]])  # second column adds nothing
@@ -99,15 +112,15 @@ class TestBlockRrqr:
 class TestBuildH:
     def test_worked_3x3_h(self, ex_3x3_gkf):
         v, w = ex_3x3_gkf
-        qr = block_rrqr(v, (1, 1, 1))
-        h, sizes = build_H(qr, w)
+        q_blocks, r_blocks = block_rrqr(v, (1, 1, 1))
+        h = build_H(r_blocks, w)
         s2 = np.sqrt(2.0)
         np.testing.assert_allclose(np.abs(h), [[1, s2, 0], [s2, 0, 0], [0, 0, 2]], atol=1e-14)
-        assert sizes == [1, 1, 1]
+        assert [r.shape[0] for r in r_blocks] == [1, 1, 1]
 
     def test_identity_blocks(self):
-        qr = block_rrqr(np.eye(3), (1, 1, 1))
-        h, _ = build_H(qr, np.eye(3))
+        _, r_blocks = block_rrqr(np.eye(3), (1, 1, 1))
+        h = build_H(r_blocks, np.eye(3))
         np.testing.assert_array_equal(h, np.eye(3))
 
     def test_random_matches_direct_product(self):
@@ -117,12 +130,12 @@ class TestBuildH:
             v = rng.standard_normal((5, 6))
             w = rng.standard_normal((6, 6))
             w = w + w.T
-            qr = block_rrqr(v, widths)
-            h, _ = build_H(qr, w)
+            q_blocks, r_blocks = block_rrqr(v, widths)
+            h = build_H(r_blocks, w)
             d = np.zeros((5, 6))
             r0 = c0 = 0
-            for i, wd in enumerate(widths):
-                rb = r_diag_block(qr, i)
+            for q_i, wd in zip(q_blocks, widths):
+                rb = q_i.T @ v[:, c0 : c0 + wd]  # R_ii = Q_i^T V_i
                 d[r0 : r0 + rb.shape[0], c0 : c0 + wd] = rb
                 r0 += rb.shape[0]
                 c0 += wd
@@ -208,7 +221,7 @@ class TestAseFromGkf:
             k = MatrixSeries.from_constant(w, trunc_order=9, symmetric=True).scale_rows_cols(
                 sc.exponents(), sc.exponents()
             )
-            via_scaled = ase_from_scaled(extract_H(k, sc))
+            via_scaled = ase_from_scaled(k, sc)
             assert len(via_gkf.groups) == len(via_scaled.groups)
             for (v1, t1), (v2, t2) in zip(via_gkf.groups, via_scaled.groups):
                 assert v1 == v2
@@ -234,10 +247,10 @@ class TestAseFromGkf:
 class TestSimplifiedSchur:
     def test_worked_3x3_values(self, ex_3x3_gkf):
         v, w = ex_3x3_gkf
-        qr = block_rrqr(v, (1, 1, 1))
-        np.testing.assert_allclose(simplified_schur(w, qr, 0), [[1.0]])
-        np.testing.assert_allclose(simplified_schur(w, qr, 1), [[-2.0]])
-        np.testing.assert_allclose(simplified_schur(w, qr, 2), [[2.0]])
+        _, r_blocks = block_rrqr(v, (1, 1, 1))
+        np.testing.assert_allclose(simplified_schur(w, r_blocks, 0), [[1.0]])
+        np.testing.assert_allclose(simplified_schur(w, r_blocks, 1), [[-2.0]])
+        np.testing.assert_allclose(simplified_schur(w, r_blocks, 2), [[2.0]])
 
     def test_matches_chain_on_unisolvent_random(self):
         rng = np.random.default_rng(14)
@@ -249,12 +262,11 @@ class TestSimplifiedSchur:
                 v = rng.standard_normal((n, n))
             a = rng.standard_normal((n, n))
             w = a @ a.T + 0.4 * np.eye(n)
-            qr = block_rrqr(v, widths)
-            h, sizes = build_H(qr, w)
-            chain = schur_chain(h, sizes)
+            q_blocks, r_blocks = block_rrqr(v, widths)
+            complements, _ = schur_chain(build_H(r_blocks, w), [q.shape[1] for q in q_blocks])
             for j in range(3):
                 np.testing.assert_allclose(
-                    simplified_schur(w, qr, j), chain.complements[j], atol=1e-10
+                    simplified_schur(w, r_blocks, j), complements[j], atol=1e-10
                 )
 
     def test_precondition_violation(self):
@@ -263,6 +275,6 @@ class TestSimplifiedSchur:
         v[:, 1] = [1, 0, 0]  # width-2 block of rank 1
         v[:, 2] = [0, 1, 0]
         v[:, 3] = [0, 0, 1]
-        qr = block_rrqr(v, (2, 1, 1))
+        _, r_blocks = block_rrqr(v, (2, 1, 1))
         with pytest.raises(ValueError, match="general Schur chain"):
-            simplified_schur(np.eye(4), qr, 1)
+            simplified_schur(np.eye(4), r_blocks, 1)

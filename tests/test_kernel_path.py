@@ -29,21 +29,21 @@ from asymspec.gkf import ase_from_gkf
 from asymspec.kernels import (
     INFINITE,
     KERNEL_RANK_TOL,
-    MonomialBasis,
     NodeSet,
     _degree_scan,
     _macaulay_bound,
     _unit_nodes,
     distance_matrix,
+    monomials_upto,
 )
 from reference import (FinitelySmoothError, _principal_angles, block_widths,
-                       finite_smooth_flat_limit, r_diag_block, smooth_flat_limit, vandermonde)
+                       finite_smooth_flat_limit, smooth_flat_limit, vandermonde)
 
 
 def vandermonde_reference(nodes, s):
     """One column per multi-index, powers multiplied in coordinate order."""
     cols = []
-    for alpha in MonomialBasis(nodes.d, s).flat:
+    for alpha in monomials_upto(nodes.d, s):
         col = np.ones(nodes.n)
         for coord, power in enumerate(alpha):
             if power:
@@ -128,6 +128,11 @@ def _scan(kernel, nodes):
     return _degree_scan(kernel, _unit_nodes(nodes)[0], KERNEL_RANK_TOL)
 
 
+def _scan_ranks(kernel, nodes):
+    """The rank each degree of the scan adds."""
+    return tuple(q.shape[1] for q in _scan(kernel, nodes)[0])
+
+
 @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
 @pytest.mark.parametrize("spec,d", NODE_SETS)
 def test_smooth_degree_matches_reference(kernel_name, spec, d):
@@ -169,7 +174,7 @@ def test_scan_ranks_are_hilbert_increments(spec, d, seed):
     gaussian = KERNELS["gaussian"]
     nodes = _nodes(spec, d, seed)
     ref = hilbert_increments(spec.partition(":")[0], d, nodes.n)
-    ranks = _scan(gaussian, nodes).ranks
+    ranks = _scan_ranks(gaussian, nodes)
     assert ranks == tuple(ref[: len(ranks)])
     depth = min(len(ref), gaussian.horizon // 2 + 1)
     assert len(ranks) >= (min(depth, 13) if spec.startswith("cubic") else depth)
@@ -189,15 +194,15 @@ def test_macaulay_bound():
 def test_scan_basis_is_orthonormal_and_spans_v():
     nodes = _nodes("uniform:30", 2, seed=1)
     y = _unit_nodes(nodes)[0]
-    qr = _scan(KERNELS["gaussian"], nodes)
-    q = qr.Q
+    q_blocks, r_blocks = _scan(KERNELS["gaussian"], nodes)
+    q = np.hstack(q_blocks)
     np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-13)
     # R_tt = Q_t^T V_t of the unit nodes, from the recurrence alone
-    v = vandermonde_reference(NodeSet(y), len(qr.ranks) - 1)
+    v = vandermonde_reference(NodeSet(y), len(q_blocks) - 1)
     c0 = 0
-    for t, w in enumerate(qr.widths):
-        np.testing.assert_allclose(
-            r_diag_block(qr, t), qr.q_blocks[t].T @ v[:, c0 : c0 + w], atol=1e-12)
+    for q_t, r_tt in zip(q_blocks, r_blocks):
+        w = r_tt.shape[1]
+        np.testing.assert_allclose(r_tt, q_t.T @ v[:, c0 : c0 + w], atol=1e-12)
         c0 += w
 
 
@@ -247,7 +252,7 @@ def test_finitely_smooth_route_after_a_stall():
     # would truncate at 2.  The GKF route keeps its whole-W test.
     custom = KERNELS["custom-r3"]
     nodes = NodeSet(np.array([-1.0 - 1e-10, -1.0, 1.0, 1.0 + 1e-10]))
-    assert _scan(custom, nodes).ranks == (1, 1)
+    assert _scan_ranks(custom, nodes) == (1, 1)
     form = finite_smooth_flat_limit(custom, nodes)
     assert form.widths[-1] == 2
     ase = kernel_ase(custom, nodes)

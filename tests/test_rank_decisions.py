@@ -67,15 +67,15 @@ def extend_basis_per_block(q_blocks, block, thresh):
 def test_stacked_extension_matches_per_block(spec, d):
     y = _unit_nodes(generate_nodes(spec, d=d, seed=4))[0]
     n = y.shape[0]
-    qr = _degree_scan(kernel_model("gaussian"), y, 1e-9)
+    q_blocks, _ = _degree_scan(kernel_model("gaussian"), y, 1e-9)
     steps = 0
     # replay the scan's blocks, and the one after its last degree
-    for t in range(1, len(qr.q_blocks) + 1):
-        prev = qr.q_blocks[t - 1]
+    for t in range(1, len(q_blocks) + 1):
+        prev = q_blocks[t - 1]
         block = (y[:, :, None] * prev[:, None, :]).reshape(n, -1)
         thresh = 1e-9 * np.linalg.norm(block, 2)
-        q_new, c = _extend_basis(qr.q_blocks[:t], block, thresh)
-        q_ref, c_ref = extend_basis_per_block(qr.q_blocks[:t], block, thresh)
+        q_new, c = _extend_basis(q_blocks[:t], block, thresh)
+        q_ref, c_ref = extend_basis_per_block(q_blocks[:t], block, thresh)
         assert q_new.shape == q_ref.shape
         assert np.abs(c - c_ref).max(initial=0.0) <= 1e-13
         steps += 1

@@ -86,11 +86,13 @@ class TestTightEntries:
 
 class TestExtractH:
     def test_tight_extraction_2x2(self, ex_scaling_2x2):
-        form = extract_H(ex_scaling_2x2, scaling(0, HALF3))
-        np.testing.assert_array_equal(form.H, [[1.0, 0.0], [0.0, 5.0]])
+        h = extract_H(ex_scaling_2x2, scaling(0, HALF3))
+        np.testing.assert_array_equal(h, [[1.0, 0.0], [0.0, 5.0]])
+        assert not h.flags.writeable
 
     def test_5x5_bordered(self, ex_5x5):
-        form = extract_H(ex_5x5, scaling(0, 1, 1, 2, 2))
+        sc = scaling(0, 1, 1, 2, 2)
+        h = extract_H(ex_5x5, sc)
         expect = np.array(
             [
                 [1, 0.5, 0, 0, 0],
@@ -100,23 +102,23 @@ class TestExtractH:
                 [0, 0, 0, 0.5, 1],
             ]
         )
-        np.testing.assert_array_equal(form.H, expect)
-        assert form.block_sizes == (1, 2, 2)
+        np.testing.assert_array_equal(h, expect)
+        assert sc.block_sizes == (1, 2, 2)
 
     def test_3x3(self, ex_3x3):
-        form = extract_H(ex_3x3, scaling(0, 1, 1))
-        np.testing.assert_array_equal(form.H, [[1, 1, 1], [1, 0, 0], [1, 0, 0]])
+        h = extract_H(ex_3x3, scaling(0, 1, 1))
+        np.testing.assert_array_equal(h, [[1, 1, 1], [1, 0, 0], [1, 0, 0]])
 
     def test_reconstruction_bound(self, ex_5x5):
         # val(K_ij - eps^{nu_i+nu_j} H_ij) > nu_i + nu_j entry-wise
         sc = scaling(0, 1, 1, 2, 2)
-        form = extract_H(ex_5x5, sc)
+        h = extract_H(ex_5x5, sc)
         exps = sc.exponents()
         for i in range(5):
             for j in range(5):
                 entry = ex_5x5.entry(i, j)
                 shift = exps[i] + exps[j]
-                lead = MatrixSeries(1, {shift: [[form.H[i, j]]]}, entry.trunc_order)
+                lead = MatrixSeries(1, {shift: [[h[i, j]]]}, entry.trunc_order)
                 assert (entry - lead).valuation > shift
 
 

@@ -22,7 +22,7 @@ import asymspec.ase
 import asymspec.degenerate
 import asymspec.gkf
 import asymspec.kernels
-from asymspec import (analyze_series, ase_from_scaled, auto_scale, extract_H, generate_nodes,
+from asymspec import (analyze_series, ase_from_scaled, auto_scale, generate_nodes,
                       kernel_ase, kernel_model, valuation_matrix)
 from asymspec.ase import _chain_groups
 from asymspec.kernels import NodeSet
@@ -36,8 +36,9 @@ def _rebuilt_chain_groups(stalls):
     def chain_groups(chain, nus, bases, rank_tol):
         groups = []
         truncated_at = None
-        for i, s in enumerate(chain.complements):
-            if chain.stopped_early and i == len(chain.complements) - 1:
+        complements, stopped = chain
+        for i, s in enumerate(complements):
+            if stopped and i == len(complements) - 1:
                 w, u = np.linalg.eigh(s)
                 keep = np.abs(w) > rank_tol * np.abs(w).max()
                 stalls.append((s.shape[0], int(keep.sum())))
@@ -95,8 +96,8 @@ def _assert_stalled_factor(ase, stalls):
 
 
 def test_ase_from_scaled(monkeypatch, ex_3x3):
-    form = extract_H(ex_3x3, auto_scale(valuation_matrix(ex_3x3)))
-    want, got, stalls = _both(monkeypatch, lambda: ase_from_scaled(form))
+    sc = auto_scale(valuation_matrix(ex_3x3))
+    want, got, stalls = _both(monkeypatch, lambda: ase_from_scaled(ex_3x3, sc))
     _assert_stalled_factor(got, stalls)
     _assert_same_ase(want, got, stalls)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asymspec import MonomialBasis, kernel_model, wronskian
+from asymspec import kernel_model, monomials_upto, wronskian
 from asymspec.kernels import _wronskian_table
 
 
@@ -31,7 +31,7 @@ def _wronskian_entry_coeff(alpha, beta) -> int:
 
 def wronskian_reference(kernel, d, max_deg):
     """The Wronskian as it was built entry by entry."""
-    basis = MonomialBasis(d, max_deg).flat
+    basis = monomials_upto(d, max_deg)
     p = len(basis)
     w = np.zeros((p, p))
     for i, alpha in enumerate(basis):
@@ -78,7 +78,7 @@ def test_table_equals_entry_loop(d, top):
 
 def test_table_coefficients_are_the_exact_integers():
     i, j, c, total = _wronskian_table(2, 6)
-    basis = MonomialBasis(2, 6).flat
+    basis = monomials_upto(2, 6)
     assert c.dtype == np.int64
     want = {(a, b): _wronskian_entry_coeff(basis[a], basis[b])
             for a in range(len(basis)) for b in range(len(basis))}
