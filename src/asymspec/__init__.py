@@ -19,7 +19,6 @@ from .series import (
 )
 from .scaling import (
     DiagonalScaling,
-    auto_scale,
     auto_scale_exponents,
     auto_scale_with_permutation,
     check_valid,
@@ -28,7 +27,6 @@ from .scaling import (
 from .ase import (
     Ase,
     SpectralGroup,
-    ase_from_scaled,
     eigen_readout,
     schur_chain,
 )

@@ -24,12 +24,10 @@ from functools import cached_property
 import numpy as np
 
 from .series import SERIES_RANK_TOL, as_exponent, is_singular, significant
-from .scaling import DiagonalScaling, extract_H
 
 __all__ = [
     "schur_chain",
     "Ase",
-    "ase_from_scaled",
     "SpectralGroup",
     "eigen_readout",
     "fix_column_signs",
@@ -213,18 +211,6 @@ def _chain_groups(chain, nus, bases, rank_tol: float):
         keep = significant(w, rank_tol)
         groups[-1] = (truncated_at, q @ u[:, keep], np.diag(w[keep]))
     return [g for g in groups if g[2].any()], truncated_at
-
-
-def ase_from_scaled(k, scaling: DiagonalScaling, rank_tol: float = SERIES_RANK_TOL) -> Ase:
-    """The blocked Schur-complement construction of a symmetric K = Delta (H + o(1)) Delta."""
-    if not k.symmetric:
-        raise ValueError("matrix series must be symmetric")
-    sizes = scaling.block_sizes
-    chain = schur_chain(extract_H(k, scaling), sizes, rank_tol)
-    offsets = np.cumsum((0,) + sizes)
-    eye = np.eye(scaling.n)  # S_i sits in its own coordinate block
-    bases = [eye[:, offsets[i] : offsets[i + 1]] for i in range(len(sizes))]
-    return Ase(scaling.n, *_chain_groups(chain, scaling.nus, bases, rank_tol))
 
 
 @dataclass

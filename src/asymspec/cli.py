@@ -49,6 +49,8 @@ def _parse_eps_grid(spec: str) -> np.ndarray:
         raise InputError("--eps-grid endpoints must be finite")
     if start <= 0 or stop <= 0 or points < 4:
         raise InputError("--eps-grid needs positive endpoints and at least 4 points")
+    if start == stop:
+        raise InputError("--eps-grid endpoints must differ")
     lo, hi = min(start, stop), max(start, stop)
     return np.geomspace(lo, hi, points)[::-1]
 
@@ -158,6 +160,8 @@ def _source(args):
         if other:
             raise InputError(f"--input and {other} name two sources; give one")
         return _series_source(args)
+    if "input" in vars(args) and not args.kernel:  # verify and sweep take either source
+        raise InputError("this command needs --input, or --kernel with --nodes")
     kernel = _load_kernel(args)
     nodes = _load_nodes(args)
     dist = functools.cache(lambda: distance_matrix(nodes, 1))

@@ -21,8 +21,8 @@ from functools import cache
 
 import numpy as np
 
-from .series import exact_int_dtype, significant
-from .ase import (TERM_RANK_TOL, Ase, fix_column_signs, schur_chain, term_scale, _chain_groups,
+from .series import exact_int_dtype
+from .ase import (TERM_RANK_TOL, Ase, fix_column_signs, schur_chain, _chain_groups,
                   _read_group)
 from .gkf import build_H, _blockdiag, _extend_basis
 
@@ -40,8 +40,6 @@ __all__ = [
     "kernel_matrix",
     "generate_nodes",
 ]
-
-INFINITE = math.inf
 
 #: Default relative tolerance of the kernel pipeline's rank decisions (the
 #: Vandermonde scans and the Schur chain of the flat-limit form).
@@ -108,7 +106,7 @@ def _first_odd_index(coeffs):
     for k in range(1, len(coeffs), 2):
         if coeffs[k] != 0.0:
             return (k + 1) // 2
-    return INFINITE
+    return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +216,7 @@ def wronskian(kernel: KernelModel, d: int, max_deg: int) -> np.ndarray:
     definition only holds for max_deg <= r - 1.
     """
     r = kernel.regularity
-    if r != INFINITE and max_deg > r - 1:
+    if r != math.inf and max_deg > r - 1:
         raise ValueError(
             f"Wronskian blocks need degree <= r-1 = {int(r) - 1}, got {max_deg}"
         )
@@ -355,13 +353,13 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
     psi horizon) truncates the ASE at its last computed group: degrees past
     the certified ones are invisible at working precision.  Terms are in the
     caller's units (the s^alpha unit map scales S_i only), and the expansion
-    also stops before a group whose smallest leading value is at or below
-    ``TERM_RANK_TOL`` times ``term_scale`` of its values there.  On nodes far
-    from unit scale it stops before the first group whose scaled S_i is not
-    finite or all zero (s^alpha overflows to inf and underflows to 0, so this
-    test covers both); the block at r - 1/2 is left out, truncating at 2r - 1,
-    when its unit-coordinate block divided by s^(2r-1) is not finite or all
-    zero.  Each group is read out once, as it is kept.
+    also stops before a group with a leading value at or below
+    ``TERM_RANK_TOL`` in magnitude.  On nodes far from unit scale it stops
+    before the first group whose scaled S_i is not finite or all zero
+    (s^alpha overflows to inf and underflows to 0, so this test covers both);
+    the block at r - 1/2 is left out, truncating at 2r - 1, when its
+    unit-coordinate block divided by s^(2r-1) is not finite or all zero.
+    Each group is read out once, as it is kept.
     """
     y, scale = _unit_nodes(nodes)
     bases, r_blocks = _degree_scan(kernel, y, rank_tol)
@@ -392,10 +390,7 @@ def kernel_ase(kernel: KernelModel, nodes: NodeSet, rank_tol: float = KERNEL_RAN
         with np.errstate(over="ignore", invalid="ignore"):  # s^alpha may be inf or 0
             s = np.float64(scale) ** float(alpha) * s
         group = _read_group(alpha, q, s) if _usable(s) else None
-        # kept |lam| exceed READOUT_ZERO_TOL = TERM_RANK_TOL times max |lam|, so the floor fires
-        # only at max |lam| < 1, min |lam| <= TERM_RANK_TOL: the dense term's floor or below
-        if group is None or not significant(lam := group.leading_values, TERM_RANK_TOL,
-                                            term_scale(lam)).all():
+        if group is None or any(abs(lam) <= TERM_RANK_TOL for lam in group.leading_values):
             truncated_at = alpha
             break
         kept.append((alpha, q, s))

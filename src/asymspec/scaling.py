@@ -56,7 +56,6 @@ __all__ = [
     "DiagonalScaling",
     "check_valid",
     "extract_H",
-    "auto_scale",
     "auto_scale_exponents",
     "auto_scale_with_permutation",
 ]
@@ -276,24 +275,8 @@ def _bounded_optimum(omega, lb_num):
     return (2 * lb_num + 2 * mu - np.minimum(p, mu) - np.minimum(q, mu)).tolist()
 
 
-def auto_scale(omega: ValuationMatrix) -> DiagonalScaling:
-    """Maximally tight scaling for a valuation matrix ordered by valuation blocks.
-
-    Raises if the optimal exponents are not nondecreasing along the diagonal;
-    callers holding unsorted matrices should use auto_scale_with_permutation.
-    """
-    exps = auto_scale_exponents(omega)
-    for a, b in zip(exps, exps[1:]):
-        if b < a:
-            raise ValueError(
-                "rows are not ordered by valuation blocks; permute the matrix "
-                "first (see auto_scale_with_permutation)"
-            )
-    return DiagonalScaling.from_exponents(exps)
-
-
 def auto_scale_with_permutation(omega: ValuationMatrix):
-    """Like auto_scale but also returns the stable sort permutation to apply.
+    """Maximally tight scaling of Omega, and the stable sort permutation to apply.
 
     Returns (perm, scaling) where perm sorts indices by ascending exponent and
     scaling is the grouped scaling of the permuted system.

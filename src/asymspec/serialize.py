@@ -1,4 +1,4 @@
-"""File formats: matrix-series / GKF / scaling / ASE JSON, node CSV, sweep CSV.
+"""File formats: matrix-series / GKF / ASE JSON, node CSV, sweep CSV.
 
 All emitters are deterministic (fixed key order, repr-exact floats in JSON,
 17-significant-digit floats in CSV) so repeated runs produce byte-identical
@@ -36,7 +36,6 @@ __all__ = [
     "exponent_from_json",
     "matrix_series_to_json",
     "matrix_series_from_json",
-    "scaling_to_json",
     "scaling_from_json",
     "gkf_from_json",
     "ase_to_json",
@@ -149,17 +148,7 @@ def matrix_series_from_json(obj) -> MatrixSeries:
     return MatrixSeries(n, terms, trunc, symmetric=symmetric)
 
 
-def scaling_to_json(scaling: DiagonalScaling) -> dict:
-    return {
-        "valuations": [
-            {"nu": exponent_to_json(nu), "mult": mult} for nu, mult in scaling.valuations
-        ]
-    }
-
-
 def scaling_from_json(obj, where: str = "scaling") -> DiagonalScaling:
-    if isinstance(obj, dict):
-        obj = obj.get("valuations")
     if not isinstance(obj, list):
         raise InputError(f"{where}: expected a list of {{'nu','mult'}} blocks")
     blocks = []

@@ -1,10 +1,10 @@
 """The paper's alternative constructions, kept as references for the tests.
 
 No command runs these: the CLI reaches every result through one route per
-concept (the Schur chain of ``ase_from_scaled``/``ase_from_gkf``, the series
-Schur step of ``iterative_ase`` and the degree scan of ``kernel_ase``).  The
-tests compare those routes against the formulas written here as the paper
-states them:
+concept (the Schur chain of ``analyze_series(k, "scaled")`` and
+``ase_from_gkf``, the series Schur step of ``iterative_ase`` and the degree
+scan of ``kernel_ase``).  The tests compare those routes against the
+formulas written here as the paper states them:
 
 - the tight entries of a scaling (where val K_ij = nu_i + nu_j);
 - the partitioned series reduction with a uniform bottom block;
@@ -19,6 +19,7 @@ states them:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ import numpy as np
 from asymspec.degenerate import _series_schur, _symmetric
 from asymspec.gkf import GkfForm, _blockdiag
 from asymspec.kernels import (
-    INFINITE,
     KERNEL_RANK_TOL,
     KernelModel,
     NodeSet,
@@ -288,7 +288,7 @@ def finite_smooth_flat_limit(
     psi_{2r-1} A^T D^(2r-1) A.
     """
     r = kernel.regularity
-    if r == INFINITE:
+    if r == math.inf:
         raise ValueError("finitely smooth pipeline requires finite regularity")
     r = int(r)
     q = np.hstack(_degree_scan(kernel, _unit_nodes(nodes)[0], rank_tol)[0])

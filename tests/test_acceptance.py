@@ -25,8 +25,6 @@ from asymspec import (
     ValuationMatrix,
     analyze_series,
     ase_from_gkf,
-    ase_from_scaled,
-    auto_scale,
     auto_scale_exponents,
     distance_matrix,
     eigen_readout,
@@ -108,7 +106,7 @@ def test_criterion_2_5x5_example(ex_5x5):
 
 def test_criterion_3_example1(ex_example1):
     with criterion(3, "auto-scaling finds (0, 1/2, 1); eigenvalue leading terms (1, eps, eps^2)"):
-        sc = auto_scale(valuation_matrix(ex_example1))
+        sc = DiagonalScaling.from_exponents(auto_scale_exponents(valuation_matrix(ex_example1)))
         assert sc.exponents() == [Exponent(0), Exponent(1, 2), Exponent(1)]
         ase = analyze_series(ex_example1)
         assert ase.complete
@@ -299,8 +297,7 @@ def _random_scaled_instance(rng, allow_singular):
     k = MatrixSeries.from_constant(h, trunc_order=7, symmetric=True).scale_rows_cols(
         nu.tolist(), nu.tolist()
     )
-    sc = DiagonalScaling.from_exponents([Exponent(int(v)) for v in nu])
-    return k, sc, h
+    return k, h
 
 
 def test_criterion_10a_ase_invariants():
@@ -308,8 +305,8 @@ def test_criterion_10a_ase_invariants():
         with timed_suite("ase_invariants"):
             rng = np.random.default_rng(100)
             for _ in range(200):
-                k, sc, h = _random_scaled_instance(rng, allow_singular=True)
-                ase = ase_from_scaled(k, sc)
+                k, h = _random_scaled_instance(rng, allow_singular=True)
+                ase = analyze_series(k, "scaled")
                 ase.validate()
                 if np.linalg.matrix_rank(h, 1e-10) == h.shape[0]:
                     assert ase.complete

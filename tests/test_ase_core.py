@@ -8,11 +8,9 @@ from asymspec import (
     DiagonalScaling,
     Exponent,
     MatrixSeries,
-    ase_from_scaled,
-    auto_scale,
+    analyze_series,
     eigen_readout,
     schur_chain,
-    valuation_matrix,
 )
 from reference import rank_probe_curve, regularized_inverse_probe
 
@@ -48,15 +46,17 @@ class TestSchurComplements:
 
 
 class TestAseFromScaled:
+    """The scaled construction, ``analyze_series(k, "scaled")``: one round of ``iterative_ase``."""
+
     def test_2x2(self, ex_2x2):
-        ase = ase_from_scaled(ex_2x2, auto_scale(valuation_matrix(ex_2x2)))
+        ase = analyze_series(ex_2x2, "scaled")
         assert ase.complete
         assert ase.valuations == [Exponent(0), Exponent(2)]
         np.testing.assert_array_equal(ase.groups[0][1], [[1, 0], [0, 0]])
         np.testing.assert_array_equal(ase.groups[1][1], [[0, 0], [0, 1]])
 
     def test_example1_diag_pattern(self, ex_example1):
-        ase = ase_from_scaled(ex_example1, auto_scale(valuation_matrix(ex_example1)))
+        ase = analyze_series(ex_example1, "scaled")
         assert ase.complete
         assert ase.valuations == [Exponent(0), Exponent(1), Exponent(2)]
         for k, (_, term) in enumerate(ase.groups):
@@ -65,7 +65,7 @@ class TestAseFromScaled:
             np.testing.assert_allclose(term, expect, atol=1e-14)
 
     def test_3x3_truncates(self, ex_3x3):
-        ase = ase_from_scaled(ex_3x3, auto_scale(valuation_matrix(ex_3x3)))
+        ase = analyze_series(ex_3x3, "scaled")
         assert ase.truncated_at == Exponent(2)
         assert ase.valuations == [Exponent(0), Exponent(2)]
         np.testing.assert_allclose(
@@ -74,7 +74,7 @@ class TestAseFromScaled:
         ase.validate()
 
     def test_invariants_validate(self, ex_5x5):
-        ase = ase_from_scaled(ex_5x5, auto_scale(valuation_matrix(ex_5x5)))
+        ase = analyze_series(ex_5x5, "scaled")
         ase.validate()
         assert ase.term_rank_sum() == 5
 
@@ -82,12 +82,10 @@ class TestAseFromScaled:
         # H is read as it stands, so the series must carry the symmetric flag
         k = MatrixSeries(ex_2x2.shape, ex_2x2.terms, ex_2x2.trunc_order)
         with pytest.raises(ValueError, match="must be symmetric"):
-            ase_from_scaled(k, auto_scale(valuation_matrix(ex_2x2)))
+            analyze_series(k, "scaled")
 
     def test_permutation_equivariance(self, ex_5x5):
         # simultaneous permutation of K maps every term by the same permutation
-        from asymspec.pipeline import analyze_series
-
         rng = np.random.default_rng(1)
         base = analyze_series(ex_5x5, "scaled")
         for _ in range(5):
@@ -128,7 +126,7 @@ class TestEigenReadout:
         assert np.trace(p) == pytest.approx(2.0)
 
     def test_5x5_values_and_vector(self, ex_5x5):
-        ase = ase_from_scaled(ex_5x5, auto_scale(valuation_matrix(ex_5x5)))
+        ase = analyze_series(ex_5x5, "scaled")
         groups = eigen_readout(ase)
         assert groups[0].leading_values == pytest.approx([1.0])
         s2 = np.sqrt(2.0)
@@ -189,7 +187,7 @@ class TestProbes:
         # probe at s = 2 nu_1 approaches U_0 U_0^T + K1 (K1 + tau I)^{-1}
         tau = 1.0
         eps = 1e-5
-        ase = ase_from_scaled(ex_5x5, auto_scale(valuation_matrix(ex_5x5)))
+        ase = analyze_series(ex_5x5, "scaled")
         groups = eigen_readout(ase)
         m = regularized_inverse_probe(ex_5x5, 2, tau, eps)
         k1 = ase.groups[1][1]
@@ -207,8 +205,7 @@ class TestProbes:
             k = MatrixSeries.from_constant(h, trunc_order=7, symmetric=True).scale_rows_cols(
                 nu.tolist(), nu.tolist()
             )
-            sc = DiagonalScaling.from_exponents([Exponent(int(v)) for v in nu])
-            ase = ase_from_scaled(k, sc)
+            ase = analyze_series(k, "scaled")
             assert ase.complete
             eps = 1e-4
             lam = np.linalg.eigvalsh(k.evaluate(eps))
@@ -224,7 +221,7 @@ class TestProbes:
 
 class TestProjectorOnDemand:
     def test_computed_on_first_use(self, ex_5x5):
-        ase = ase_from_scaled(ex_5x5, auto_scale(valuation_matrix(ex_5x5)))
+        ase = analyze_series(ex_5x5, "scaled")
         group = eigen_readout(ase)[1]
         assert "projector" not in vars(group)  # the readout forms no n x n product
         np.testing.assert_array_equal(group.projector, group.vectors @ group.vectors.T)
@@ -283,8 +280,6 @@ def assert_readout_matches_dense(ase, readout):
 
 
 def _series_ases(k):
-    from asymspec import analyze_series
-
     return [analyze_series(k, mode) for mode in ("auto", "scaled")]
 
 
@@ -313,7 +308,7 @@ class TestFactoredReadout:
         assert_readout_matches_dense(ase, readout)
 
     def test_stopped_chain_with_cleaned_complement(self, ex_3x3):
-        ase = ase_from_scaled(ex_3x3, auto_scale(valuation_matrix(ex_3x3)))
+        ase = analyze_series(ex_3x3, "scaled")
         assert not ase.complete
         alpha, q, s = ase.factors[-1]
         assert alpha == ase.truncated_at

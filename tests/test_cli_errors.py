@@ -371,3 +371,48 @@ def test_finite_inputs_that_overflow_are_named(tmp_path, capsys, argv, message):
     assert code == 1
     assert err.startswith(message)
     assert "Traceback" not in err
+
+
+_GAUSSIAN = ["--kernel", "gaussian", "--nodes", "uniform:5"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["verify", *_GAUSSIAN, "--eps-grid", "1e-4:1e-1"],
+                 "--eps-grid must look like start:stop:points", id="grid-two-fields"),
+    pytest.param(["verify", *_GAUSSIAN, "--eps-grid", "1e-4:x:8"],
+                 "--eps-grid fields must be numeric", id="grid-non-numeric"),
+    pytest.param(["sweep", *_GAUSSIAN, "--eps-grid", "0:1e-1:8"],
+                 "--eps-grid needs positive endpoints and at least 4 points",
+                 id="grid-zero-endpoint"),
+    pytest.param(["sweep", *_GAUSSIAN, "--eps-grid", "1e-4:1e-1:3"],
+                 "--eps-grid needs positive endpoints and at least 4 points",
+                 id="grid-three-points"),
+    # once rejected only by the sweep: "eps grid must be positive and strictly decreasing"
+    pytest.param(["verify", *_GAUSSIAN, "--eps-grid", "1:1:5"],
+                 "--eps-grid endpoints must differ", id="grid-equal-endpoints"),
+    pytest.param(["kernel", "--kernel", "custom", "--nodes", "uniform:4",
+                  "--psi", "[1" + "0" * 400 + "]"],
+                 "--psi must be a non-empty JSON list of finite numbers, got '[1000",
+                 id="psi-integer-beyond-float"),
+    pytest.param(["kernel", "--kernel", "gaussian"], "this command needs --nodes",
+                 id="no-nodes"),
+    pytest.param(["kernel", "--nodes", "uniform:4"], "this command needs --kernel",
+                 id="no-kernel"),
+    pytest.param(["kernel", "--kernel", "gaussian", "--nodes", "{missing}"],
+                 "node file {missing} does not exist", id="missing-node-file"),
+    pytest.param(["kernel", "--kernel", "custom", "--nodes", "uniform:4"],
+                 "custom kernels require psi coefficients", id="custom-without-psi"),
+    # once "this command needs --kernel", though --input would do as well
+    pytest.param(["verify", "--eps-grid", "1e-2:1e-1:8"],
+                 "this command needs --input, or --kernel with --nodes", id="verify-no-source"),
+    pytest.param(["sweep"], "this command needs --input, or --kernel with --nodes",
+                 id="sweep-no-source"),
+])
+def test_flag_checks_exit_1(tmp_path, capsys, argv, message):
+    missing = tmp_path / "missing.csv"
+    code = main([a.format(missing=missing) for a in argv] + ["--output", "/dev/null"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {message.format(missing=missing)}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+

@@ -9,10 +9,7 @@ from asymspec import (
     INFINITY,
     MatrixSeries,
     analyze_series,
-    ase_from_scaled,
-    auto_scale,
     iterative_ase,
-    valuation_matrix,
 )
 from reference import PartitionedScaledSeries, schur_reduce
 
@@ -112,7 +109,7 @@ class TestIterativeAse:
 
     def test_no_recursion_on_complete_input(self, ex_2x2, ex_example1, ex_5x5):
         for k in (ex_2x2, ex_example1, ex_5x5):
-            direct = ase_from_scaled(k, auto_scale(valuation_matrix(k)))
+            direct = analyze_series(k, "scaled")
             assert direct.complete
             via_iter = iterative_ase(k)
             assert via_iter.complete

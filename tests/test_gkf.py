@@ -10,8 +10,8 @@ from asymspec import (
     Exponent,
     GkfForm,
     MatrixSeries,
+    analyze_series,
     ase_from_gkf,
-    ase_from_scaled,
     block_rrqr,
     build_H,
     eigen_readout,
@@ -221,7 +221,7 @@ class TestAseFromGkf:
             k = MatrixSeries.from_constant(w, trunc_order=9, symmetric=True).scale_rows_cols(
                 sc.exponents(), sc.exponents()
             )
-            via_scaled = ase_from_scaled(k, sc)
+            via_scaled = analyze_series(k, "scaled")
             assert len(via_gkf.groups) == len(via_scaled.groups)
             for (v1, t1), (v2, t2) in zip(via_gkf.groups, via_scaled.groups):
                 assert v1 == v2

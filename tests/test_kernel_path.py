@@ -27,7 +27,6 @@ from asymspec.ase import Ase, eigen_readout
 from asymspec.cli import main
 from asymspec.gkf import ase_from_gkf
 from asymspec.kernels import (
-    INFINITE,
     KERNEL_RANK_TOL,
     NodeSet,
     _degree_scan,
@@ -290,7 +289,7 @@ def test_gaussian_former_failures_truncate(spec, tmp_path, capsys):
 
 class TestDensePsi:
     def test_coefficients_and_series_agree(self):
-        for name, r in (("gaussian", INFINITE), ("exponential", 1), ("matern2", 2)):
+        for name, r in (("gaussian", math.inf), ("exponential", 1), ("matern2", 2)):
             k = kernel_model(name)
             assert len(k.coeffs) == 65 and k.horizon == 64
             assert [k.psi_coeff(j) for j in range(65)] == list(k.coeffs)
@@ -303,7 +302,7 @@ class TestDensePsi:
     def test_custom_zero_coefficients_are_positive_zero(self):
         k = kernel_model("custom", psi_coefficients=[1.0, -0.0, -1.0])
         assert math.copysign(1.0, k.psi_coeff(1)) == 1.0
-        assert k.regularity == INFINITE
+        assert k.regularity == math.inf
         assert k.coeffs == kernel_model("custom", psi_coefficients=[1, 0, -1]).coeffs
 
 
@@ -353,7 +352,7 @@ def test_kernel_ase_agrees_with_the_gkf_route(kernel_name, spec, d, seed):
     # where one route truncates earlier its groups are a prefix of the other's
     kernel = kernel_model(kernel_name)
     nodes = NodeSet(np.linspace(0.0, 1.0, 5)) if spec is None else _nodes(spec, d, seed)
-    build = smooth_flat_limit if kernel.regularity == INFINITE else finite_smooth_flat_limit
+    build = smooth_flat_limit if kernel.regularity == math.inf else finite_smooth_flat_limit
     runs = [kernel_ase(kernel, nodes), ase_from_gkf(build(kernel, nodes))]
     shorter, longer = sorted(runs, key=lambda ase: len(ase.factors))
     assert _groups(shorter) == _groups(longer)[: len(shorter.factors)]

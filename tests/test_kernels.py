@@ -1,6 +1,8 @@
 """Kernel models, Vandermonde/Wronskian/distance matrices and flat limits."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from asymspec import (
     wronskian,
 )
 from asymspec.ase import eigen_readout
+from asymspec.cli import main
 from reference import FinitelySmoothError, finite_smooth_flat_limit, smooth_flat_limit, vandermonde
 
 
@@ -354,10 +357,29 @@ class TestKernelMatrix:
 
     def test_custom_matches_gaussian_within_horizon(self):
         g = kernel_model("gaussian")
-        coeffs = list(g.coeffs[:20])
-        custom = kernel_model("custom", psi_coefficients=coeffs)
-        nodes = generate_nodes("uniform:4", seed=6)
-        eps = 0.05
-        np.testing.assert_allclose(
-            kernel_matrix(custom, nodes, eps), kernel_matrix(g, nodes, eps), atol=1e-14
-        )
+        # the first 20 coefficients, then every stored one (the whole psi horizon)
+        for count, spec, seed, eps in ((20, "uniform:4", 6, 0.05), (None, "uniform:6", 0, 0.05),
+                                       (None, "uniform:6", 0, 0.5)):
+            custom = kernel_model("custom", psi_coefficients=list(g.coeffs[:count]))
+            nodes = generate_nodes(spec, seed=seed)
+            diff = np.abs(kernel_matrix(custom, nodes, eps) - kernel_matrix(g, nodes, eps)).max()
+            assert diff <= 1e-14
+
+    def test_custom_sweep_warns_at_each_point_past_the_horizon(self):
+        psi = json.dumps(list(kernel_model("gaussian").coeffs))
+        nodes = generate_nodes("uniform:6")
+        grid = np.geomspace(1e-1, 2, 8)
+        beyond = int(np.sum(grid * distance_matrix(nodes, 1).max() > 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--kernel", "custom", "--psi", psi, "--nodes", "uniform:6",
+                         "--eps-grid", "1e-1:2:8", "--output", "/dev/null"])
+        assert code == 0
+        messages = [str(w.message) for w in caught]
+        assert beyond == 3 and len(messages) == beyond
+        assert all("beyond its certified horizon" in m for m in messages)
+
+    def test_custom_kernel_verifies(self):
+        psi = json.dumps(list(kernel_model("gaussian").coeffs))
+        assert main(["verify", "--kernel", "custom", "--psi", psi, "--nodes", "equispaced:8",
+                     "--output", "/dev/null"]) == 0

@@ -11,7 +11,6 @@ from asymspec import (
     INFINITY,
     MatrixSeries,
     ValuationMatrix,
-    auto_scale,
     auto_scale_exponents,
     check_valid,
     extract_H,
@@ -124,29 +123,31 @@ class TestExtractH:
 
 class TestAutoScale:
     def test_auto_scale_2x2(self, ex_scaling_2x2):
-        sc = auto_scale(valuation_matrix(ex_scaling_2x2))
+        sc = DiagonalScaling.from_exponents(auto_scale_exponents(valuation_matrix(ex_scaling_2x2)))
         assert sc.exponents() == [Exponent(0), HALF3]
 
     def test_example1(self, ex_example1):
-        sc = auto_scale(valuation_matrix(ex_example1))
+        sc = DiagonalScaling.from_exponents(auto_scale_exponents(valuation_matrix(ex_example1)))
         assert sc.exponents() == [Exponent(0), Exponent(1, 2), Exponent(1)]
 
     def test_unconstrained_diagonal(self):
         om = ValuationMatrix(
             [[0, INFINITY, INFINITY], [INFINITY, 2, INFINITY], [INFINITY, INFINITY, 4]]
         )
-        assert auto_scale(om).exponents() == [Exponent(0), Exponent(1), Exponent(2)]
+        sc = DiagonalScaling.from_exponents(auto_scale_exponents(om))
+        assert sc.exponents() == [Exponent(0), Exponent(1), Exponent(2)]
 
     def test_structurally_zero_row(self):
         om = ValuationMatrix([[0, INFINITY], [INFINITY, INFINITY]])
         with pytest.raises(ValueError, match="structurally zero row"):
-            auto_scale(om)
+            DiagonalScaling.from_exponents(auto_scale_exponents(om))
 
     def test_no_finite_assignment_falls_back_to_lp(self):
         # rows 1 and 2 only reach column 0: no finite perfect assignment, but
         # the bounded program still has the informative optimum (0, 1, 1)
         om = ValuationMatrix([[0, 1, 1], [1, INFINITY, INFINITY], [1, INFINITY, INFINITY]])
-        assert auto_scale(om).exponents() == [Exponent(0), Exponent(1), Exponent(1)]
+        sc = DiagonalScaling.from_exponents(auto_scale_exponents(om))
+        assert sc.exponents() == [Exponent(0), Exponent(1), Exponent(1)]
 
     def test_denominator_bound(self):
         om = ValuationMatrix(
@@ -211,8 +212,8 @@ class TestAutoScale:
 
     def test_unsorted_rows_need_permutation(self):
         om = ValuationMatrix([[2, 1], [1, 0]])
-        with pytest.raises(ValueError, match="permute"):
-            auto_scale(om)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            DiagonalScaling.from_exponents(auto_scale_exponents(om))
         from asymspec import auto_scale_with_permutation
 
         perm, sc = auto_scale_with_permutation(om)

@@ -14,7 +14,6 @@ from asymspec.serialize import (
     exponent_from_json,
     exponent_to_json,
     scaling_from_json,
-    scaling_to_json,
 )
 
 
@@ -33,18 +32,6 @@ class TestExponentJson:
 
 
 class TestScalingJson:
-    def test_round_trip(self):
-        sc = DiagonalScaling(((Exponent(0), 1), (Exponent(1, 2), 2), (Exponent(3), 1)))
-        obj = scaling_to_json(sc)
-        assert obj == {
-            "valuations": [
-                {"nu": {"num": 0, "den": 1}, "mult": 1},
-                {"nu": {"num": 1, "den": 2}, "mult": 2},
-                {"nu": {"num": 3, "den": 1}, "mult": 1},
-            ]
-        }
-        assert scaling_from_json(obj) == sc
-
     def test_default_multiplicity(self):
         sc = scaling_from_json([{"nu": 0}, {"nu": 2}])
         assert sc.block_sizes == (1, 1)

@@ -22,8 +22,7 @@ import asymspec.ase
 import asymspec.degenerate
 import asymspec.gkf
 import asymspec.kernels
-from asymspec import (analyze_series, ase_from_scaled, auto_scale, generate_nodes,
-                      kernel_ase, kernel_model, valuation_matrix)
+from asymspec import analyze_series, generate_nodes, kernel_ase, kernel_model
 from asymspec.ase import _chain_groups
 from asymspec.kernels import NodeSet
 
@@ -93,13 +92,6 @@ def _assert_stalled_factor(ase, stalls):
     np.testing.assert_array_equal(s, np.diag(np.diag(s)))
     assert s.shape[0] == stalls[-1][1]
     assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
-
-
-def test_ase_from_scaled(monkeypatch, ex_3x3):
-    sc = auto_scale(valuation_matrix(ex_3x3))
-    want, got, stalls = _both(monkeypatch, lambda: ase_from_scaled(ex_3x3, sc))
-    _assert_stalled_factor(got, stalls)
-    _assert_same_ase(want, got, stalls)
 
 
 @pytest.mark.parametrize("fixture", ["ex_3x3", "ex_degenerate"])
