@@ -188,11 +188,15 @@ def cmd_kernel(args) -> int:
 
 def cmd_verify(args) -> int:
     predict, matrix_at = _source(args)
-    ase = predict()
     grid = _parse_eps_grid(args.eps_grid)
-    # eigenvectors only at the eps* points that match_ase reads them at
-    stars = eps_star_indices(grid, ase.readout)
-    sweep = eigen_sweep(matrix_at, grid, vectors_at=[i for i in stars if i is not None])
+    ase = predict()
+    # eigenvectors only of the curves match_ase reads, at their group's eps*
+    vectors, start = {}, 0
+    for group, at in zip(ase.readout, eps_star_indices(grid, ase.readout)):
+        if at is not None:
+            vectors.setdefault(at, []).extend(range(start, start + group.count))
+        start += group.count
+    sweep = eigen_sweep(matrix_at, grid, vectors)
     report = match_ase(ase, sweep, args.tol_coeff, args.tol_angle)
     _emit(serialize.dumps(serialize.match_report_to_json(report)), args.output)
     return EXIT_OK if report.passed else EXIT_TRUNCATED
@@ -200,15 +204,14 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     predict, matrix_at = _source(args)
-    # the pipeline runs only to predict the tracked vector
-    track = args.track_vector is not None
-    ase = predict() if track else None
     grid = _parse_eps_grid(args.eps_grid)
-    predicted = _predicted_vector(ase, args.track_vector) if track else None
-    # with a tracked vector, only its column is kept at each grid point
-    sweep = (eigen_sweep(matrix_at, grid, columns=[args.track_vector - 1]) if track
-             else eigen_sweep(matrix_at, grid, vectors_at=()))
-    lines = serialize.sweep_csv_lines(sweep, args.track_vector, predicted)
+    # the pipeline runs only to predict the tracked vector, whose column alone
+    # is kept at each grid point
+    k = args.track_vector
+    predicted = None if k is None else _predicted_vector(predict(), k)
+    vectors = {} if k is None else dict.fromkeys(range(len(grid)), [k - 1])
+    sweep = eigen_sweep(matrix_at, grid, vectors)
+    lines = serialize.sweep_csv_lines(sweep, k, predicted)
     _emit("\n".join(lines), args.output)
     return EXIT_OK
 

@@ -48,17 +48,14 @@ class SweepResult:
     """Eigenvalues along a decreasing eps grid, eigenvectors where requested.
 
     Per eps, eigenvalues are sorted by decreasing magnitude.  ``eigenvectors``
-    maps a grid index to the eigenvectors kept there: the (n, n) matrix with
-    columns aligned to that order, or, when ``columns`` names curves by their
-    0-based position in it, the (n, len(columns)) matrix of those curves'
-    eigenvectors alone.  A full (m, n, n) array indexes the same way.
-    ``vectors`` reads either layout.
+    maps a grid index to the eigenvectors kept there: (curves, columns), the
+    curves' 0-based positions in that order and the (n, len(curves)) matrix
+    of their eigenvectors.  ``vectors`` reads them.
     """
 
     eps_grid: np.ndarray  # (m,), strictly decreasing
     eigenvalues: np.ndarray  # (m, n)
-    eigenvectors: dict  # grid index -> (n, n), or (n, len(columns))
-    columns: tuple | None = None  # curves whose eigenvectors are kept; None: all
+    eigenvectors: dict  # grid index -> (curves, (n, len(curves)))
 
     @property
     def n(self) -> int:
@@ -66,23 +63,12 @@ class SweepResult:
 
     def vectors(self, i: int, curves) -> np.ndarray:
         """Eigenvectors of ``curves`` (0-based positions) at grid index ``i``."""
-        try:
-            u = self.eigenvectors[i]
-        except (KeyError, IndexError):
-            raise ValueError(
-                f"the sweep holds no eigenvectors at eps* = {self.eps_grid[i]:.6g} (grid "
-                f"index {i}); pass the indices from eps_star_indices as vectors_at"
-            ) from None
-        if self.columns is not None:
-            try:
-                curves = [self.columns.index(k) for k in curves]
-            except ValueError:
-                raise ValueError(
-                    f"the sweep keeps eigenvectors of curves {list(self.columns)} only") from None
-        return u[:, list(curves)]
-
-    def matrix_norm_at_largest_eps(self) -> float:
-        return float(np.abs(self.eigenvalues[0]).max())
+        kept, u = self.eigenvectors.get(i, ((), None))
+        curves = list(curves)
+        if not set(curves) <= set(kept):
+            raise ValueError(f"the sweep keeps the eigenvectors of curves {list(kept)} at grid "
+                             f"index {i}, not of {curves}; request them through vectors")
+        return u[:, [kept.index(k) for k in curves]]
 
 
 CHECK_TOL = 1e-10  # decomposition error allowed per entry, relative to max(1, max|a|)
@@ -101,14 +87,13 @@ def _values_error(a: np.ndarray, w: np.ndarray, scale: float) -> float:
     return max(abs(np.linalg.norm(ws) - np.linalg.norm(b)), abs(ws.sum() - np.trace(b)))
 
 
-def eigen_sweep(matrix_at, eps_grid, vectors_at=None, columns=None) -> SweepResult:
+def eigen_sweep(matrix_at, eps_grid, vectors=None) -> SweepResult:
     """Eigenvalues of the symmetric ``matrix_at(eps)`` per grid point.
 
-    ``vectors_at`` holds the grid indices whose eigenvectors are wanted;
-    None means every point.  The other points run a values-only solver.
-    ``columns`` names the curves (0-based positions in decreasing magnitude)
-    whose eigenvectors are kept; None keeps all n.  Every eigensolve is
-    computed and checked in full either way.
+    ``vectors`` maps a grid index to the curves (0-based positions in
+    decreasing magnitude) whose eigenvectors are kept there; None keeps every
+    curve at every point.  The points it does not name run a values-only
+    solver.  Every eigensolve is computed and checked in full either way.
     Curves are matched across eps by magnitude ordering, which is adequate at
     desk scale for well-separated groups (sign-crossing curves inside a group
     may swap; group-level comparisons are unaffected).
@@ -119,11 +104,10 @@ def eigen_sweep(matrix_at, eps_grid, vectors_at=None, columns=None) -> SweepResu
         raise ValueError("sweep needs at least 4 grid points")
     if np.any(eps_grid <= 0) or np.any(np.diff(eps_grid) >= 0):
         raise ValueError("eps grid must be positive and strictly decreasing")
-    wanted = set(range(m)) if vectors_at is None else {int(i) for i in vectors_at}
-    if not wanted <= set(range(m)):
-        raise ValueError(f"vectors_at must hold grid indices in 0..{m - 1}")
-    if columns is not None:
-        columns = tuple(int(k) for k in columns)
+    if vectors is not None:
+        vectors = {int(i): tuple(int(k) for k in curves) for i, curves in vectors.items()}
+        if not set(vectors) <= set(range(m)):
+            raise ValueError(f"vectors must map grid indices in 0..{m - 1}")
     lams = None
     vecs = {}
     for i, eps in enumerate(eps_grid):
@@ -133,7 +117,8 @@ def eigen_sweep(matrix_at, eps_grid, vectors_at=None, columns=None) -> SweepResu
             raise np.linalg.LinAlgError(
                 f"matrix at eps = {eps:.6g} has non-finite entries (overflow or NaN)")
         scale = max(np.abs(a).max(), 1.0)
-        if i in wanted:
+        wanted = vectors is None or i in vectors
+        if wanted:
             w, u = np.linalg.eigh(a)
             err, tol = np.abs((u * w) @ u.T - a).max(), CHECK_TOL * scale
             check = "reconstruction check"
@@ -145,13 +130,15 @@ def eigen_sweep(matrix_at, eps_grid, vectors_at=None, columns=None) -> SweepResu
             raise np.linalg.LinAlgError(f"eigensolve at eps = {eps:.6g} failed the {check}")
         if lams is None:  # the matrix size is known only from the first point
             lams = np.empty((m,) + w.shape, w.dtype)
-            if columns is not None and not all(0 <= k < len(w) for k in columns):
-                raise ValueError(f"columns must hold curve positions in 0..{len(w) - 1}")
+            if vectors is not None and not all(
+                    0 <= k < len(w) for curves in vectors.values() for k in curves):
+                raise ValueError(f"vectors must hold curve positions in 0..{len(w) - 1}")
         order = np.argsort(-np.abs(w))
         lams[i] = w[order]
-        if i in wanted:
-            vecs[i] = u[:, order if columns is None else order[list(columns)]]
-    return SweepResult(eps_grid, lams, vecs, columns)
+        if wanted:
+            curves = tuple(range(len(w))) if vectors is None else vectors[i]
+            vecs[i] = (curves, u[:, order[list(curves)]])
+    return SweepResult(eps_grid, lams, vecs)
 
 
 def eps_star_indices(eps_grid, readout) -> list:
@@ -220,8 +207,8 @@ def estimate_valuations(sweep: SweepResult):
     unreliable.  Every curve is fitted at once: a mask of the fitted points
     per curve, and the centred least-squares line over each column.
     """
-    floor = PRECISION_FLOOR_FACTOR * sweep.matrix_norm_at_largest_eps()
     mags = np.abs(sweep.eigenvalues)  # (m, n)
+    floor = PRECISION_FLOOR_FACTOR * mags[0].max()
     usable = mags > floor
     pts = usable.sum(axis=0)
     # the grid decreases, so dropping the first half of a curve's usable

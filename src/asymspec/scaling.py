@@ -125,7 +125,7 @@ def check_valid(omega: ValuationMatrix, scaling: DiagonalScaling):
     nus = np.asarray(nus, dtype=dtype) * b
     resid = np.asarray(omega.num, dtype=dtype) * a - (nus[:, None] + nus[None, :])
     valid = not np.any(resid[~omega.inf] < 0)
-    return valid, ValuationMatrix._from_arrays(resid, den, omega.inf)
+    return valid, ValuationMatrix(resid, den, omega.inf)
 
 
 def extract_H(k: MatrixSeries, scaling: DiagonalScaling) -> np.ndarray:

@@ -187,17 +187,6 @@ class MatrixSeries:
         obj.shape, obj._terms, obj._trunc, obj.symmetric = shape, tuple(terms), trunc, symmetric
         return obj
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_constant(cls, mat, trunc_order=INFINITY, symmetric=False) -> "MatrixSeries":
-        mat = np.asarray(mat, dtype=float)
-        return cls(mat.shape, [(Fraction(0), mat)], trunc_order, symmetric)
-
-    @classmethod
-    def identity(cls, n, trunc_order=INFINITY) -> "MatrixSeries":
-        return cls.from_constant(np.eye(n), trunc_order, symmetric=True)
-
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -240,10 +229,6 @@ class MatrixSeries:
 
     def __add__(self, other):
         return self._plus(other, 1.0)
-
-    def __neg__(self):
-        terms = [(e, _frozen(-m)) for e, m in self._terms]
-        return MatrixSeries._from_terms(self.shape, terms, self._trunc, self.symmetric)
 
     def __sub__(self, other):
         return self._plus(other, -1.0)
@@ -388,48 +373,26 @@ class MatrixSeries:
         )
 
 
-def _int_pair(x):
-    """(num, den) of an exponent; (1, 0) for INFINITY."""
-    x = as_exponent(x)
-    return (1, 0) if x == INFINITY else (x.numerator, x.denominator)
-
-
 class ValuationMatrix:
     """A rectangular grid of exponents (entry-wise valuations or residuals).
 
     The grid is stored exactly as integer numerators ``num`` over one common
     denominator ``den`` (the smallest one), with a boolean mask ``inf`` for
     the +infinity entries, whose numerators are 0.  ``num`` is int64 when its
-    entries fit comfortably and a Python-int object array otherwise.  An
-    entry reads back as a ``Fraction``, or as ``INFINITY``, built only on access.
+    entries fit comfortably and a Python-int object array otherwise; the
+    constructor brings any (num, den, inf) to this form.  An entry reads back
+    as a ``Fraction``, or as ``INFINITY``, built only on access.
     """
 
     __slots__ = ("num", "den", "inf")
 
-    def __init__(self, entries):
-        rows = [list(row) for row in entries]
-        width = len(rows[0]) if rows else 0
-        if any(len(row) != width for row in rows):
-            raise ValueError("ragged valuation grid")
-        # non-int entries as integer pairs, INFINITY as (1, 0): no Fraction per entry
-        flat = [x for row in rows for x in row]
-        odd = {} if set(map(type, flat)) <= {int} else {
-            i: _int_pair(x) for i, x in enumerate(flat) if type(x) is not int}
-        den = lcm(*{d for _, d in odd.values()} - {0})
-        nums = [x * den if type(x) is int else 0 for x in flat]
-        inf = np.zeros(len(flat), dtype=bool)
-        for i, (n, d) in odd.items():
-            nums[i], inf[i] = (n * (den // d), False) if d else (0, True)
-        num = np.array(nums, dtype=exact_int_dtype(max_abs(nums)))
-        self._set(num.reshape(len(rows), width), den, inf.reshape(len(rows), width))
-
-    @classmethod
-    def _from_arrays(cls, num, den, inf) -> "ValuationMatrix":
-        obj = object.__new__(cls)
-        obj._set(num, den, inf)
-        return obj
-
-    def _set(self, num, den, inf):
+    def __init__(self, num, den, inf):
+        num, inf = np.asarray(num), np.asarray(inf)
+        if num.ndim != 2 or num.shape != inf.shape or num.dtype.kind not in "iuO":
+            raise ValueError("a valuation grid needs 2-D integer numerators and an infinity "
+                             f"mask of one shape, got {num.dtype} {num.shape} and {inf.shape}")
+        if not isinstance(den, (int, np.integer)) or den < 1:
+            raise ValueError(f"a valuation grid's denominator must be a positive int, got {den!r}")
         # canonical form: zero numerators at infinity, smallest denominator
         num = np.where(inf, 0, num)
         g = gcd(den, int(np.gcd.reduce(num.ravel())) if num.size and den > 1 else 0)
@@ -483,7 +446,7 @@ def valuation_matrix(k: MatrixSeries) -> ValuationMatrix:
     nums, den = exponent_ints([e for e, _ in k.terms])
     lookup = np.zeros(len(k.terms) + 1, dtype=exact_int_dtype(max_abs(nums)))
     lookup[:-1] = nums  # the last slot, reached by first == -1, stays 0
-    return ValuationMatrix._from_arrays(lookup[first], den, first < 0)
+    return ValuationMatrix(lookup[first], den, first < 0)
 
 
 def series_matrix_inverse(h: MatrixSeries, order,

@@ -6,7 +6,8 @@ concept (the Schur chain of ``analyze_series(k, "scaled")`` and
 scan of ``kernel_ase``).  The tests compare those routes against the
 formulas written here as the paper states them:
 
-- the tight entries of a scaling (where val K_ij = nu_i + nu_j);
+- a valuation grid from rows of exponents, and the tight entries of a
+  scaling (where val K_ij = nu_i + nu_j);
 - the partitioned series reduction with a uniform bottom block;
 - the regularized-inverse rank probes K (K + tau eps^s I)^{-1};
 - the simplified complement S_j = R_jj (W_jj - ...) R_jj^T of a GKF;
@@ -40,6 +41,7 @@ from asymspec.kernels import (
 from asymspec.oracle import _angles
 from asymspec.scaling import DiagonalScaling, check_valid
 from asymspec.series import (
+    INFINITY,
     SERIES_RANK_TOL,
     Exponent,
     MatrixSeries,
@@ -50,8 +52,20 @@ from asymspec.series import (
 
 
 # ---------------------------------------------------------------------------
-# scaling: tight entries
+# scaling: valuation grids from exponent rows, tight entries
 # ---------------------------------------------------------------------------
+
+
+def grid_of(rows) -> ValuationMatrix:
+    """The valuation grid of rows of exponents (ints, Fractions or INFINITY):
+    numerators over the lcm of the finite entries' denominators, and the
+    infinity mask."""
+    rows = [[as_exponent(x) for x in row] for row in rows]
+    inf = np.array([[x == INFINITY for x in row] for row in rows], dtype=bool)
+    den = math.lcm(*(x.denominator for row in rows for x in row if x != INFINITY))
+    num = [[0 if x == INFINITY else x.numerator * (den // x.denominator) for x in row]
+           for row in rows]
+    return ValuationMatrix(np.array(num, dtype=object).reshape(inf.shape), den, inf)
 
 
 def _tight_mask(omega: ValuationMatrix, scaling: DiagonalScaling) -> np.ndarray:

@@ -168,7 +168,7 @@ class TestProbes:
         assert [p.rank for p in pts5] == [1, 3, 5]
 
     def test_identity_has_full_rank(self):
-        k = MatrixSeries.identity(4, trunc_order=1)
+        k = MatrixSeries(4, [(0, np.eye(4))], 1, symmetric=True)
         pts = rank_probe_curve(k, [1, 2], 1.0, [1e-2, 1e-3, 1e-4], 1e-3)
         assert all(p.rank == 4 for p in pts)
 
@@ -179,7 +179,7 @@ class TestProbes:
         assert not pt.stable
 
     def test_singular_shift_rejected(self):
-        k = MatrixSeries.from_constant(-np.eye(2), trunc_order=1, symmetric=True)
+        k = MatrixSeries(2, [(0, -np.eye(2))], 1, symmetric=True)
         with pytest.raises(ValueError, match="singular shift"):
             regularized_inverse_probe(k, 0, 1.0, 0.5)
 
@@ -202,7 +202,7 @@ class TestProbes:
             a = rng.standard_normal((n, n))
             h = a @ a.T + 0.3 * np.eye(n)
             nu = np.sort(rng.integers(0, 3, size=n))
-            k = MatrixSeries.from_constant(h, trunc_order=7, symmetric=True).scale_rows_cols(
+            k = MatrixSeries(h.shape, [(0, h)], 7, symmetric=True).scale_rows_cols(
                 nu.tolist(), nu.tolist()
             )
             ase = analyze_series(k, "scaled")

@@ -13,8 +13,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asymspec import INFINITY, Exponent, ValuationMatrix, auto_scale_exponents
+from asymspec import INFINITY, Exponent, auto_scale_exponents
 from asymspec import scaling
+from reference import grid_of
 
 
 def simplex_max(c, a, b):
@@ -117,7 +118,7 @@ def _block_sum(block, copies, off):
     grid = np.full((k * copies, k * copies), off)
     for s in range(0, k * copies, k):
         grid[s : s + k, s : s + k] = block
-    return ValuationMatrix(grid.tolist())
+    return grid_of(grid.tolist())
 
 
 TRIGGER = [[0, 0, 0], [0, 1, 1], [0, 1, 1]]
@@ -127,12 +128,12 @@ TRIGGER = [[0, 0, 0], [0, 1, 1], [0, 1, 1]]
     "omega",
     [
         # rows 1 and 2 only reach column 0: no finite perfect assignment
-        ValuationMatrix([[0, 1, 1], [1, INFINITY, INFINITY], [1, INFINITY, INFINITY]]),
+        grid_of([[0, 1, 1], [1, INFINITY, INFINITY], [1, INFINITY, INFINITY]]),
         # the assignment duals (-1/2, 1/2, 1/2) dip below lb = 0
-        ValuationMatrix(TRIGGER),
+        grid_of(TRIGGER),
         _block_sum(TRIGGER, 4, 50),
         # numerators past int64: the solve runs on Python ints
-        ValuationMatrix([[0, Exponent(10**19 + 1, 3), Exponent(10**19 + 1, 3)],
+        grid_of([[0, Exponent(10**19 + 1, 3), Exponent(10**19 + 1, 3)],
                          [Exponent(10**19 + 1, 3), INFINITY, INFINITY],
                          [Exponent(10**19 + 1, 3), INFINITY, INFINITY]]),
     ],
@@ -153,7 +154,7 @@ def _random_grid(rng, negative):
     np.fill_diagonal(inf, False)
     den = np.minimum(den, den.T)
     num = np.minimum(num, num.T)
-    return ValuationMatrix(
+    return grid_of(
         [[INFINITY if inf[i, j] else Exponent(int(num[i, j]), int(den[i, j]))
           for j in range(n)] for i in range(n)]
     )

@@ -364,17 +364,18 @@ class TestEigenWork:
 
     @staticmethod
     def _count_sweep_eighs(monkeypatch):
-        """Record, per eigen_sweep call, its grid and the np.linalg.eigh calls it makes."""
+        """Record, per eigen_sweep call, its grid, the np.linalg.eigh calls it makes and
+        the eigenvectors it keeps."""
         runs = []
         original = cli.eigen_sweep
         eigh = np.linalg.eigh
 
-        def counted(source, grid, **kwargs):
+        def counted(source, grid, vectors=None):
             calls = []
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
-                sweep = original(source, grid, **kwargs)
-            runs.append((sweep.eps_grid, len(calls)))
+                sweep = original(source, grid, vectors)
+            runs.append((sweep.eps_grid, len(calls), sweep.eigenvectors))
             return sweep
 
         monkeypatch.setattr(cli, "eigen_sweep", counted)
@@ -385,25 +386,32 @@ class TestEigenWork:
         out = str(tmp_path / "c.csv")
         assert main(["sweep", "--nodes", "uniform:50", "--kernel", "matern2",
                      "--eps-grid", "1e-2:1e-1:24", "--output", out]) == 0
-        assert [n for _, n in runs] == [0]
+        assert [n for _, n, _ in runs] == [0]
         assert main(["sweep", "--nodes", "equispaced:20", "--kernel", "gaussian",
                      "--eps-grid", "1e-2:1e-1:24", "--track-vector", "3", "--output", out]) == 0
-        assert [n for _, n in runs] == [0, 24]
+        assert [n for _, n, _ in runs] == [0, 24]
 
     @pytest.mark.parametrize("argv", [
         ["--nodes", "uniform:20", "--kernel", "matern2"],
         ["--nodes", "equispaced:10", "--kernel", "gaussian", "--dim", "1"],
         ["--input", "k5"],
     ])
-    def test_verify_takes_vectors_at_eps_star_only(self, monkeypatch, capsys, series_files, argv):
+    def test_verify_keeps_eigenvectors_only_at_eps_star(self, monkeypatch, capsys, series_files,
+                                                        argv):
         argv = [series_files.get(a, a) for a in argv]
         runs = self._count_sweep_eighs(monkeypatch)
         assert main(["verify", *argv]) == 0
         report = json.loads(capsys.readouterr().out)
-        (grid, n_eigh), = runs
-        stars = {int(np.argmin(np.abs(grid - g["eps_star"])))
-                 for g in report["groups"] if g["verifiable"]}
-        assert n_eigh == len(stars) >= 1
+        (grid, n_eigh, kept), = runs
+        # each verifiable group's curves, at that group's eps*
+        want, start = {}, 0
+        for g in report["groups"]:
+            if g["verifiable"]:
+                at = int(np.argmin(np.abs(grid - g["eps_star"])))
+                want.setdefault(at, set()).update(range(start, start + g["count"]))
+            start += g["count"]
+        assert n_eigh == len(want) >= 1
+        assert {i: set(curves) for i, (curves, _) in kept.items()} == want
 
     def test_one_readout_per_verify(self, monkeypatch, series_files, capsys):
         from asymspec import ase as ase_module
@@ -455,7 +463,7 @@ class TestSweepSource:
         out = capsys.readouterr().out
         kernel, nodes = kernel_model("matern2"), generate_nodes("cubic:100", seed=3)
         sweep = eigen_sweep(lambda eps: kernel_matrix(kernel, nodes, eps),
-                            cli._parse_eps_grid("1e-2:1e-1:8"), vectors_at=())
+                            cli._parse_eps_grid("1e-2:1e-1:8"), {})
         assert out == "\n".join(sweep_csv_lines(sweep)) + "\n"
 
     @pytest.mark.parametrize("argv", [
@@ -473,6 +481,24 @@ class TestSweepSource:
         assert main(["sweep", *argv, "--eps-grid", "1e-2:1e-1:8"]) == 0
         with pytest.raises(AssertionError, match="does not read"):
             main(["sweep", *argv, "--eps-grid", "1e-2:1e-1:8", "--track-vector", "1"])
+
+    @pytest.mark.parametrize("source", [
+        ["--kernel", "gaussian", "--nodes", "uniform:200"],
+        ["--input", "k5"],
+    ], ids=["kernel", "input"])
+    @pytest.mark.parametrize("command", [["verify"], ["sweep", "--track-vector", "1"]],
+                             ids=["verify", "sweep-track"])
+    def test_eps_grid_parsed_before_the_pipeline(self, monkeypatch, capsys, series_files,
+                                                 command, source):
+        def no_pipeline(*_args, **_kwargs):
+            raise AssertionError("the pipeline ran before --eps-grid was parsed")
+
+        for name in ("kernel_ase", "analyze_series"):
+            monkeypatch.setattr(cli, name, no_pipeline)
+        argv = [*command, *(series_files.get(a, a) for a in source), "--eps-grid", "1e-3:1e-1:3"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: --eps-grid needs positive endpoints and at least 4 points\n")
 
 
 def test_cli_smoke_script(tmp_path):

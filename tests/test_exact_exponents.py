@@ -25,7 +25,7 @@ from asymspec import (
 )
 from asymspec.degenerate import _symmetric
 from asymspec.series import as_exponent, exact_int_dtype, max_abs
-from reference import block_diag
+from reference import block_diag, grid_of
 
 DENS = (1, 2, 3, 6)
 
@@ -160,7 +160,7 @@ def test_every_operation_returns_normal_form():
         sym = bool(rng.random() < 0.5)
         a = _random_series(rng, (n, n), sym)
         b = _random_series(rng, (n, n), sym)
-        results = [a + b, a - b, a - a, -a, a @ b, a.shift(Exponent(int(rng.integers(-3, 4)), 2)),
+        results = [a + b, a - b, a - a, a @ b, a.shift(Exponent(int(rng.integers(-3, 4)), 2)),
                    a.truncate(Exponent(int(rng.integers(0, 8)), 3)), _symmetric(a),
                    a.permuted(rng.permutation(n)), a.congruence(rng.standard_normal((n, 2))),
                    block_diag(a, b), a.submatrix([0], list(range(n)))]
@@ -178,8 +178,8 @@ def test_every_operation_returns_normal_form():
             assert [e for e, _ in r.terms] == [e for e, _ in slow.terms if e < r.trunc_order]
             for (_, m1), (_, m2) in zip(r.terms, slow.terms):
                 np.testing.assert_array_equal(m1, m2)
-        h = _random_series(rng, (n, n), sym, positive=True) + MatrixSeries.from_constant(
-            rng.standard_normal((n, n)) + 4 * np.eye(n), Exponent(20))
+        h = _random_series(rng, (n, n), sym, positive=True) + MatrixSeries(
+            n, [(0, rng.standard_normal((n, n)) + 4 * np.eye(n))], Exponent(20))
         results.append(series_matrix_inverse(h, Exponent(int(rng.integers(1, 12)), 2)))
         for r in results:
             _assert_normal_form(r)
@@ -196,11 +196,11 @@ def neumann_inverse(h, order):
     h0 = h.coefficient(0)
     y0 = np.linalg.inv(h0)
     n = h.shape[0]
-    rest = (h - MatrixSeries.from_constant(h0, trunc_order=h.trunc_order)).truncate(order)
-    y0s = MatrixSeries.from_constant(y0)
-    m = (-(rest @ y0s)).truncate(order)
-    acc = MatrixSeries.identity(n)
-    power = MatrixSeries.identity(n)
+    rest = (h - MatrixSeries(n, [(0, h0)], h.trunc_order)).truncate(order)
+    y0s = MatrixSeries(n, [(0, y0)], INFINITY)
+    m = (rest @ MatrixSeries(n, [(0, -y0)], INFINITY)).truncate(order)  # -(rest @ y0s)
+    acc = MatrixSeries(n, [(0, np.eye(n))], INFINITY, symmetric=True)
+    power = acc
     while True:
         power = (power @ m).truncate(order)
         if power.is_zero:
@@ -236,9 +236,9 @@ def test_inverse_matches_neumann_loop():
 
 def test_inverse_horizon_of_a_constant_input():
     # min(order, horizon); tests/test_series.py has the case order > horizon
-    h = MatrixSeries.from_constant(2 * np.eye(2), trunc_order=1, symmetric=True)
+    h = MatrixSeries(2, [(0, 2 * np.eye(2))], 1, symmetric=True)
     assert series_matrix_inverse(h, Exponent(1, 2)).trunc_order == Exponent(1, 2)
-    exact = MatrixSeries.from_constant(2 * np.eye(2), symmetric=True)
+    exact = MatrixSeries(2, [(0, 2 * np.eye(2))], INFINITY, symmetric=True)
     assert series_matrix_inverse(exact, 3).trunc_order == Exponent(3)
 
 
@@ -249,7 +249,7 @@ def test_inverse_needs_a_finite_order_for_a_nonconstant_input():
 
 
 # ---------------------------------------------------------------------------
-# ValuationMatrix(entries) collects integer pairs
+# ValuationMatrix(num, den, inf): canonical form and entry read-back
 # ---------------------------------------------------------------------------
 
 
@@ -280,19 +280,20 @@ def test_valuation_matrix_entries_match_arrays():
                 for row in vals for v in row]
         num = np.array(nums, dtype=exact_int_dtype(max_abs(nums))).reshape(n, m)
         inf = np.array([v is None for row in vals for v in row], dtype=bool).reshape(n, m)
-        got = ValuationMatrix(spelled)
-        assert got == ValuationMatrix._from_arrays(num, den, inf)
+        got = ValuationMatrix(num, den, inf)
+        assert grid_of(spelled) == got
+        # the same grid over a larger denominator, with numerators at infinity
+        assert ValuationMatrix(np.where(inf, 7, num) * 3, den * 3, inf) == got
         assert got.entries == tuple(tuple(map(_exponent, row)) for row in vals)
         if big and n and not inf.all() and max_abs(num[~inf]) >= 2**62:
             assert got.num.dtype == object
 
 
-def test_valuation_matrix_entry_errors():
-    with pytest.raises(ValueError):
-        ValuationMatrix([[0, 1], [2]])
-    with pytest.raises(TypeError):
-        ValuationMatrix([[0, 1.5]])
-    with pytest.raises(TypeError):
-        ValuationMatrix([[0, np.int64(1)]])
-    assert ValuationMatrix([[True, 0]]) == ValuationMatrix([[1, 0]])
-    assert ValuationMatrix([]).shape == (0, 0)
+def test_valuation_matrix_input_errors():
+    num, inf = np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=bool)
+    for bad in [(num[0], 1, inf[0]), (num, 1, inf[:1]), (num.astype(float), 1, inf),
+                (num, 0, inf), (num, -2, inf), (num, 1.0, inf), (num, "2", inf)]:
+        with pytest.raises(ValueError):
+            ValuationMatrix(*bad)
+    assert ValuationMatrix(num, np.int64(4), inf).den == 1
+    assert ValuationMatrix(num[:0, :0], 1, inf[:0, :0]).shape == (0, 0)

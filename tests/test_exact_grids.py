@@ -15,7 +15,6 @@ from asymspec import (
     Exponent,
     INFINITY,
     MatrixSeries,
-    ValuationMatrix,
     analyze_series,
     auto_scale_exponents,
     check_valid,
@@ -23,7 +22,7 @@ from asymspec import (
     valuation_matrix,
 )
 from asymspec.scaling import _hungarian
-from reference import tight_entries
+from reference import grid_of, tight_entries
 
 
 def hungarian_reference(cost):
@@ -83,7 +82,7 @@ def _random_omega(rng):
     inf = rng.random((n, n)) < 0.15
     inf = inf | inf.T
     np.fill_diagonal(inf, False)
-    return ValuationMatrix([
+    return grid_of([
         [INFINITY if inf[i, j] else Exponent(int(vals[i, j]), int(dens[i, j]))
          for j in range(n)]
         for i in range(n)
@@ -196,7 +195,7 @@ def test_grid_routines_match_fraction_reference():
         k = _random_series(rng)
         om = valuation_matrix(k)
         ref = _ref_valuations(k)
-        assert om == ValuationMatrix(_residual_grid(ref))
+        assert om == grid_of(_residual_grid(ref))
         n = k.n
         # a valid scaling: half of each row's smallest finite valuation
         nu = [min((w for w in row if w is not None), default=Fraction(0)) / 2 for row in ref]
@@ -207,7 +206,7 @@ def test_grid_routines_match_fraction_reference():
         ok, resid = check_valid(valuation_matrix(kp), sc)
         ref_resid = _ref_residuals(kp, exps)
         assert ok
-        assert resid == ValuationMatrix(_residual_grid(ref_resid))
+        assert resid == grid_of(_residual_grid(ref_resid))
         expect_tight = {(i, j) for i in range(n) for j in range(n) if ref_resid[i][j] == 0}
         assert tight_entries(valuation_matrix(kp), sc) == expect_tight
         np.testing.assert_array_equal(extract_H(kp, sc), _ref_extract_H(kp, exps))
@@ -215,7 +214,7 @@ def test_grid_routines_match_fraction_reference():
         up = [e + 1 for e in exps]
         ok, resid = check_valid(valuation_matrix(kp), DiagonalScaling.from_exponents(up))
         assert ok == all(r is None for row in ref_resid for r in row)
-        assert resid == ValuationMatrix(_residual_grid(_ref_residuals(kp, up)))
+        assert resid == grid_of(_residual_grid(_ref_residuals(kp, up)))
         # entry-wise shifts, symmetric and not
         left = [Fraction(int(rng.integers(-4, 5)), int(rng.choice([1, 2, 3, 4]))) for _ in range(n)]
         right = [Fraction(int(rng.integers(-4, 5)), int(rng.choice([1, 2, 3, 4]))) for _ in range(n)]
@@ -244,7 +243,7 @@ def test_huge_common_denominator_stays_exact():
     sc = DiagonalScaling.from_exponents(nu)
     ok, resid = check_valid(om, sc)
     assert ok
-    assert resid == ValuationMatrix(_residual_grid(_ref_residuals(k, nu)))
+    assert resid == grid_of(_residual_grid(_ref_residuals(k, nu)))
     np.testing.assert_array_equal(extract_H(k, sc), _ref_extract_H(k, nu))
     shift = [Fraction(1, 2**40 + 1), Fraction(-1, 3), Fraction(2, 2**40 - 1)]
     assert k.scale_rows_cols(shift, shift) == _ref_scale_rows_cols(k, shift, shift)
@@ -266,5 +265,5 @@ def test_huge_common_denominator_stays_exact():
 def test_negative_valuations_scale_maximally(rows, expect):
     # every finite entry negative: the assignment solver must still return
     # tight duals (a too-small search bound once stalled or cut them short)
-    nu = auto_scale_exponents(ValuationMatrix(rows))
+    nu = auto_scale_exponents(grid_of(rows))
     assert nu == expect

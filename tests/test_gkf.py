@@ -218,7 +218,7 @@ class TestAseFromGkf:
             sc = DiagonalScaling(tuple((Exponent(i), b) for i, b in enumerate(sizes)))
             form = GkfForm(np.eye(n), sc, w)
             via_gkf = ase_from_gkf(form)
-            k = MatrixSeries.from_constant(w, trunc_order=9, symmetric=True).scale_rows_cols(
+            k = MatrixSeries(w.shape, [(0, w)], 9, symmetric=True).scale_rows_cols(
                 sc.exponents(), sc.exponents()
             )
             via_scaled = analyze_series(k, "scaled")

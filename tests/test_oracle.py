@@ -36,7 +36,8 @@ class TestEigenSweep:
         assert ratio == pytest.approx(1.0, rel=1e-3)
 
     def test_identity_constant(self):
-        sweep = eigen_sweep(MatrixSeries.identity(3, trunc_order=1).evaluate, default_grid(pts=6))
+        k = MatrixSeries(3, [(0, np.eye(3))], 1, symmetric=True)
+        sweep = eigen_sweep(k.evaluate, default_grid(pts=6))
         assert np.all(sweep.eigenvalues == 1.0)
 
     def test_equispaced_slopes_increase(self):
@@ -56,7 +57,7 @@ class TestEigenSweep:
 
 
 class TestValuesOnlySweep:
-    """Eigenvectors only at ``vectors_at``; ``eigvalsh`` everywhere else."""
+    """Eigenvectors only at the indices ``vectors`` names; ``eigvalsh`` everywhere else."""
 
     @staticmethod
     def _count_eigh(monkeypatch):
@@ -71,23 +72,24 @@ class TestValuesOnlySweep:
         grid = np.geomspace(1e-2, 1e-1, 24)[::-1]
         full = eigen_sweep(source, grid)
         calls = self._count_eigh(monkeypatch)
-        partial = eigen_sweep(source, grid, vectors_at=())
+        partial = eigen_sweep(source, grid, {})
         assert calls == []
         assert partial.eigenvectors == {}
         scale = np.abs(full.eigenvalues).max()
         assert np.abs(partial.eigenvalues - full.eigenvalues).max() <= 1e-14 * scale
-        eigen_sweep(source, grid, vectors_at=[3, 7, 3])
+        eigen_sweep(source, grid, {3: [0], 7: []})
         assert len(calls) == 2
 
     def test_full_sweep_keys_every_point(self, ex_5x5):
         sweep = eigen_sweep(ex_5x5.evaluate, default_grid(pts=6))
         assert sorted(sweep.eigenvectors) == list(range(6))
-        assert all(u.shape == (5, 5) for u in sweep.eigenvectors.values())
+        assert all(curves == tuple(range(5)) and u.shape == (5, 5)
+                   for curves, u in sweep.eigenvectors.values())
 
-    @pytest.mark.parametrize("vectors_at", [[6], [-1]])
-    def test_vectors_at_outside_the_grid(self, ex_5x5, vectors_at):
-        with pytest.raises(ValueError, match="vectors_at"):
-            eigen_sweep(ex_5x5.evaluate, default_grid(pts=6), vectors_at=vectors_at)
+    @pytest.mark.parametrize("index", [6, -1])
+    def test_vectors_outside_the_grid(self, ex_5x5, index):
+        with pytest.raises(ValueError, match="vectors must map grid indices"):
+            eigen_sweep(ex_5x5.evaluate, default_grid(pts=6), {index: [0]})
 
     @pytest.mark.parametrize("case", ["ex_5x5", "ex_degenerate", "matern2"])
     def test_partial_sweep_matches_full(self, request, case):
@@ -101,8 +103,9 @@ class TestValuesOnlySweep:
             source = series.evaluate
         grid = default_grid()
         stars = eps_star_indices(grid, ase.readout)
-        partial = eigen_sweep(source, grid, [i for i in stars if i is not None])
-        assert len(partial.eigenvectors) == len({i for i in stars if i is not None}) >= 1
+        vectors = {i: range(ase.n) for i in stars if i is not None}
+        partial = eigen_sweep(source, grid, vectors)
+        assert len(partial.eigenvectors) == len(vectors) >= 1
         want = match_ase(ase, eigen_sweep(source, grid), 1e-2, 1e-2)
         got = match_ase(ase, partial, 1e-2, 1e-2)
         assert got.passed == want.passed
@@ -113,10 +116,10 @@ class TestValuesOnlySweep:
             assert (g.slope_ok, g.coeff_ok, g.angle_ok, g.passed) == (
                 w.slope_ok, w.coeff_ok, w.angle_ok, w.passed)
 
-    def test_missing_vectors_at_eps_star(self, ex_3x3):
+    def test_eps_star_without_eigenvectors(self, ex_3x3):
         ase = analyze_series(ex_3x3, "auto")
-        sweep = eigen_sweep(ex_3x3.evaluate, default_grid(), vectors_at=())
-        with pytest.raises(ValueError, match="no eigenvectors at eps"):
+        sweep = eigen_sweep(ex_3x3.evaluate, default_grid(), {})
+        with pytest.raises(ValueError, match=r"keeps the eigenvectors of curves \[\] at grid index"):
             match_ase(ase, sweep, 1e-2, 1e-2)
 
     def test_eps_star_indices(self, ex_3x3):
@@ -139,23 +142,23 @@ class TestValuesOnlySweep:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", off)
         with pytest.raises(np.linalg.LinAlgError, match="norm and trace"):
-            eigen_sweep(ex_5x5.evaluate, default_grid(pts=6), vectors_at=())
+            eigen_sweep(ex_5x5.evaluate, default_grid(pts=6), {})
 
-    @pytest.mark.parametrize("vectors_at", [None, ()])
-    def test_nan_entry_fails(self, vectors_at):
+    @pytest.mark.parametrize("vectors", [None, {}])
+    def test_nan_entry_fails(self, vectors):
         a = np.diag([3.0, 2.0, 1.0])
         a[0, 1] = a[1, 0] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
-            eigen_sweep(lambda eps: a, default_grid(pts=6), vectors_at=vectors_at)
+            eigen_sweep(lambda eps: a, default_grid(pts=6), vectors)
 
-    @pytest.mark.parametrize("vectors_at", [None, ()])
-    def test_huge_entries_pass(self, vectors_at):
+    @pytest.mark.parametrize("vectors", [None, {}])
+    def test_huge_entries_pass(self, vectors):
         # ||a||_F would overflow if the values-only check did not scale first
         rng = np.random.default_rng(3)
         q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         base = (q * np.array([4.0, 3.0, 2.0, 1.0, 0.5, 0.25])) @ q.T
         sweep = eigen_sweep(lambda eps: 1e160 * (base + eps * np.eye(6)), default_grid(pts=6),
-                            vectors_at=vectors_at)
+                            vectors)
         lam = sweep.eigenvalues[-1] / 1e160
         np.testing.assert_allclose(lam, [4.0, 3.0, 2.0, 1.0, 0.5, 0.25], rtol=1e-3)
 
@@ -172,7 +175,7 @@ class TestEstimateValuations:
     def test_constant_spd(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((4, 4))
-        k = MatrixSeries.from_constant(a @ a.T + np.eye(4), trunc_order=1, symmetric=True)
+        k = MatrixSeries(4, [(0, a @ a.T + np.eye(4))], 1, symmetric=True)
         fits = estimate_valuations(eigen_sweep(k.evaluate, default_grid(pts=8)))
         assert all(abs(f.slope) < 0.01 for f in fits)
 
@@ -381,7 +384,7 @@ def _loop_valuations(sweep, floor_factor=1e-13, min_points=4, r2_min=0.999):
     the reference for the array fit."""
     from asymspec.oracle import ValuationFit
 
-    floor = floor_factor * sweep.matrix_norm_at_largest_eps()
+    floor = floor_factor * float(np.abs(sweep.eigenvalues[0]).max())
     log_eps = np.log(sweep.eps_grid)
     fits = []
     for k in range(sweep.n):
@@ -525,20 +528,21 @@ class TestMatchAseCalls:
 
 
 class TestSweepColumns:
-    """``columns`` keeps only the named curves' eigenvectors."""
+    """``vectors`` keeps only the named curves' eigenvectors."""
 
     def test_kept_column_equals_full_sweep(self):
         kernel, nodes = kernel_model("matern2"), generate_nodes("uniform:40", seed=1)
         source = lambda eps: kernel_matrix(kernel, nodes, eps)
         grid = default_grid(pts=12)
         full = eigen_sweep(source, grid)
-        kept = eigen_sweep(source, grid, columns=[2])
-        assert kept.columns == (2,)
-        assert all(u.shape == (40, 1) for u in kept.eigenvectors.values())
+        kept = eigen_sweep(source, grid, dict.fromkeys(range(len(grid)), [2]))
+        assert all(curves == (2,) and u.shape == (40, 1)
+                   for curves, u in kept.eigenvectors.values())
         np.testing.assert_array_equal(kept.eigenvalues, full.eigenvalues)
         for i in range(len(grid)):
-            np.testing.assert_array_equal(kept.vectors(i, [2]), full.eigenvectors[i][:, 2:3])
-            np.testing.assert_array_equal(full.vectors(i, [2, 0]), full.eigenvectors[i][:, [2, 0]])
+            u = full.eigenvectors[i][1]
+            np.testing.assert_array_equal(kept.vectors(i, [2]), u[:, 2:3])
+            np.testing.assert_array_equal(full.vectors(i, [2, 0]), u[:, [2, 0]])
 
     def test_sweep_csv_identical(self):
         from asymspec.serialize import sweep_csv_lines
@@ -547,15 +551,17 @@ class TestSweepColumns:
         source = lambda eps: kernel_matrix(kernel, nodes, eps)
         grid = default_grid(1e-2, 1e-1, 10)
         full = sweep_csv_lines(eigen_sweep(source, grid), 3, np.ones(20))
-        kept = sweep_csv_lines(eigen_sweep(source, grid, columns=[2]), 3, np.ones(20))
+        kept = sweep_csv_lines(eigen_sweep(source, grid, dict.fromkeys(range(10), [2])), 3,
+                               np.ones(20))
         assert kept == full
 
     def test_curve_not_kept(self, ex_5x5):
-        sweep = eigen_sweep(ex_5x5.evaluate, default_grid(pts=6), columns=[1])
-        with pytest.raises(ValueError, match=r"keeps eigenvectors of curves \[1\] only"):
+        sweep = eigen_sweep(ex_5x5.evaluate, default_grid(pts=6), {0: [1]})
+        with pytest.raises(ValueError, match=r"keeps the eigenvectors of curves \[1\] at grid "
+                           r"index 0, not of \[0, 1\]"):
             sweep.vectors(0, [0, 1])
 
     @pytest.mark.parametrize("columns", [[5], [-1]])
     def test_columns_outside_the_matrix(self, ex_5x5, columns):
-        with pytest.raises(ValueError, match="columns"):
-            eigen_sweep(ex_5x5.evaluate, default_grid(pts=6), columns=columns)
+        with pytest.raises(ValueError, match="vectors must hold curve positions"):
+            eigen_sweep(ex_5x5.evaluate, default_grid(pts=6), {0: columns})

@@ -10,13 +10,12 @@ from asymspec import (
     Exponent,
     INFINITY,
     MatrixSeries,
-    ValuationMatrix,
     auto_scale_exponents,
     check_valid,
     extract_H,
     valuation_matrix,
 )
-from reference import tight_entries
+from reference import grid_of, tight_entries
 
 
 def scaling(*exps):
@@ -60,7 +59,7 @@ class TestTightEntries:
         assert got == expect
 
     def test_constant_dense_matrix_all_tight(self):
-        om = ValuationMatrix([[0, 0], [0, 0]])
+        om = grid_of([[0, 0], [0, 0]])
         assert tight_entries(om, scaling(0, 0)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_symmetric_relation(self):
@@ -68,12 +67,12 @@ class TestTightEntries:
         for _ in range(30):
             n = int(rng.integers(2, 6))
             base = rng.integers(0, 4, (n, n))
-            om = ValuationMatrix((base + base.T).tolist())
+            om = grid_of((base + base.T).tolist())
             nu = auto_scale_exponents(om)
             sc = DiagonalScaling.from_exponents(sorted(nu, key=float))
             # permute omega so the sorted scaling applies
             perm = sorted(range(n), key=lambda i: float(nu[i]))
-            omp = ValuationMatrix([[om[perm[i], perm[j]] for j in range(n)] for i in range(n)])
+            omp = grid_of([[om[perm[i], perm[j]] for j in range(n)] for i in range(n)])
             ts = tight_entries(omp, sc)
             assert all((j, i) in ts for i, j in ts)
 
@@ -131,26 +130,26 @@ class TestAutoScale:
         assert sc.exponents() == [Exponent(0), Exponent(1, 2), Exponent(1)]
 
     def test_unconstrained_diagonal(self):
-        om = ValuationMatrix(
+        om = grid_of(
             [[0, INFINITY, INFINITY], [INFINITY, 2, INFINITY], [INFINITY, INFINITY, 4]]
         )
         sc = DiagonalScaling.from_exponents(auto_scale_exponents(om))
         assert sc.exponents() == [Exponent(0), Exponent(1), Exponent(2)]
 
     def test_structurally_zero_row(self):
-        om = ValuationMatrix([[0, INFINITY], [INFINITY, INFINITY]])
+        om = grid_of([[0, INFINITY], [INFINITY, INFINITY]])
         with pytest.raises(ValueError, match="structurally zero row"):
             DiagonalScaling.from_exponents(auto_scale_exponents(om))
 
     def test_no_finite_assignment_falls_back_to_lp(self):
         # rows 1 and 2 only reach column 0: no finite perfect assignment, but
         # the bounded program still has the informative optimum (0, 1, 1)
-        om = ValuationMatrix([[0, 1, 1], [1, INFINITY, INFINITY], [1, INFINITY, INFINITY]])
+        om = grid_of([[0, 1, 1], [1, INFINITY, INFINITY], [1, INFINITY, INFINITY]])
         sc = DiagonalScaling.from_exponents(auto_scale_exponents(om))
         assert sc.exponents() == [Exponent(0), Exponent(1), Exponent(1)]
 
     def test_denominator_bound(self):
-        om = ValuationMatrix(
+        om = grid_of(
             [
                 [Exponent(1, 3), Exponent(1, 2)],
                 [Exponent(1, 2), Exponent(5, 3)],
@@ -169,7 +168,7 @@ class TestAutoScale:
             [INFINITY if mask[i, j] else Exponent(int(om[i, j])) for j in range(n)]
             for i in range(n)
         ]
-        return ValuationMatrix(entries)
+        return grid_of(entries)
 
     def test_validity_and_row_tightness(self):
         rng = np.random.default_rng(42)
@@ -211,7 +210,7 @@ class TestAutoScale:
             assert total >= sum(other)
 
     def test_unsorted_rows_need_permutation(self):
-        om = ValuationMatrix([[2, 1], [1, 0]])
+        om = grid_of([[2, 1], [1, 0]])
         with pytest.raises(ValueError, match="nondecreasing"):
             DiagonalScaling.from_exponents(auto_scale_exponents(om))
         from asymspec import auto_scale_with_permutation

@@ -16,13 +16,13 @@ from asymspec import (
     INFINITY,
     Exponent,
     MatrixSeries,
-    ValuationMatrix,
     analyze_series,
     auto_scale_exponents,
 )
 from asymspec import scaling
 from asymspec.scaling import _bounded_optimum, _feasible, _hungarian
 from asymspec.series import exact_int_dtype
+from reference import grid_of
 
 
 def reference_exponents(omega):
@@ -43,7 +43,7 @@ def reference_exponents(omega):
 
 def _grid(values, inf):
     n = len(values)
-    return ValuationMatrix([
+    return grid_of([
         [INFINITY if inf[i, j] else Exponent(values[i][j]) for j in range(n)]
         for i in range(n)
     ])
@@ -163,7 +163,7 @@ def test_series_rounds_skip_the_assignment(hungarian_calls, series):
     ([[INFINITY, 1], [1, 4]], [Fraction(1, 2), Fraction(1, 2)]),
 ])
 def test_uncertified_grids_run_the_assignment(hungarian_calls, entries, expected):
-    omega = ValuationMatrix(entries)
+    omega = grid_of(entries)
     nu = auto_scale_exponents(omega)
     assert hungarian_calls
     assert nu == reference_exponents(omega)
