@@ -8,7 +8,8 @@ Subcommands:
 
 Each subcommand takes only the flags it reads.  Exit codes: 0 complete / all
 verifiable groups pass, 2 truncated expansion, 1 malformed input (a usage
-error included) or invalid configuration.
+error included), an unreadable input path, an unwritable --output or invalid
+configuration.
 """
 
 from __future__ import annotations
@@ -60,18 +61,22 @@ def _emit(text: str, output):
     copying the document to append it."""
     end = "" if text.endswith("\n") else "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write(end)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                fh.write(end)
+        except OSError as exc:
+            raise InputError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
         sys.stdout.write(end)
 
 
 def _load_json(path):
+    """The JSON document at ``path``, each term matrix read as a float64 array."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=serialize.matrix_arrays)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -91,7 +96,10 @@ def _load_nodes(args) -> NodeSet:
         raise InputError(f"--seed applies to generated nodes, not to the node file {args.nodes}")
     if not os.path.exists(args.nodes):
         raise InputError(f"node file {args.nodes} does not exist")
-    nodes = serialize.read_nodes_csv(args.nodes)
+    try:
+        nodes = serialize.read_nodes_csv(args.nodes)
+    except OSError as exc:  # a directory, or a file without read permission
+        raise InputError(f"cannot read {args.nodes}: {exc}") from exc
     if args.dim is not None and args.dim != nodes.d:
         raise InputError(f"--dim {args.dim} does not match the {nodes.d} coordinates "
                          f"per node in {args.nodes}")

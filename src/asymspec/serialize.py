@@ -36,6 +36,7 @@ __all__ = [
     "exponent_from_json",
     "matrix_series_to_json",
     "matrix_series_from_json",
+    "matrix_arrays",
     "scaling_from_json",
     "gkf_from_json",
     "ase_to_json",
@@ -84,7 +85,7 @@ def _finite_floats(obj, where: str, what: str, form: str) -> np.ndarray:
     """``obj`` as a float array of finite numbers; ``form`` names its expected nesting."""
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int past float range
         raise InputError(f"{where}: {what} must be {form} of numbers") from exc
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{where}: {what} entries must be finite")
@@ -107,6 +108,24 @@ def matrix_series_to_json(k: MatrixSeries) -> dict:
             {"exponent": exponent_to_json(e), "matrix": m.tolist()} for e, m in k.terms
         ] or [{"exponent": 0, "matrix": np.zeros(k.shape).tolist()}],  # a matrix fixes n
     }
+
+
+def matrix_arrays(obj: dict) -> dict:
+    """``object_hook`` for ``json.load``: a ``"matrix"`` list becomes a float64 array.
+
+    The parser calls it as it closes each object, so a series file's term
+    matrices are arrays (8 bytes an entry) before the next term is read,
+    rather than nested lists of Python floats held until the document ends.
+    A list numpy cannot convert is left as it is, for ``matrix_series_from_json``
+    to reject with its message.
+    """
+    m = obj.get("matrix")
+    if isinstance(m, list):
+        try:
+            obj["matrix"] = np.asarray(m, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return obj
 
 
 def matrix_series_from_json(obj) -> MatrixSeries:
@@ -171,7 +190,7 @@ def gkf_from_json(obj) -> GkfForm:
     try:
         v = np.asarray(obj["V"], dtype=float)
         w = np.asarray(obj["W"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError("fields 'V'/'W': must be numeric arrays") from exc
     if v.ndim != 2 or w.ndim != 2:
         raise InputError("fields 'V'/'W': must be two-dimensional")
@@ -228,12 +247,16 @@ def ase_from_json(obj) -> Ase:
 
 
 def match_report_to_json(report) -> dict:
-    """Each ``GroupMatch`` as its fields in order (a non-finite slope as null), then ``passed``."""
+    """Each ``GroupMatch`` as its fields in order (a non-finite slope as null), then ``passed``.
+
+    The fields are read as they are (``dataclasses.asdict`` would deep-copy
+    every list only for ``dumps`` to read it once).
+    """
     return {
         "passed": bool(report.passed),
         "precision_ceiling": report.precision_ceiling,
         "note": report.note,
-        "groups": [{**dataclasses.asdict(g),
+        "groups": [{**{f.name: getattr(g, f.name) for f in dataclasses.fields(g)},
                     "slopes": [s if math.isfinite(s) else None for s in g.slopes],
                     "passed": g.passed} for g in report.groups],
     }

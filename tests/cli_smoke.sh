@@ -115,6 +115,16 @@ for argv in "kernel --kernel nosuch --nodes uniform:5" \
   $ASYMSPEC $argv || code=$?
   test "$code" -eq 1
 done
+# an integer beyond the float range in a term matrix, and an --output into
+# a missing directory, exit 1 with an error line (once a traceback each)
+printf '{"n": 1, "terms": [{"exponent": 0, "matrix": [[1%0400d]]}]}\n' 0 > huge.json
+for argv in "analyze --input huge.json" \
+            "analyze --input k.json --output missing/out.json"; do
+  code=0
+  $ASYMSPEC $argv 2> fail.err || code=$?
+  test "$code" -eq 1
+  test "$(head -c 6 fail.err)" = "error:"
+done
 # a finite psi whose Wronskian overflows exits 1 naming the overflow, with
 # no RuntimeWarning on the way (it once ended in "SVD did not converge")
 code=0

@@ -267,6 +267,11 @@ _READER_ERRORS = [
      "field 'terms': needs at least one term, whose matrix fixes n"),
     ("auto", {"n": 2, "trunc_order": 1, "terms": []},
      "field 'terms': needs at least one term, whose matrix fixes n"),
+    # an integer beyond the float range: once an OverflowError traceback
+    ("auto", _series(terms=[{"exponent": 0, "matrix": [[1, 0], [0, 10**400]]}]),
+     "terms[0].matrix: matrix must be an array of arrays of numbers"),
+    ("gkf", _gkf(V=[[10**400, 0], [0, 1]]), "fields 'V'/'W': must be numeric arrays"),
+    ("gkf", _gkf(W=[[1, 0], [0, -10**400]]), "fields 'V'/'W': must be numeric arrays"),
 ]
 
 
@@ -416,3 +421,31 @@ def test_flag_checks_exit_1(tmp_path, capsys, argv, message):
     assert err.startswith(f"error: {message.format(missing=missing)}")
     assert err.count("\n") == 1 and err.endswith("\n")
 
+
+
+def test_node_path_that_is_a_directory(tmp_path, capsys):
+    # once an IsADirectoryError traceback from the CSV reader
+    code = main(["kernel", "--kernel", "gaussian", "--nodes", str(tmp_path),
+                 "--output", "/dev/null"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot read {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "{series}"],
+    ["kernel", "--kernel", "gaussian", "--nodes", "uniform:5"],
+    ["verify", "--input", "{series}", "--eps-grid", "1e-2:1e-1:8"],
+    ["sweep", "--input", "{series}", "--eps-grid", "1e-2:1e-1:8"],
+], ids=["analyze", "kernel", "verify", "sweep"])
+def test_output_into_a_missing_directory(tmp_path, capsys, argv):
+    # once a FileNotFoundError traceback from writing the result
+    series = tmp_path / "k.json"
+    series.write_text(json.dumps(_series(trunc_order=2)))
+    output = tmp_path / "missing" / "out"
+    code = main([a.format(series=series) for a in argv] + ["--output", str(output)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write {output}: ")
+    assert err.count("\n") == 1

@@ -1,11 +1,13 @@
 """Serialization contracts not covered by the CLI flow tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from asymspec import INFINITY, Ase, DiagonalScaling, Exponent, analyze_series
+from asymspec import cli
 from asymspec.cli import main
 from asymspec.serialize import (
     InputError,
@@ -13,8 +15,12 @@ from asymspec.serialize import (
     ase_to_json,
     exponent_from_json,
     exponent_to_json,
+    matrix_arrays,
+    matrix_series_from_json,
+    matrix_series_to_json,
     scaling_from_json,
 )
+from test_covariance import planted_scaled
 
 
 class TestExponentJson:
@@ -138,3 +144,47 @@ class TestZeroSeries:
     def test_infinite_truncation_is_not_written(self):
         with pytest.raises(ValueError, match="truncated_at is infinite"):
             ase_to_json(Ase(2, [], INFINITY))
+
+
+class TestSeriesReader:
+    """``cli._load_json`` turns each term matrix into a float64 array as it is parsed."""
+
+    def test_parse_holds_one_term_of_floats(self, tmp_path):
+        # n = 120 in the benchmark's scaled shape: 11 terms, 1.45 MB of text and
+        # 1.21 MB of float64 matrices.  Nested lists of every term (32 bytes a
+        # float) peaked at 7.5 MB; arrays as the terms close peak at 3.1 MB.
+        series = planted_scaled(np.random.default_rng(0), 120)
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(matrix_series_to_json(series)))
+        matrix_bytes = sum(m.nbytes for _, m in series.terms)
+        tracemalloc.start()
+        try:
+            back = matrix_series_from_json(cli._load_json(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series.terms) == 11
+        assert peak < path.stat().st_size + 2 * matrix_bytes
+        assert [e for e, _ in back.terms] == [e for e, _ in series.terms]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(back.terms, series.terms))
+
+    def test_hook_converts_only_matrix_lists(self):
+        term = matrix_arrays({"exponent": 0, "matrix": [[1, 2], [2, 1.5]]})
+        assert term["matrix"].dtype == np.float64
+        assert term["matrix"].tolist() == [[1.0, 2.0], [2.0, 1.5]]
+        assert matrix_arrays({"num": 1, "den": 2}) == {"num": 1, "den": 2}
+        assert matrix_arrays({"matrix": "1"}) == {"matrix": "1"}
+
+    @pytest.mark.parametrize("matrix", [
+        "[[1, 0], [0]]",  # ragged
+        '[[1, 0], [0, "a"]]',  # non-numeric
+        "[[1, 0], [0, 1" + "0" * 400 + "]]",  # an integer beyond the float range
+    ], ids=["ragged", "non-numeric", "out-of-range"])
+    def test_unconvertible_matrix_keeps_its_message(self, tmp_path, matrix):
+        path = tmp_path / "k.json"
+        path.write_text('{"n": 2, "terms": [{"exponent": 0, "matrix": %s}]}' % matrix)
+        obj = cli._load_json(path)
+        assert isinstance(obj["terms"][0]["matrix"], list)  # left for the reader to name
+        with pytest.raises(InputError, match=r"^terms\[0\]\.matrix: matrix must be an array "
+                                             r"of arrays of numbers$"):
+            matrix_series_from_json(obj)
