@@ -77,7 +77,7 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, object_hook=serialize.matrix_arrays)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
@@ -95,10 +95,11 @@ def _load_nodes(args) -> NodeSet:
     if args.seed is not None:
         raise InputError(f"--seed applies to generated nodes, not to the node file {args.nodes}")
     if not os.path.exists(args.nodes):
-        raise InputError(f"node file {args.nodes} does not exist")
+        raise InputError(f"node file {args.nodes} does not exist (generated nodes are "
+                         "written family:count, e.g. uniform:10)")
     try:
         nodes = serialize.read_nodes_csv(args.nodes)
-    except OSError as exc:  # a directory, or a file without read permission
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no read permission, not UTF-8
         raise InputError(f"cannot read {args.nodes}: {exc}") from exc
     if args.dim is not None and args.dim != nodes.d:
         raise InputError(f"--dim {args.dim} does not match the {nodes.d} coordinates "

@@ -40,9 +40,7 @@ __all__ = [
     "scaling_from_json",
     "gkf_from_json",
     "ase_to_json",
-    "ase_from_json",
     "read_nodes_csv",
-    "write_nodes_csv",
     "sweep_csv_lines",
     "match_report_to_json",
 ]
@@ -81,19 +79,19 @@ def _int_at_least(value, least, message: str) -> int:
     return value
 
 
-def _finite_floats(obj, where: str, what: str, form: str) -> np.ndarray:
-    """``obj`` as a float array of finite numbers; ``form`` names its expected nesting."""
+def _finite_floats(obj, where: str) -> np.ndarray:
+    """``obj`` as a float array of finite numbers."""
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int past float range
-        raise InputError(f"{where}: {what} must be {form} of numbers") from exc
+        raise InputError(f"{where}: matrix must be an array of arrays of numbers") from exc
     if not np.all(np.isfinite(arr)):
-        raise InputError(f"{where}: {what} entries must be finite")
+        raise InputError(f"{where}: matrix entries must be finite")
     return arr
 
 
 def _matrix_from_json(obj, n: int, where: str) -> np.ndarray:
-    mat = _finite_floats(obj, where, "matrix", "an array of arrays")
+    mat = _finite_floats(obj, where)
     if mat.shape != (n, n):
         raise InputError(f"{where}: matrix shape {mat.shape} != ({n}, {n})")
     return mat
@@ -194,8 +192,8 @@ def gkf_from_json(obj) -> GkfForm:
         raise InputError("fields 'V'/'W': must be numeric arrays") from exc
     if v.ndim != 2 or w.ndim != 2:
         raise InputError("fields 'V'/'W': must be two-dimensional")
-    v = _finite_floats(v, "field 'V'", "matrix", "an array of arrays")
-    w = _finite_floats(w, "field 'W'", "matrix", "an array of arrays")
+    v = _finite_floats(v, "field 'V'")
+    w = _finite_floats(w, "field 'W'")
     if w.shape[0] == w.shape[1] and not np.array_equal(w, w.T):
         raise InputError("field 'W': must be exactly symmetric")
     scaling = scaling_from_json(obj["valuations"], "field 'valuations'")
@@ -215,35 +213,6 @@ def ase_to_json(ase: Ase) -> dict:
         "truncated_at": None if ase.truncated_at is None else exponent_to_json(ase.truncated_at),
         "groups": groups,
     }
-
-
-def ase_from_json(obj) -> Ase:
-    """Rebuild an Ase from its JSON form: each group is the factor (vectors, diag(lambda))."""
-    if not isinstance(obj, dict) or "n" not in obj or "groups" not in obj:
-        raise InputError("ASE JSON needs 'n' and 'groups'")
-    n = _int_at_least(obj["n"], 1, "field 'n': must be a positive integer")
-    if not isinstance(obj["groups"], list):
-        raise InputError("field 'groups': must be a list")
-    groups = []
-    for idx, g in enumerate(obj["groups"]):
-        where = f"groups[{idx}]"
-        if not isinstance(g, dict) or "valuation" not in g:
-            raise InputError(f"{where}: expected an object with 'valuation'")
-        alpha = exponent_from_json(g["valuation"], f"{where}.valuation")
-        lams = g.get("lambda")
-        vecs = g.get("vectors")
-        if not isinstance(lams, list) or vecs is None:
-            raise InputError(f"{where}: needs 'lambda' and 'vectors'")
-        lam = _finite_floats(lams, where, "lambda", "a list")
-        if lam.ndim != 1:
-            raise InputError(f"{where}: lambda must be a list of numbers")
-        u = _finite_floats(vecs, where, "vectors", "a list of lists").T  # columns are vectors
-        if u.shape != (n, len(lam)):
-            raise InputError(f"{where}.vectors: shape mismatch")
-        groups.append((alpha, u, np.diag(lam)))
-    trunc_raw = obj.get("truncated_at")
-    trunc = None if trunc_raw is None else exponent_from_json(trunc_raw, "truncated_at")
-    return Ase(n, groups, trunc)
 
 
 def match_report_to_json(report) -> dict:
@@ -303,13 +272,6 @@ def read_nodes_csv(path) -> NodeSet:
         return NodeSet(np.asarray(rows, dtype=float))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def write_nodes_csv(path, nodes: NodeSet):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# d={nodes.d}\n")
-        for line in _csv_rows(nodes.points):
-            fh.write(line + "\n")
 
 
 def _csv_rows(table) -> list:

@@ -13,13 +13,7 @@ import pytest
 from asymspec import cli
 from asymspec.ase import Ase
 from asymspec.cli import main
-from asymspec.serialize import (
-    ase_from_json,
-    dumps,
-    matrix_series_to_json,
-    read_nodes_csv,
-    write_nodes_csv,
-)
+from asymspec.serialize import dumps, exponent_to_json, matrix_series_to_json, read_nodes_csv
 from asymspec.kernels import generate_nodes
 
 
@@ -85,9 +79,17 @@ class TestAnalyze:
     def test_round_trip_is_match_compatible(self, series_files, tmp_path, capsys, ex_5x5):
         out_path = tmp_path / "ase.json"
         assert main(["analyze", "--input", series_files["k5"], "--output", str(out_path)]) == 0
-        from asymspec import eigen_sweep, match_ase
+        from asymspec import analyze_series, eigen_sweep, match_ase
 
-        ase = ase_from_json(json.loads(out_path.read_text()))
+        # the file is the readout of the in-process ASE, repr-exact
+        obj = json.loads(out_path.read_text())
+        ase = analyze_series(ex_5x5)
+        assert obj["truncated_at"] is None and ase.truncated_at is None
+        assert len(obj["groups"]) == len(ase.readout)
+        for g, group in zip(obj["groups"], ase.readout):
+            assert g["valuation"] == exponent_to_json(group.valuation)
+            assert g["lambda"] == group.leading_values
+            assert np.array_equal(np.asarray(g["vectors"]).T, group.vectors)
         sweep = eigen_sweep(ex_5x5.evaluate, np.geomspace(1e-4, 1e-1, 37)[::-1])
         assert match_ase(ase, sweep, 1e-2, 1e-2).passed
 
@@ -297,7 +299,8 @@ class TestNodeCsv:
     def test_round_trip(self, tmp_path):
         nodes = generate_nodes("uniform:7", d=3, seed=2)
         p = tmp_path / "nodes.csv"
-        write_nodes_csv(p, nodes)
+        p.write_text("# d=3\n" + "".join(",".join("%.17g" % x for x in row) + "\n"
+                                         for row in nodes.points))
         back = read_nodes_csv(p)
         assert back.d == 3
         np.testing.assert_array_equal(back.points, nodes.points)

@@ -1,7 +1,6 @@
 """Classified errors for malformed flags and numerically unusable inputs."""
 
 import json
-import re
 import warnings
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 
 from asymspec import eigen_sweep, generate_nodes
 from asymspec.cli import main
-from asymspec.serialize import InputError, ase_from_json
 
 
 @pytest.mark.parametrize(
@@ -272,6 +270,28 @@ _READER_ERRORS = [
      "terms[0].matrix: matrix must be an array of arrays of numbers"),
     ("gkf", _gkf(V=[[10**400, 0], [0, 1]]), "fields 'V'/'W': must be numeric arrays"),
     ("gkf", _gkf(W=[[1, 0], [0, -10**400]]), "fields 'V'/'W': must be numeric arrays"),
+    # GKF shapes and valuations checked by the form itself
+    ("gkf", _gkf(valuations=[{"nu": 1}, {"nu": 0}]),
+     "scaling valuations must be strictly increasing"),
+    ("gkf", _gkf(V=[[1, 0, 0], [0, 1, 0]]), "V column count does not match the scaling size"),
+    ("gkf", _gkf(W=[[1, 0, 0], [0, 1, 0], [0, 0, 1]], valuations=[{"nu": 0}, {"nu": 1}]),
+     "W shape does not match the scaling size"),
+    # a missing field, a boolean exponent, a string where a number belongs and
+    # a matrix of the wrong nesting, each named by its field
+    ("gkf", {"W": [[1]], "valuations": [{"nu": 0}]}, "top level: missing field 'V'"),
+    ("gkf", {"V": [[1]], "valuations": [{"nu": 0}]}, "top level: missing field 'W'"),
+    ("gkf", _gkf(valuations=[0]), "field 'valuations'[0]: needs 'nu'"),
+    ("auto", _series(n=-3), "field 'n': must be a positive integer"),
+    ("auto", _series(terms={}), "field 'terms': must be a list"),
+    ("auto", _series(terms=[{"matrix": [[1, 0], [0, 1]]}]),
+     "terms[0]: needs 'exponent' and 'matrix'"),
+    ("auto", _series(terms=[{"exponent": True, "matrix": [[1, 0], [0, 1]]}]),
+     "terms[0].exponent: expected an exponent, got a boolean"),
+    ("auto", _series(trunc_order="2"), "field 'trunc_order': expected an integer or"),
+    ("auto", _series(terms=[{"exponent": 0, "matrix": [1, 0]}]),
+     "terms[0].matrix: matrix shape (2,) != (2, 2)"),
+    ("auto", _series(terms=[{"exponent": 0, "matrix": [[[1], [0]], [[0], [1]]]}]),
+     "terms[0].matrix: matrix shape (2, 2, 1) != (2, 2)"),
 ]
 
 
@@ -286,39 +306,6 @@ def test_input_reader_errors_name_the_field(tmp_path, capsys, mode, content, mes
     assert code == 1
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("doc, message", [
-    ({"n": 2}, "ASE JSON needs 'n' and 'groups'"),
-    ({"n": 2, "groups": [{"valuation": 0, "lambda": [1.0]}]},
-     "groups[0]: needs 'lambda' and 'vectors'"),
-    ({"n": 2, "groups": [{"valuation": 0, "lambda": [1.0], "vectors": [[1.0, 0.0, 0.0]]}]},
-     "groups[0].vectors: shape mismatch"),
-    ({"n": 2, "groups": [{"valuation": True, "lambda": [1.0], "vectors": [[1.0, 0.0]]}]},
-     "groups[0].valuation: expected an exponent, got a boolean"),
-    ({"n": 1, "groups": [], "truncated_at": "2"}, "truncated_at: expected an integer or"),
-    ({"n": "x", "groups": []}, "field 'n': must be a positive integer"),
-    ({"n": -3, "groups": []}, "field 'n': must be a positive integer"),
-    ({"n": True, "groups": []}, "field 'n': must be a positive integer"),
-    ({"n": 2, "groups": {}}, "field 'groups': must be a list"),
-    ({"n": 2, "groups": [[0, [1.0]]]}, "groups[0]: expected an object with 'valuation'"),
-    ({"n": 2, "groups": [{"lambda": [1.0], "vectors": [[1.0, 0.0]]}]},
-     "groups[0]: expected an object with 'valuation'"),
-    ({"n": 2, "groups": [{"valuation": 0, "lambda": ["a"], "vectors": [[1.0, 0.0]]}]},
-     "groups[0]: lambda must be a list of numbers"),
-    ({"n": 2, "groups": [{"valuation": 0, "lambda": [[1.0]], "vectors": [[1.0, 0.0]]}]},
-     "groups[0]: lambda must be a list of numbers"),
-    ({"n": 2, "groups": [{"valuation": 0, "lambda": [float("nan")], "vectors": [[1.0, 0.0]]}]},
-     "groups[0]: lambda entries must be finite"),
-    ({"n": 2, "groups": [{"valuation": 0, "lambda": [1.0], "vectors": [["a", 0.0]]}]},
-     "groups[0]: vectors must be a list of lists of numbers"),
-    ({"n": 2, "groups": [{"valuation": 0, "lambda": [1.0], "vectors": [[float("inf"), 0.0]]}]},
-     "groups[0]: vectors entries must be finite"),
-])
-def test_ase_json_reader_errors_name_the_field(doc, message):
-    # no command reads ASE JSON, so its reader is called directly
-    with pytest.raises(InputError, match=re.escape(message)):
-        ase_from_json(doc)
 
 
 @pytest.mark.parametrize("kernel, command, exit_code", [
@@ -405,6 +392,10 @@ _GAUSSIAN = ["--kernel", "gaussian", "--nodes", "uniform:5"]
                  id="no-kernel"),
     pytest.param(["kernel", "--kernel", "gaussian", "--nodes", "{missing}"],
                  "node file {missing} does not exist", id="missing-node-file"),
+    # a spec without its count reads as a file name: once only "does not exist"
+    pytest.param(["kernel", "--kernel", "gaussian", "--nodes", "uniform"],
+                 "node file uniform does not exist (generated nodes are written "
+                 "family:count, e.g. uniform:10)", id="spec-without-count"),
     pytest.param(["kernel", "--kernel", "custom", "--nodes", "uniform:4"],
                  "custom kernels require psi coefficients", id="custom-without-psi"),
     # once "this command needs --kernel", though --input would do as well
@@ -412,6 +403,12 @@ _GAUSSIAN = ["--kernel", "gaussian", "--nodes", "uniform:5"]
                  "this command needs --input, or --kernel with --nodes", id="verify-no-source"),
     pytest.param(["sweep"], "this command needs --input, or --kernel with --nodes",
                  id="sweep-no-source"),
+    pytest.param(["analyze"], "this command needs --input", id="analyze-no-input"),
+    pytest.param(["kernel", "--kernel", "gaussian", "--psi", "[1]", "--nodes", "uniform:4"],
+                 "psi coefficients are only accepted for custom kernels",
+                 id="psi-for-a-named-kernel"),
+    pytest.param(["kernel", "--kernel", "gaussian", "--nodes", "blob:5"],
+                 "unknown node generator 'blob'", id="unknown-node-generator"),
 ])
 def test_flag_checks_exit_1(tmp_path, capsys, argv, message):
     missing = tmp_path / "missing.csv"
@@ -422,7 +419,6 @@ def test_flag_checks_exit_1(tmp_path, capsys, argv, message):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
-
 def test_node_path_that_is_a_directory(tmp_path, capsys):
     # once an IsADirectoryError traceback from the CSV reader
     code = main(["kernel", "--kernel", "gaussian", "--nodes", str(tmp_path),
@@ -430,6 +426,19 @@ def test_node_path_that_is_a_directory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: cannot read {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input"], ["kernel", "--kernel", "gaussian", "--nodes"]], ids=["input", "nodes"])
+def test_input_that_is_not_utf8(tmp_path, capsys, argv):
+    # once "error: 'utf-8' codec can't decode byte 0xff ...", naming no path
+    path = tmp_path / "input.bin"
+    path.write_bytes(b"\xff\xfe")
+    code = main([*argv, str(path), "--output", "/dev/null"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
     assert err.count("\n") == 1
 
 
