@@ -41,7 +41,6 @@ from .kernels import (
     kernel_model,
     monomials_of_degree,
     monomials_upto,
-    num_monomials_exact,
     num_monomials_upto,
     wronskian,
 )

@@ -219,8 +219,8 @@ class SpectralGroup:
 
     ``ambiguous`` is set when leading coefficients coincide within the group;
     the columns of ``vectors`` then only span the right eigenspace and cannot
-    be resolved individually without higher-order terms.  ``projector`` is
-    always well defined; it is computed on first use.
+    be resolved individually without higher-order terms.  The span itself,
+    with projector ``vectors @ vectors.T``, is always well defined.
     """
 
     valuation: Fraction
@@ -231,11 +231,6 @@ class SpectralGroup:
     @property
     def count(self) -> int:
         return len(self.leading_values)
-
-    @cached_property
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the group's eigenspace, (n, n)."""
-        return self.vectors @ self.vectors.T
 
 
 def _read_group(alpha, q, s) -> SpectralGroup:

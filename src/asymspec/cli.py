@@ -15,9 +15,11 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -90,8 +92,6 @@ def _load_nodes(args) -> NodeSet:
         if args.seed is not None and args.seed < 0:
             raise InputError(f"--seed must be a nonnegative integer, got {args.seed}")
         return generate_nodes(args.nodes, d=args.dim, seed=args.seed or 0)
-    import os
-
     if args.seed is not None:
         raise InputError(f"--seed applies to generated nodes, not to the node file {args.nodes}")
     if not os.path.exists(args.nodes):
@@ -139,6 +139,14 @@ def _check_tolerances(args):
         if value is not None and not 0.0 <= value < math.inf:
             raise InputError(f"--{name.replace('_', '-')} must be a finite number >= 0, "
                              f"got {value!r}")
+
+
+def _check_output(path):
+    """An --output that is a directory or in no directory exits 1 before the
+    computation runs, with the message the write would give."""
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+        raise InputError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
 def _rank_tol(args, default: float) -> float:
@@ -258,7 +266,7 @@ _FLAGS = {  # every flag once; each subcommand takes exactly the flags its handl
     "--dim": dict(type=int, help="dimension of 'uniform' nodes (default 2); for any other "
                   "node source it must match the nodes' own dimension"),
     "--seed": dict(type=int, help="nonnegative seed of generated nodes (default 0)"),
-    "--mode": dict(choices=("scaled", "gkf", "iterative", "auto"), default="auto"),
+    "--mode": dict(choices=("scaled", "gkf", "auto"), default="auto"),
     "--rank-tol": dict(type=float),
     "--eps-grid": dict(default="1e-4:1e-1:37"),  # 12 points per decade over [1e-4, 1e-1]
     "--output": dict(help="write the main result here instead of stdout"),
@@ -303,6 +311,7 @@ def main(argv=None) -> int:
     try:  # an InputError is a ValueError
         args = build_parser().parse_args(argv)
         _check_tolerances(args)
+        _check_output(args.output)
         return args.handler(args)
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,7 +32,6 @@ __all__ = [
     "NodeSet",
     "monomials_upto",
     "num_monomials_upto",
-    "num_monomials_exact",
     "monomials_of_degree",
     "wronskian",
     "distance_matrix",
@@ -46,6 +45,10 @@ __all__ = [
 KERNEL_RANK_TOL = 1e-9
 
 KERNEL_NAMES = ("gaussian", "exponential", "matern2", "custom")
+
+#: psi_0..psi_64 of a named kernel are stored: the Wronskian up to degree 32
+#: reads psi up to degree 64 (W_{<=q} needs psi_{2q}).
+PSI_HORIZON = 64
 
 
 def _psi_coefficient(name: str, k: int) -> float:
@@ -85,7 +88,7 @@ class KernelModel:
         return len(self.coeffs) - 1
 
 
-def kernel_model(name: str, psi_coefficients=None, horizon: int = 64) -> KernelModel:
+def kernel_model(name: str, psi_coefficients=None) -> KernelModel:
     """Build a named kernel (psi generated exactly) or a custom one from coefficients."""
     if name not in KERNEL_NAMES:
         raise ValueError(f"kernel must be one of {KERNEL_NAMES}, got {name!r}")
@@ -96,7 +99,7 @@ def kernel_model(name: str, psi_coefficients=None, horizon: int = 64) -> KernelM
     else:
         if psi_coefficients is not None:
             raise ValueError("psi coefficients are only accepted for custom kernels")
-        coeffs = [_psi_coefficient(name, k) for k in range(horizon + 1)]
+        coeffs = [_psi_coefficient(name, k) for k in range(PSI_HORIZON + 1)]
     # a zero coefficient is stored as +0.0, whatever the sign it was given with
     coeffs = tuple(c if c != 0.0 else 0.0 for c in coeffs)
     return KernelModel(name, coeffs, _first_odd_index(coeffs))
@@ -152,11 +155,6 @@ class NodeSet:
 def num_monomials_upto(s: int, d: int) -> int:
     """Number of monomials of degree <= s in d variables."""
     return math.comb(s + d, d)
-
-
-def num_monomials_exact(t: int, d: int) -> int:
-    """Number of monomials of degree exactly t in d variables."""
-    return math.comb(t + d - 1, d - 1)
 
 
 def monomials_of_degree(d: int, t: int):

@@ -304,7 +304,8 @@ def match_ase(ase: Ase, sweep: SweepResult, tol_coeff: float, tol_angle: float) 
         )
         # (2) leading coefficients, paired in decreasing signed order (the
         # within-group convention; magnitude order would mis-pair +a with -a)
-        measured = sweep.eigenvalues[at, idx] / eps_star**alpha
+        with np.errstate(over="ignore"):  # eps*^alpha = inf measures 0: the check fails
+            measured = sweep.eigenvalues[at, idx] / np.float64(eps_star) ** alpha
         pred = sorted(g.leading_values, reverse=True)
         meas = sorted(measured.tolist(), reverse=True)
         rec.coeff_rel_errors = [

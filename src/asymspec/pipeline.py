@@ -18,12 +18,11 @@ def analyze_series(k: MatrixSeries, mode: str = "auto", rank_tol: float = SERIES
     """Spectral equivalent of a symmetric matrix series.
 
     Modes: 'scaled' stops after the first round (the diagonal-scaling
-    construction, truncated where its Schur chain stalls); 'iterative' and
-    'auto' are two names for the full route, which continues past a stall
-    round by round.  Rows need not be pre-ordered: the automatic scaling's
-    sort is applied internally and the reported terms live in the original
-    coordinates.
+    construction, truncated where its Schur chain stalls); 'auto' runs the
+    full route, which continues past a stall round by round.  Rows need not
+    be pre-ordered: the automatic scaling's sort is applied internally and
+    the reported terms live in the original coordinates.
     """
-    if mode not in ("scaled", "iterative", "auto"):
+    if mode not in ("scaled", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
     return iterative_ase(k, rank_tol, max_depth=0 if mode == "scaled" else None)

@@ -34,7 +34,6 @@ __all__ = [
     "InputError",
     "exponent_to_json",
     "exponent_from_json",
-    "matrix_series_to_json",
     "matrix_series_from_json",
     "matrix_arrays",
     "scaling_from_json",
@@ -51,8 +50,6 @@ class InputError(ValueError):
 
 
 def exponent_to_json(e: Fraction):
-    if e == INFINITY:
-        return None
     return {"num": e.numerator, "den": e.denominator}
 
 
@@ -95,17 +92,6 @@ def _matrix_from_json(obj, n: int, where: str) -> np.ndarray:
     if mat.shape != (n, n):
         raise InputError(f"{where}: matrix shape {mat.shape} != ({n}, {n})")
     return mat
-
-
-def matrix_series_to_json(k: MatrixSeries) -> dict:
-    return {
-        "n": k.shape[0],
-        "symmetric": bool(k.symmetric),
-        "trunc_order": exponent_to_json(k.trunc_order),
-        "terms": [
-            {"exponent": exponent_to_json(e), "matrix": m.tolist()} for e, m in k.terms
-        ] or [{"exponent": 0, "matrix": np.zeros(k.shape).tolist()}],  # a matrix fixes n
-    }
 
 
 def matrix_arrays(obj: dict) -> dict:

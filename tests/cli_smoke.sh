@@ -38,13 +38,18 @@ JSON
 cat > gasym.json <<'JSON'
 {"V": [[1, 0], [0, 1]], "W": [[2, 1], [0, 2]], "valuations": [{"nu": 0, "mult": 1}, {"nu": 1, "mult": 1}]}
 JSON
-for mode in auto scaled iterative; do
+for mode in auto scaled; do
   $ASYMSPEC analyze --input k.json --mode "$mode"
   # the zero row leaves the expansion truncated at the horizon
   code=0
   $ASYMSPEC analyze --input z.json --mode "$mode" || code=$?
   test "$code" -eq 2
 done
+# iterative was a second name for auto and is no longer a mode
+code=0
+$ASYMSPEC analyze --input k.json --mode iterative 2> mode.err || code=$?
+test "$code" -eq 1
+grep -q "invalid choice: 'iterative'" mode.err
 $ASYMSPEC kernel --nodes uniform:10 --kernel gaussian --seed 0
 # 40,000 eigenvector entries: JSON floats go through the batch
 # formatter and its lazily built tables, with numpy alone installed;
@@ -53,6 +58,13 @@ $ASYMSPEC kernel --kernel exponential --nodes uniform:200 --seed 0 --output k200
 python -c 'import json; t = open("k200.json").read(); assert t == json.dumps(json.loads(t), indent=2) + "\n"'
 $ASYMSPEC verify --input k.json --tol-coeff 1e-2 --tol-angle 1e-2
 $ASYMSPEC verify --nodes uniform:10 --kernel gaussian
+# from eps = 1e100 up, eps*^alpha overflows: each group's coefficient check
+# fails (exit 2) with no RuntimeWarning and no traceback
+code=0
+PYTHONWARNINGS=error::RuntimeWarning $ASYMSPEC verify --kernel gaussian --nodes uniform:4 \
+  --eps-grid 1e100:1e101:4 --output /dev/null 2> huge-eps.err || code=$?
+test "$code" -eq 2
+test ! -s huge-eps.err
 $ASYMSPEC sweep --nodes equispaced:20 --kernel gaussian --eps-grid 1e-2:1e-1:24 --track-vector 3
 $ASYMSPEC sweep --nodes uniform:50 --kernel matern2 --eps-grid 1e-2:1e-1:24
 # without --track-vector no ASE is built, so a node set the kernel

@@ -15,7 +15,9 @@ formulas written here as the paper states them:
   multivariate Vandermonde matrix (Barthelme & Usevich, SIMAX 2021);
 - principal angles between spans that are not yet orthonormal;
 - the block-diagonal sum of two series and the monomial count of each
-  degree, which no command reads.
+  degree, which no command reads;
+- the series JSON writer: the commands only read series JSON, and the tests
+  write their inputs with it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from asymspec.kernels import (
     _degree_scan,
     _unit_nodes,
     monomials_upto,
-    num_monomials_exact,
     wronskian,
 )
 from asymspec.oracle import _angles
@@ -249,13 +250,13 @@ class FinitelySmoothError(Exception):
 
 def block_widths(d: int, q: int) -> tuple:
     """The number of monomials of each degree 0..q in d variables."""
-    return tuple(num_monomials_exact(t, d) for t in range(q + 1))
+    return tuple(math.comb(t + d - 1, d - 1) for t in range(q + 1))
 
 
 def vandermonde(nodes: NodeSet, s: int) -> np.ndarray:
     """Multivariate Vandermonde matrix [x_i^alpha] for |alpha| <= s.
 
-    Columns are grouped by degree (widths ``num_monomials_exact(t, d)``) in
+    Columns are grouped by degree (widths ``block_widths(d, s)``) in
     graded-lex order; the degree-0 block is the all-ones column.  Entry
     (i, alpha) multiplies the powers x_ic ** alpha_c in coordinate order, each
     taken with a scalar integer exponent.
@@ -352,3 +353,23 @@ def _principal_angles(a, b) -> np.ndarray:
             f"a and b must have the same number of rows, got {qa.shape[0]} and {b.shape[0]}"
         )
     return _angles(qa, _orth(b))
+
+
+# ---------------------------------------------------------------------------
+# serialize: series JSON, as ``matrix_series_from_json`` reads it
+# ---------------------------------------------------------------------------
+
+
+def matrix_series_to_json(k: MatrixSeries) -> dict:
+    """The series JSON of ``k``: exponents as {num, den}, an infinite
+    ``trunc_order`` as null, and one zero term if ``k`` has none (a matrix fixes n)."""
+    def exponent(e):
+        return None if e == INFINITY else {"num": e.numerator, "den": e.denominator}
+
+    return {
+        "n": k.shape[0],
+        "symmetric": bool(k.symmetric),
+        "trunc_order": exponent(k.trunc_order),
+        "terms": [{"exponent": exponent(e), "matrix": m.tolist()} for e, m in k.terms]
+        or [{"exponent": 0, "matrix": np.zeros(k.shape).tolist()}],
+    }

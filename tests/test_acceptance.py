@@ -40,8 +40,8 @@ from asymspec import (
 )
 from asymspec.cli import main
 from asymspec.oracle import SweepResult
-from asymspec.serialize import dumps, matrix_series_to_json
-from reference import grid_of, vandermonde
+from asymspec.serialize import dumps
+from reference import grid_of, matrix_series_to_json, vandermonde
 
 DEFAULT_GRID = np.geomspace(1e-4, 1e-1, 37)[::-1]
 _SUITE_TIMES = {}

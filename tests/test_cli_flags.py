@@ -53,6 +53,7 @@ def series_file(tmp_path):
      "--eps-grid: expected one argument"),
     (["sweep", "--kernel", "gaussian", "--nodes", "uniform:5", "--format", "json"],
      "invalid choice: 'json'"),
+    (["analyze", "--input", "{input}", "--mode", "iterative"], "invalid choice: 'iterative'"),
     (["analyze", "--input", "{input}", "--seed", "0"], "unrecognized arguments: --seed 0"),
     (["kernel", "--kernel", "gaussian", "--nodes", "uniform:5", "--eps-grid", "1e-3:1e-1:8"],
      "unrecognized arguments: --eps-grid"),

@@ -22,7 +22,8 @@ import pytest
 
 from asymspec import cli, floattext, serialize
 from asymspec.ase import fix_column_signs
-from asymspec.serialize import dumps, matrix_series_to_json
+from asymspec.serialize import dumps
+from reference import matrix_series_to_json
 
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-320, 5e-324, 1.7976931348623157e308,
            0.1, -2.5e-17, 1e16, 123456789.0]

@@ -247,7 +247,7 @@ def test_huge_common_denominator_stays_exact():
     np.testing.assert_array_equal(extract_H(k, sc), _ref_extract_H(k, nu))
     shift = [Fraction(1, 2**40 + 1), Fraction(-1, 3), Fraction(2, 2**40 - 1)]
     assert k.scale_rows_cols(shift, shift) == _ref_scale_rows_cols(k, shift, shift)
-    for mode in ("scaled", "iterative", "auto"):
+    for mode in ("scaled", "auto"):
         ase = analyze_series(k, mode)
         assert ase.truncated_at is None
         assert [alpha for alpha, _ in ase.groups] == [

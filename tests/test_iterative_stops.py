@@ -6,7 +6,7 @@ import pytest
 
 from asymspec import INFINITY, Exponent, MatrixSeries, iterative_ase
 from asymspec.cli import main
-from asymspec.serialize import matrix_series_to_json
+from reference import matrix_series_to_json
 
 
 def zero_series():
